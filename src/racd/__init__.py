@@ -8,29 +8,29 @@ local-CD and exact-CD baselines.
 
 from .agp import GaugeContext, RaParams, action_oracle, exact_agp, g_operator, local_cd_coeffs, ra_agp
 from .closed_form import (
-    LhzCounts,
     action_cd_two_param,
     action_chain,
     action_lhz,
     action_qubo,
     action_two_level,
-    lhz_counts,
     two_level_optimum,
 )
 from .dynamics import FidelityTrace, evolve, fidelity, ground_space, rotated_fidelity, run_protocol
 from .models import (
     ChainModel,
+    LhzCounts,
     LhzModel,
     Model,
     QuboModel,
     Ramp,
     TwoSpinModel,
     build_hamiltonian,
+    lhz_counts,
     lhz_default_constraints,
     ramp_eval,
     random_instance,
 )
 from .operators import PauliString, SpinOperator, commutator, diag_component, pauli_mul, trace_product
-from .optimizer import ParamTrajectory, Protocol, assemble_protocol, bfgs_minimize, differentiate, sequential_optimize
+from .optimizer import ParamTrajectory, Protocol, assemble_protocol, bfgs_minimize, sequential_optimize
 
 __version__ = "0.1.0"

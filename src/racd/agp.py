@@ -78,9 +78,14 @@ class GaugeContext:
 
     @classmethod
     def from_model(cls, model: Model, lam: float, lam_dot: float) -> "GaugeContext":
-        fields = model.ua_fields(lam, lam_dot)
-        h0 = model.hamiltonian([fields[t.name][0] for t in model.terms])
-        dh0 = model.hamiltonian([fields[t.name][1] for t in model.terms])
+        return cls.from_fields(model, model.ua_fields(lam, lam_dot))
+
+    @classmethod
+    def from_fields(cls, model: Model, fd) -> "GaugeContext":
+        """Context for arbitrary field values and time derivatives, ``fd``
+        mapping each term name to (value, derivative)."""
+        h0 = model.hamiltonian([fd[t.name][0] for t in model.terms])
+        dh0 = model.hamiltonian([fd[t.name][1] for t in model.terms])
         q_ops = tuple((t.param, t.operator) for t in model.terms if t.param in ("gamma", "phi"))
         k_ops = tuple((t.param, t.operator) for t in model.terms if t.param == "beta")
         return cls(h0, dh0, q_ops, k_ops)
@@ -243,10 +248,6 @@ class LocalCdSolver:
             return np.linalg.solve(m, r[..., None])[..., 0]
         except np.linalg.LinAlgError:
             return np.stack([np.linalg.lstsq(mi, ri, rcond=None)[0] for mi, ri in zip(m, r)])
-
-    def solve_scaled(self, lam: float, lam_dot: float) -> np.ndarray:
-        """Time-scaled sigma-y field coefficients lambda_dot * alpha(lambda)."""
-        return lam_dot * self.solve(lam)
 
     def solve_scaled_batch(self, lams: np.ndarray, lam_dots: np.ndarray) -> np.ndarray:
         return np.asarray(lam_dots)[:, None] * self.solve_batch(lams)

@@ -18,14 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .dynamics import ground_trace, run_protocol
+from .dynamics import run_protocol
 from .models import Model, Ramp, TwoSpinModel, random_instance
 from .operators import DENSE_MATRIX_MAX_QUBITS
 from .optimizer import assemble_protocol, sequential_optimize
@@ -112,7 +111,6 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
     trajectory = None
     if "ra" in config.protocols:
         trajectory = sequential_optimize(model, ramp, M=config.m_points, backend=config.backend)
-    times = None
     bases = None
     finals: Dict[str, float] = {}
     for kind in config.protocols:
@@ -120,13 +118,11 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
             model, trajectory, kind, ramp, tau=config.tau, M=config.m_points, seed=model.seed
         )
         trace = run_protocol(protocol, steps=config.steps, n_out=n_out, ground_bases=bases)
-        if bases is None:
-            times = trace.times
-            bases = ground_trace(model, trace.lambdas)
+        bases = trace.ground_bases  # every protocol shares the output grid
         finals[kind] = float(trace.F[-1])
         if out_dir is not None:
             trace.to_csv(out_dir / f"fidelity_{kind}.csv")
-            _write_fields_csv(out_dir / f"fields_{kind}.csv", protocol, times)
+            _write_fields_csv(out_dir / f"fields_{kind}.csv", protocol, trace.times)
     if out_dir is not None and trajectory is not None:
         trajectory.to_csv(out_dir / "params_ra.csv")
     return finals
@@ -157,7 +153,7 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def scaling_study(
-    config: RunConfig, sizes: Sequence[int], protocols: Sequence[str] = SCALING_PROTOCOLS, workers: int = 1
+    config: RunConfig, sizes: Sequence[int], protocols: Sequence[str] = SCALING_PROTOCOLS
 ) -> List[dict]:
     """Per-size instance sweep; returns one record per (size, protocol)."""
     rows: List[dict] = []
@@ -173,15 +169,12 @@ def scaling_study(
             seed=config.seed,
             backend=config.backend,
         )
-
-        def one_instance(idx: int) -> Dict[str, float]:
-            model = _build_model(run_cfg, config.seed + idx)
-            # scaling only consumes final fidelities: a sparse output grid
-            # keeps the norm-drift checkpoints without per-point eigensolves
-            return _single_run(model, run_cfg, None, n_out=11)
-
-        with ThreadPoolExecutor(max_workers=min(workers, config.instances)) as pool:
-            finals = list(pool.map(one_instance, range(config.instances)))
+        # scaling only consumes final fidelities: a sparse output grid keeps
+        # the norm-drift checkpoints without per-point eigensolves
+        finals = [
+            _single_run(_build_model(run_cfg, config.seed + idx), run_cfg, None, n_out=11)
+            for idx in range(config.instances)
+        ]
         for kind in protocols:
             f_vals = np.array([f[kind] for f in finals])
             f_ua = np.array([f["ua"] for f in finals])
@@ -201,8 +194,6 @@ def scaling_study(
 
 def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
     config.validate()
-    if config.instances < 2 and sizes is None:
-        pass  # single-instance runs are allowed for format checks
     if sizes is None:
         table = FULL_SCALING_SIZES if config.full else DEFAULT_SCALING_SIZES
         if config.model not in table:

@@ -1,5 +1,6 @@
 """Polynomial-cost evaluators of the time-scaled action for each benchmark
-family, plus the two-level analytic optimum and LHZ layout combinatorics.
+family, the dispatch from a model to its evaluator, and the two-level
+analytic optimum.
 
 All evaluators use the dotted (time-scaled) action and one fixed ansatz
 convention: Q = gamma * H_gamma-term [+ phi * H_phi-term], K = beta *
@@ -9,21 +10,21 @@ the derivation admits more than one printed grouping, the dense trace oracle
 required to agree with it to relative 1e-8 at its model's smallest valid
 size.
 
-Normalization conventions (documented per function): the two-level action is
-the raw 4-dimensional trace; the chain action is per-site, S / (N 2^N); the
-QUBO and LHZ actions are S / 2^N.
+Normalization conventions (documented per function, returned by
+:func:`normalization`): the two-level action is the raw 4-dimensional trace;
+the chain action is per-site, S / (N 2^N); the QUBO and LHZ actions are
+S / 2^N.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .models import ChainModel
+from .models import ChainModel, LhzCounts, Model, lhz_counts  # noqa: F401 - LHZ counts re-exported
 from .operators import SpinOperator, commutator, sigma_x, sigma_y, trace_product, z_word
 
 FieldDerivs = Dict[str, Tuple[float, float]]  # term name -> (value, time derivative)
@@ -278,61 +279,6 @@ def action_qubo(J: np.ndarray, fd: FieldDerivs, beta: float, gamma: float) -> fl
 # LHZ annealer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LhzCounts:
-    """Architecture-only constraint combinatorics.
-
-    L is the total constraint count; L_mu[m] counts constraints containing
-    qubit m; L_mu_nu[m, n] counts constraints containing both; L_mu_not_nu
-    is L_mu[:, None] - L_mu_nu; pairs lists the (mu < nu) pairs sharing at
-    least one constraint.
-    """
-
-    L: int
-    L_mu: np.ndarray
-    L_mu_nu: np.ndarray
-    L_mu_not_nu: np.ndarray
-    pairs: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.L_mu_nu.shape != (len(self.L_mu), len(self.L_mu)):
-            raise ValueError("inconsistent counts: L_mu_nu shape")
-        if not np.array_equal(self.L_mu_nu, self.L_mu_nu.T):
-            raise ValueError("inconsistent counts: L_mu_nu must be symmetric")
-        if not np.array_equal(self.L_mu_not_nu, self.L_mu[:, None] - self.L_mu_nu):
-            raise ValueError("inconsistent counts: L_mu_not_nu identity violated")
-        if np.any(self.L_mu < 0) or np.any(self.L_mu_nu < 0) or np.any(self.L_mu_not_nu < 0):
-            raise ValueError("inconsistent counts: negative entry")
-
-
-def lhz_counts(constraints: Sequence[Sequence[int]], n_qubits: int) -> LhzCounts:
-    """Exact combinatorial counts for an explicit constraint list."""
-    sets = []
-    for c in constraints:
-        cs = frozenset(int(q) for q in c)
-        if any(not 0 <= q < n_qubits for q in cs):
-            raise ValueError(f"constraint {sorted(cs)} has out-of-range index")
-        sets.append(cs)
-    l_mu = np.zeros(n_qubits, dtype=int)
-    l_mu_nu = np.zeros((n_qubits, n_qubits), dtype=int)
-    for cs in sets:
-        for mu in cs:
-            l_mu[mu] += 1
-            for nu in cs:
-                if nu != mu:
-                    l_mu_nu[mu, nu] += 1
-    pairs = tuple(
-        (mu, nu) for mu in range(n_qubits) for nu in range(mu + 1, n_qubits) if l_mu_nu[mu, nu] > 0
-    )
-    return LhzCounts(
-        L=len(sets),
-        L_mu=l_mu,
-        L_mu_nu=l_mu_nu,
-        L_mu_not_nu=l_mu[:, None] - l_mu_nu,
-        pairs=pairs,
-    )
-
-
 def action_lhz(
     counts: LhzCounts,
     J: np.ndarray,
@@ -386,6 +332,38 @@ def action_lhz(
         s += 4.0 * B0**2 * bt**2 * shared
         s += 8.0 * B0**2 * bt**2 * shared * (c2**expo) * cg[mu] * cg[nu]
     return float(s)
+
+
+# ---------------------------------------------------------------------------
+# Dispatch from a model to its closed form
+# ---------------------------------------------------------------------------
+
+def normalization(model: Model) -> float:
+    """Factor by which the dense trace Tr(G_t^2) exceeds :func:`action` for
+    ``model``; raises ``ValueError`` where no closed form applies."""
+    n = model.n_qubits
+    if model.kind == "two-spin":
+        return 1.0
+    if model.kind == "chain":
+        if n < 4:
+            raise ValueError("chain closed form needs N >= 4; use backend='oracle'")
+        return n * 2.0**n
+    if model.kind in ("qubo", "lhz"):
+        return 2.0**n
+    raise ValueError(f"no closed form for model kind {model.kind!r}")
+
+
+def action(model: Model, fd: FieldDerivs, x: Sequence[float]) -> float:
+    """Scaled action of ``model`` at the stacked parameters ``x`` (ordered as
+    ``model.param_names``), normalized as :func:`normalization` states."""
+    normalization(model)  # rejects models without a closed form
+    if model.kind == "two-spin":
+        return action_two_level(fd, x[0], x[1])
+    if model.kind == "chain":
+        return action_chain(fd, x[0], x[1], x[2])
+    if model.kind == "qubo":
+        return action_qubo(model.couplings, fd, x[0], x[1])
+    return action_lhz(model.counts, model.couplings, fd, x[0], x[1], x[2])
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ integrator-quality signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -20,7 +20,6 @@ from .operators import (
     DENSE_MATRIX_MAX_QUBITS,
     STATE_VECTOR_MAX_QUBITS,
     CapacityError,
-    _popcount_array,
     sigma_y,
 )
 from .optimizer import Protocol
@@ -80,12 +79,15 @@ def rotated_fidelity(psi: np.ndarray, ground: np.ndarray, q_diag: np.ndarray) ->
 @dataclass
 class FidelityTrace:
     """Instantaneous fidelities along a run; F_tilde equals F except for the
-    rotated-frame protocol."""
+    rotated-frame protocol.  ``ground_bases`` are the instantaneous
+    ground-subspace bases the fidelities were measured against (not written
+    by :meth:`to_csv`), for reuse by other protocols on the same grid."""
 
     times: np.ndarray
     lambdas: np.ndarray
     F: np.ndarray
     F_tilde: np.ndarray
+    ground_bases: List[np.ndarray] | None = field(default=None, repr=False)
 
     def validate(self) -> None:
         for arr in (self.F, self.F_tilde):
@@ -135,7 +137,7 @@ class _HamiltonianEvaluator:
         for comp_idx, op in enumerate(ops):
             for (x, z), w in op:
                 rows = groups.setdefault(x, {})
-                signs = 1.0 - 2.0 * (_popcount_array(states & z) & 1)
+                signs = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
                 if comp_idx in rows:
                     rows[comp_idx] = rows[comp_idx] + w * signs
                 else:
@@ -282,6 +284,6 @@ def run_protocol(
             ft_vals[i] = rotated_fidelity(states[i], ground_bases[i], q_diag)
         else:
             ft_vals[i] = f_vals[i]
-    trace = FidelityTrace(times=times, lambdas=lams, F=f_vals, F_tilde=ft_vals)
+    trace = FidelityTrace(times=times, lambdas=lams, F=f_vals, F_tilde=ft_vals, ground_bases=ground_bases)
     trace.validate()
     return trace

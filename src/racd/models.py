@@ -10,7 +10,9 @@ potential K = beta * (beta-term op), so every RA control field is always
 (Q terms), with no per-model sign exceptions.
 
 Instances are drawn with numpy's PCG64 generator; identical (kind, size,
-seed) triples reproduce identical coupling arrays.
+seed) triples reproduce identical coupling arrays.  The LHZ layout
+combinatorics (:class:`LhzCounts`) live here too; each ``LhzModel`` computes
+its own once.
 """
 
 from __future__ import annotations
@@ -289,7 +291,8 @@ class LhzModel(Model):
     L = (n-1)(n-2)/2 plaquette constraints are sigma-z products over 3 or 4
     qubits.  H_p = -sum J_k sz_k (A0 = lambda, gamma), H_x = -sum sx_k
     (B0 = 1 - lambda, beta), H_c = -sum_l prod_{q in l} sz_q
-    (C0 = C_f * lambda with C_f = 3, phi).
+    (C0 = C_f * lambda with C_f = 3, phi).  ``counts`` holds the layout's
+    constraint combinatorics, which the closed-form action consumes.
     """
 
     kind = "lhz"
@@ -329,6 +332,7 @@ class LhzModel(Model):
         self.n_logical = n_logical
         self.couplings = J
         self.constraints = list(constraints)
+        self.counts = lhz_counts(self.constraints, n)
         super().__init__(
             n,
             [
@@ -385,6 +389,61 @@ def lhz_default_constraints(n: int) -> List[Tuple[int, ...]]:
             )
     assert len(constraints) == (n - 1) * (n - 2) // 2
     return constraints
+
+
+@dataclass(frozen=True)
+class LhzCounts:
+    """Architecture-only constraint combinatorics.
+
+    L is the total constraint count; L_mu[m] counts constraints containing
+    qubit m; L_mu_nu[m, n] counts constraints containing both; L_mu_not_nu
+    is L_mu[:, None] - L_mu_nu; pairs lists the (mu < nu) pairs sharing at
+    least one constraint.
+    """
+
+    L: int
+    L_mu: np.ndarray
+    L_mu_nu: np.ndarray
+    L_mu_not_nu: np.ndarray
+    pairs: Tuple[Tuple[int, int], ...]
+
+    def __post_init__(self):
+        if self.L_mu_nu.shape != (len(self.L_mu), len(self.L_mu)):
+            raise ValueError("inconsistent counts: L_mu_nu shape")
+        if not np.array_equal(self.L_mu_nu, self.L_mu_nu.T):
+            raise ValueError("inconsistent counts: L_mu_nu must be symmetric")
+        if not np.array_equal(self.L_mu_not_nu, self.L_mu[:, None] - self.L_mu_nu):
+            raise ValueError("inconsistent counts: L_mu_not_nu identity violated")
+        if np.any(self.L_mu < 0) or np.any(self.L_mu_nu < 0) or np.any(self.L_mu_not_nu < 0):
+            raise ValueError("inconsistent counts: negative entry")
+
+
+def lhz_counts(constraints: Sequence[Sequence[int]], n_qubits: int) -> LhzCounts:
+    """Exact combinatorial counts for an explicit constraint list."""
+    sets = []
+    for c in constraints:
+        cs = frozenset(int(q) for q in c)
+        if any(not 0 <= q < n_qubits for q in cs):
+            raise ValueError(f"constraint {sorted(cs)} has out-of-range index")
+        sets.append(cs)
+    l_mu = np.zeros(n_qubits, dtype=int)
+    l_mu_nu = np.zeros((n_qubits, n_qubits), dtype=int)
+    for cs in sets:
+        for mu in cs:
+            l_mu[mu] += 1
+            for nu in cs:
+                if nu != mu:
+                    l_mu_nu[mu, nu] += 1
+    pairs = tuple(
+        (mu, nu) for mu in range(n_qubits) for nu in range(mu + 1, n_qubits) if l_mu_nu[mu, nu] > 0
+    )
+    return LhzCounts(
+        L=len(sets),
+        L_mu=l_mu,
+        L_mu_nu=l_mu_nu,
+        L_mu_not_nu=l_mu[:, None] - l_mu_nu,
+        pairs=pairs,
+    )
 
 
 def random_instance(kind: str, size: int, seed: int) -> Model:

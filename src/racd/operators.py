@@ -38,28 +38,8 @@ class NotDiagonalError(ValueError):
     """Operation requires a computational-basis diagonal operator."""
 
 
-def _popcount(n: int) -> int:
-    return n.bit_count()
-
-
 def _parity(n: int) -> int:
     return n.bit_count() & 1
-
-
-if hasattr(np, "bitwise_count"):
-
-    def _popcount_array(a: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(a)
-
-else:  # pragma: no cover - numpy < 2.0 fallback
-
-    def _popcount_array(a: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a)
-        a = a.copy()
-        while a.any():
-            out += a & 1
-            a >>= 1
-        return out
 
 
 @dataclass(frozen=True)
@@ -259,7 +239,7 @@ class SpinOperator:
         cols = np.arange(dim)
         for (x, z), w in self._terms.items():
             rows = cols ^ x
-            signs = 1.0 - 2.0 * (_popcount_array(cols & z) & 1)
+            signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
             mat[rows, cols] += w * signs
         return mat
 
@@ -274,7 +254,7 @@ class SpinOperator:
         states = np.arange(dim)
         out = np.zeros(dim, dtype=complex)
         for (_, z), w in self._terms.items():
-            out += w * (1.0 - 2.0 * (_popcount_array(states & z) & 1))
+            out += w * (1.0 - 2.0 * (np.bitwise_count(states & z) & 1))
         return out
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
@@ -285,7 +265,7 @@ class SpinOperator:
         states = np.arange(dim)
         out = np.zeros(dim, dtype=complex)
         for (x, z), w in self._terms.items():
-            signs = 1.0 - 2.0 * (_popcount_array(states & z) & 1)
+            signs = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
             out[states ^ x] += w * signs * psi
         return out
 
@@ -336,11 +316,6 @@ def trace_product(a: SpinOperator, b: SpinOperator) -> complex:
             sign = -1.0 if _parity(x & z) else 1.0
             acc += w * w2 * sign
     return acc * (1 << a.n_qubits)
-
-
-def normalized_trace_product(a: SpinOperator, b: SpinOperator) -> complex:
-    """Tr(AB) / 2^N."""
-    return trace_product(a, b) / (1 << a.n_qubits)
 
 
 # -- diagonal decomposition -------------------------------------------------

@@ -168,19 +168,14 @@ class ParamTrajectory:
         return ParamTrajectory(data[:, 0], data[:, 1:], tuple(header[1:]))
 
 
-def differentiate(traj: ParamTrajectory, which: str) -> Callable:
-    """Analytic time derivative of the spline through ``which``'s knots."""
-    spline = traj._spline(which)
-    return lambda t: spline(t, 1)
-
-
 def make_action_objective(
     model: Model, lam: float, lam_dot: float, backend: str = "closed-form"
 ) -> Callable[[np.ndarray], float]:
     """Scaled-action objective in the stacked parameter vector.
 
-    ``closed-form`` dispatches to the model's polynomial evaluator;
-    ``oracle`` uses the dense trace (capped by the dense-matrix limit).
+    ``closed-form`` dispatches to the model's polynomial evaluator
+    (:func:`racd.closed_form.action`); ``oracle`` uses the dense trace
+    (capped by the dense-matrix limit).
     Normalizations differ by constant positive factors only, which is
     irrelevant to the minimizer.
     """
@@ -192,31 +187,8 @@ def make_action_objective(
         raise ValueError(f"unknown action backend {backend!r}")
 
     fd = model.ua_fields(lam, lam_dot)
-    kind = model.kind
-    if kind == "two-spin":
-        return lambda x: closed_form.action_two_level(fd, x[0], x[1])
-    if kind == "chain":
-        if model.n_qubits < 4:
-            raise ValueError("chain closed form needs N >= 4; use backend='oracle'")
-        return lambda x: closed_form.action_chain(fd, x[0], x[1], x[2])
-    if kind == "qubo":
-        J = model.couplings
-        return lambda x: closed_form.action_qubo(J, fd, x[0], x[1])
-    if kind == "lhz":
-        counts = _lhz_counts_for(model)
-        J = model.couplings
-        return lambda x: closed_form.action_lhz(counts, J, fd, x[0], x[1], x[2])
-    raise ValueError(f"no closed form for model kind {kind!r}")
-
-
-_lhz_counts_cache: Dict[int, closed_form.LhzCounts] = {}
-
-
-def _lhz_counts_for(model) -> closed_form.LhzCounts:
-    key = id(model)
-    if key not in _lhz_counts_cache:
-        _lhz_counts_cache[key] = closed_form.lhz_counts(model.constraints, model.n_qubits)
-    return _lhz_counts_cache[key]
+    closed_form.normalization(model)  # rejects models without a closed form
+    return lambda x: closed_form.action(model, fd, x)
 
 
 def sequential_optimize(

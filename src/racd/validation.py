@@ -5,7 +5,7 @@ benchmark, CD-limitations triviality, and boundary conditions."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
@@ -41,75 +41,36 @@ def _random_field_derivs(model, rng) -> dict:
     return {t.name: (rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0)) for t in model.terms}
 
 
-def _context_from_fd(model, fd) -> GaugeContext:
-    h0 = model.hamiltonian([fd[t.name][0] for t in model.terms])
-    dh0 = model.hamiltonian([fd[t.name][1] for t in model.terms])
-    q_ops = tuple((t.param, t.operator) for t in model.terms if t.param in ("gamma", "phi"))
-    k_ops = tuple((t.param, t.operator) for t in model.terms if t.param == "beta")
-    return GaugeContext(h0, dh0, q_ops, k_ops)
-
-
-def closed_form_deviation(model, evaluator: Callable, normalization: float, draws: int, seed: int) -> float:
-    """Max relative deviation of a closed form from the dense oracle over
-    random field and parameter draws."""
+def closed_form_deviation(model, draws: int, seed: int) -> float:
+    """Max relative deviation of the model's closed form from the dense
+    oracle over random field and parameter draws."""
     rng = np.random.Generator(np.random.PCG64(seed))
     names = model.param_names
+    normalization = closed_form.normalization(model)
     worst = 0.0
     for _ in range(draws):
         fd = _random_field_derivs(model, rng)
         x = np.array(
             [rng.uniform(-2.0, 2.0) if n == "beta" else rng.uniform(-1.0, 1.0) for n in names]
         )
-        ctx = _context_from_fd(model, fd)
+        ctx = GaugeContext.from_fields(model, fd)
         oracle = action_oracle(ctx, RaParams.from_vector(x, names)) / normalization
-        closed = evaluator(fd, x)
+        closed = closed_form.action(model, fd, x)
         rel = abs(closed - oracle) / max(abs(oracle), 1e-12)
         worst = max(worst, rel)
     return worst
 
 
 def suite_closed_form_vs_oracle(draws: int = 100, seed: int = 20240) -> SuiteResult:
-    cases = []
-    two = TwoSpinModel()
-    cases.append(
-        closed_form_deviation(
-            two, lambda fd, x: closed_form.action_two_level(fd, x[0], x[1]), 1.0, draws, seed
-        )
-    )
-    for n in (4, 5):
-        chain = ChainModel(n)
-        cases.append(
-            closed_form_deviation(
-                chain,
-                lambda fd, x: closed_form.action_chain(fd, x[0], x[1], x[2]),
-                n * 2.0**n,
-                draws,
-                seed + n,
-            )
-        )
-    for n in (4, 5):
-        qubo = random_instance("qubo", n, seed + 10 * n)
-        cases.append(
-            closed_form_deviation(
-                qubo,
-                lambda fd, x, J=qubo.couplings: closed_form.action_qubo(J, fd, x[0], x[1]),
-                2.0**n,
-                draws,
-                seed + 2 + n,
-            )
-        )
-    lhz = random_instance("lhz", 4, seed + 5)
-    counts = closed_form.lhz_counts(lhz.constraints, lhz.n_qubits)
-    cases.append(
-        closed_form_deviation(
-            lhz,
-            lambda fd, x: closed_form.action_lhz(counts, lhz.couplings, fd, x[0], x[1], x[2]),
-            2.0**lhz.n_qubits,
-            draws,
-            seed + 6,
-        )
-    )
-    worst = max(cases)
+    cases = [
+        (TwoSpinModel(), seed),
+        (ChainModel(4), seed + 4),
+        (ChainModel(5), seed + 5),
+        (random_instance("qubo", 4, seed + 40), seed + 6),
+        (random_instance("qubo", 5, seed + 50), seed + 7),
+        (random_instance("lhz", 4, seed + 5), seed + 6),
+    ]
+    worst = max(closed_form_deviation(model, draws, s) for model, s in cases)
     return SuiteResult("closed-form vs dense oracle", worst <= 1e-8, worst, 1e-8)
 
 

@@ -238,22 +238,12 @@ def test_criterion_5_chain_n_independence():
     rng = np.random.Generator(np.random.PCG64(55))
     m4, m5 = ChainModel(4), ChainModel(5)
 
-    def ctx(model, fd):
-        h0 = model.hamiltonian([fd[t.name][0] for t in model.terms])
-        dh0 = model.hamiltonian([fd[t.name][1] for t in model.terms])
-        return GaugeContext(
-            h0,
-            dh0,
-            tuple((t.param, t.operator) for t in model.terms if t.param in ("gamma", "phi")),
-            tuple((t.param, t.operator) for t in model.terms if t.param == "beta"),
-        )
-
     worst = 0.0
     for _ in range(20):
         fd = {t.name: (rng.uniform(-2, 2), rng.uniform(-3, 3)) for t in m4.terms}
         params = RaParams(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        s4 = action_oracle(ctx(m4, fd), params) / (4 * 2.0**4)
-        s5 = action_oracle(ctx(m5, fd), params) / (5 * 2.0**5)
+        s4 = action_oracle(GaugeContext.from_fields(m4, fd), params) / (4 * 2.0**4)
+        s5 = action_oracle(GaugeContext.from_fields(m5, fd), params) / (5 * 2.0**5)
         worst = max(worst, abs(s4 - s5))
     ok = worst <= 1e-10
     report(5, ok, f"max |S/N2^N (N=4) - (N=5)| = {worst:.2e} (<=1e-10)")

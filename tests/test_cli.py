@@ -124,13 +124,7 @@ def test_validate_detects_injected_fault(monkeypatch):
     bad[0, 0] *= 1.0 + 1e-6
     monkeypatch.setattr(cf, "_chain_gram", lambda n=4: bad)
     model = ChainModel(4)
-    dev = closed_form_deviation(
-        model,
-        lambda fd, x: cf.action_chain(fd, x[0], x[1], x[2]),
-        4 * 2.0**4,
-        draws=20,
-        seed=1,
-    )
+    dev = closed_form_deviation(model, draws=20, seed=1)
     assert dev > 1e-8
 
 

@@ -15,14 +15,6 @@ def random_fd(model, rng):
     return {t.name: (rng.uniform(-2.0, 2.0), rng.uniform(-3.0, 3.0)) for t in model.terms}
 
 
-def ctx_from_fd(model, fd):
-    h0 = model.hamiltonian([fd[t.name][0] for t in model.terms])
-    dh0 = model.hamiltonian([fd[t.name][1] for t in model.terms])
-    q_ops = tuple((t.param, t.operator) for t in model.terms if t.param in ("gamma", "phi"))
-    k_ops = tuple((t.param, t.operator) for t in model.terms if t.param == "beta")
-    return GaugeContext(h0, dh0, q_ops, k_ops)
-
-
 # -- two-level -----------------------------------------------------------------
 
 def test_two_level_zero_params_value():
@@ -38,7 +30,7 @@ def test_two_level_matches_oracle():
     for _ in range(100):
         fd = random_fd(model, rng)
         beta, gamma = rng.uniform(-2, 2), rng.uniform(-1, 1)
-        oracle = action_oracle(ctx_from_fd(model, fd), RaParams(beta, gamma))
+        oracle = action_oracle(GaugeContext.from_fields(model, fd), RaParams(beta, gamma))
         closed = cf.action_two_level(fd, beta, gamma)
         assert closed == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
@@ -114,7 +106,7 @@ def test_chain_matches_oracle(n):
     for _ in range(100):
         fd = random_fd(model, rng)
         x = rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)
-        oracle = action_oracle(ctx_from_fd(model, fd), RaParams(*x)) / norm
+        oracle = action_oracle(GaugeContext.from_fields(model, fd), RaParams(*x)) / norm
         closed = cf.action_chain(fd, *x)
         assert closed == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
@@ -130,8 +122,8 @@ def test_chain_per_site_oracle_n_independent():
     for _ in range(20):
         fd = random_fd(m4, rng)
         x = RaParams(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        s4 = action_oracle(ctx_from_fd(m4, fd), x) / (4 * 2.0**4)
-        s5 = action_oracle(ctx_from_fd(m5, fd), x) / (5 * 2.0**5)
+        s4 = action_oracle(GaugeContext.from_fields(m4, fd), x) / (4 * 2.0**4)
+        s5 = action_oracle(GaugeContext.from_fields(m5, fd), x) / (5 * 2.0**5)
         assert abs(s4 - s5) <= 1e-10 * max(1.0, abs(s4))
 
 
@@ -153,7 +145,7 @@ def test_qubo_matches_oracle(n):
     for _ in range(100):
         fd = random_fd(model, rng)
         beta, gamma = rng.uniform(-2, 2), rng.uniform(-1, 1)
-        oracle = action_oracle(ctx_from_fd(model, fd), RaParams(beta, gamma)) / 2.0**n
+        oracle = action_oracle(GaugeContext.from_fields(model, fd), RaParams(beta, gamma)) / 2.0**n
         closed = cf.action_qubo(model.couplings, fd, beta, gamma)
         assert closed == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
@@ -281,7 +273,7 @@ def test_lhz_matches_oracle():
     for _ in range(100):
         fd = random_fd(model, rng)
         x = rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)
-        oracle = action_oracle(ctx_from_fd(model, fd), RaParams(*x)) / 2.0**model.n_qubits
+        oracle = action_oracle(GaugeContext.from_fields(model, fd), RaParams(*x)) / 2.0**model.n_qubits
         closed = cf.action_lhz(counts, model.couplings, fd, *x)
         assert closed == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 

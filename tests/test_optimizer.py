@@ -1,15 +1,17 @@
+import gc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from racd import closed_form as cf
-from racd.models import ChainModel, Ramp, TwoSpinModel, random_instance
+from racd.agp import GaugeContext, RaParams, action_oracle
+from racd.models import ChainModel, LhzModel, Ramp, TwoSpinModel, random_instance
 from racd.optimizer import (
     ParamTrajectory,
     Protocol,
     assemble_protocol,
     bfgs_minimize,
-    differentiate,
     make_action_objective,
     sequential_optimize,
 )
@@ -85,11 +87,9 @@ def test_differentiate_constant_and_linear():
     traj = ParamTrajectory(
         times, np.column_stack([np.full(21, 0.7), 3.5 * times]), ("beta", "gamma")
     )
-    d_beta = differentiate(traj, "beta")
-    d_gamma = differentiate(traj, "gamma")
     probe = np.linspace(0, 2, 50)
-    assert_allclose(d_beta(probe), np.zeros(50), atol=1e-10)
-    assert_allclose(d_gamma(probe), np.full(50, 3.5), atol=1e-10)
+    assert_allclose(traj.derivative("beta", probe), np.zeros(50), atol=1e-10)
+    assert_allclose(traj.derivative("gamma", probe), np.full(50, 3.5), atol=1e-10)
 
 
 def test_differentiate_sin_sup_norm():
@@ -98,7 +98,7 @@ def test_differentiate_sin_sup_norm():
     traj = ParamTrajectory(times, np.sin(2 * np.pi * times / tau)[:, None], ("gamma",))
     probe = np.linspace(0, tau, 1000)
     want = (2 * np.pi / tau) * np.cos(2 * np.pi * probe / tau)
-    got = differentiate(traj, "gamma")(probe)
+    got = traj.derivative("gamma", probe)
     assert np.abs(got - want).max() <= 1e-4
 
 
@@ -106,7 +106,7 @@ def test_differentiate_unknown_parameter():
     times = np.linspace(0, 1, 5)
     traj = ParamTrajectory(times, np.zeros((5, 1)), ("beta",))
     with pytest.raises(KeyError):
-        differentiate(traj, "phi")
+        traj.derivative("phi", 0.5)
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -181,6 +181,24 @@ def test_chain_closed_form_needs_four_sites():
     # the oracle backend still covers N=3
     obj = make_action_objective(ChainModel(3), 0.5, 1.0, backend="oracle")
     assert obj(np.zeros(3)) >= 0.0
+
+
+def test_lhz_objective_uses_each_models_own_counts():
+    # Same-size LHZ models with different constraint lists, alternated with
+    # garbage collection in between so that object ids get reused: each
+    # objective must match the dense oracle of its own model.
+    layouts = (None, [(0, 1, 3), (2, 4, 5), (0, 2, 5)])
+    lam, lam_dot = 0.4, 0.9
+    x = np.array([0.3, -0.2, 0.25])
+    couplings = np.random.Generator(np.random.PCG64(8)).uniform(-1.0, 1.0, size=6)
+    for i in range(40):
+        m = LhzModel(4, couplings, constraints=layouts[i % 2])
+        fd = m.ua_fields(lam, lam_dot)
+        got = make_action_objective(m, lam, lam_dot)(x)
+        want = action_oracle(GaugeContext.from_fields(m, fd), RaParams.from_vector(x, m.param_names))
+        assert got == pytest.approx(want / 2**m.n_qubits, rel=1e-10)
+        del m
+        gc.collect()
 
 
 def test_sequential_deterministic():
