@@ -110,8 +110,11 @@ class _HamiltonianEvaluator:
     grouped by the x-mask of their Pauli words; each group carries a
     per-component diagonal sign vector.  Applying H(t) is then one small
     coefficient contraction plus a gather per x-mask, independent of the
-    Hilbert-space dimension beyond the vector length.  Exact-CD additionally
-    rebuilds a dense matrix per substep for the spectral gauge potential.
+    Hilbert-space dimension beyond the vector length.  The contracted
+    diagonals of the two most recent substeps are kept, since RK4 applies
+    each midpoint twice and each step's end again as the next step's start.
+    Exact-CD additionally rebuilds a dense matrix per substep for the
+    spectral gauge potential.
     """
 
     def __init__(self, protocol: Protocol, times: np.ndarray):
@@ -147,6 +150,7 @@ class _HamiltonianEvaluator:
             comp_idx = np.array(sorted(groups[x]), dtype=int)
             vecs = np.stack([groups[x][i] for i in comp_idx])
             self._groups.append((comp_idx, vecs, states ^ x))
+        self._diagonals: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
 
         if self.kind == "exact-cd":
             if n > EXACT_CD_MAX_QUBITS:
@@ -173,10 +177,16 @@ class _HamiltonianEvaluator:
 
     def apply(self, idx: int, psi: np.ndarray) -> np.ndarray:
         # H|psi>: out[s ^ x] += g_x[s] psi[s] for each word group
-        c = self._coeffs[idx]
+        diagonals = self._diagonals.get(idx)
+        if diagonals is None:
+            c = self._coeffs[idx]
+            diagonals = [(c[comp_idx] @ vecs, perm) for comp_idx, vecs, perm in self._groups]
+            if len(self._diagonals) == 2:
+                del self._diagonals[next(iter(self._diagonals))]
+            self._diagonals[idx] = diagonals
         out = np.zeros_like(psi)
-        for comp_idx, vecs, perm in self._groups:
-            out += ((c[comp_idx] @ vecs) * psi)[perm]
+        for g, perm in diagonals:
+            out += (g * psi)[perm]
         return out
 
 
