@@ -16,6 +16,7 @@ from .closed_form import (
     two_level_optimum,
 )
 from .dynamics import FidelityTrace, evolve, fidelity, ground_space, rotated_fidelity, run_protocol
+from .errors import RacdError
 from .models import (
     ChainModel,
     LhzCounts,

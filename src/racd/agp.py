@@ -19,6 +19,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
+from .errors import RacdError
 from .models import Model
 from .operators import (
     DENSE_MATRIX_MAX_QUBITS,
@@ -29,7 +30,7 @@ from .operators import (
 )
 
 
-class UnsupportedAnsatzError(ValueError):
+class UnsupportedAnsatzError(RacdError, ValueError):
     """Rotation generator contains non-diagonal terms."""
 
 

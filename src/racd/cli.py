@@ -24,7 +24,8 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .dynamics import run_protocol
+from .dynamics import StepSizeError, run_protocol
+from .errors import RacdError
 from .models import Model, Ramp, TwoSpinModel, random_instance
 from .operators import DENSE_MATRIX_MAX_QUBITS
 from .optimizer import assemble_protocol, sequential_optimize
@@ -105,24 +106,36 @@ def _write_fields_csv(path: Path, protocol, times: np.ndarray) -> None:
 def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: int = 101) -> Dict[str, float]:
     """Optimize, evolve and (optionally) write one model's protocols.
 
-    Returns the final fidelity per protocol.
+    Returns the final fidelity per protocol.  A :class:`RacdError` keeps its
+    type and gets the stage, the model size and the instance seed prefixed
+    to its message.
     """
     ramp = Ramp(config.tau)
     trajectory = None
-    if "ra" in config.protocols:
-        trajectory = sequential_optimize(model, ramp, M=config.m_points, backend=config.backend)
-    bases = None
-    finals: Dict[str, float] = {}
-    for kind in config.protocols:
-        protocol = assemble_protocol(
-            model, trajectory, kind, ramp, tau=config.tau, M=config.m_points, seed=model.seed
-        )
-        trace = run_protocol(protocol, steps=config.steps, n_out=n_out, ground_bases=bases)
-        bases = trace.ground_bases  # every protocol shares the output grid
-        finals[kind] = float(trace.F[-1])
-        if out_dir is not None:
-            trace.to_csv(out_dir / f"fidelity_{kind}.csv")
-            _write_fields_csv(out_dir / f"fields_{kind}.csv", protocol, trace.times)
+    stage = "ra synthesis"
+    try:
+        if "ra" in config.protocols:
+            trajectory = sequential_optimize(model, ramp, M=config.m_points, backend=config.backend)
+        bases = None
+        finals: Dict[str, float] = {}
+        for kind in config.protocols:
+            stage = f"{kind} evolution"
+            protocol = assemble_protocol(
+                model, trajectory, kind, ramp, tau=config.tau, M=config.m_points, seed=model.seed
+            )
+            trace = run_protocol(protocol, steps=config.steps, n_out=n_out, ground_bases=bases)
+            bases = trace.ground_bases  # every protocol shares the output grid
+            finals[kind] = float(trace.F[-1])
+            if out_dir is not None:
+                trace.to_csv(out_dir / f"fidelity_{kind}.csv")
+                _write_fields_csv(out_dir / f"fields_{kind}.csv", protocol, trace.times)
+    except RacdError as exc:
+        where = f"the {model.kind} model with {model.n_qubits} qubits, instance seed {model.seed}"
+        msg = f"{stage} failed for {where}: {exc}"
+        if isinstance(exc, StepSizeError):
+            msg += f"; --steps {exc.steps_needed()} or more should keep it within {exc.tol}"
+        exc.args = (msg,)
+        raise
     if out_dir is not None and trajectory is not None:
         trajectory.to_csv(out_dir / "params_ra.csv")
     return finals
@@ -286,7 +299,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(config)
         return cmd_scaling(config)
-    except (ValueError, OSError) as exc:
+    except (RacdError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

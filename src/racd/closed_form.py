@@ -24,13 +24,14 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from .errors import RacdError
 from .models import ChainModel, LhzCounts, Model, lhz_counts  # noqa: F401 - LHZ counts re-exported
 from .operators import SpinOperator, commutator, sigma_x, sigma_y, trace_product, z_word
 
 FieldDerivs = Dict[str, Tuple[float, float]]  # term name -> (value, time derivative)
 
 
-class UndefinedAngleError(ValueError):
+class UndefinedAngleError(RacdError, ValueError):
     """Two-level optimum is undefined when J0 and phi0 both vanish."""
 
 
@@ -226,13 +227,71 @@ def _hole_sums(cos_rows: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, n
     return f, e1, cross
 
 
-def action_qubo(J: np.ndarray, fd: FieldDerivs, beta: float, gamma: float) -> float:
-    """Scaled QUBO action, normalized as S_bar / 2^N; cost O(N^3).
+#: byte budget of one block of pair-product rows in :func:`_pair_products`;
+#: bounds the memory of a QUBO action evaluation independently of N
+_PAIR_BLOCK_BYTES = 1 << 20
 
-    ``J`` is the symmetric (N+1)x(N+1) coupling matrix with zero diagonal and
-    the local fields in row/column 0.  All trigonometric products are
-    evaluated in hole-product form, so exact cosine zeros are safe.
+
+@lru_cache(maxsize=32)
+def _pair_blocks(n: int, diagonal: bool) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Row blocks of the qubit pairs 1 <= j < k <= n (j <= k if ``diagonal``).
+
+    Each block holds the pair rows ``j`` and ``k`` and the flat positions of
+    the entries m = j and m = k in a C-ordered (len(j), n + 1) array, at most
+    ``_PAIR_BLOCK_BYTES`` of float64 per block.
     """
+    j, k = np.triu_indices(n, 0 if diagonal else 1)
+    j, k = j + 1, k + 1
+    rows = max(1, _PAIR_BLOCK_BYTES // (8 * (n + 1)))
+    blocks = []
+    for s in range(0, len(j), rows):
+        jb, kb = j[s : s + rows], k[s : s + rows]
+        base = np.arange(len(jb)) * (n + 1)
+        holes = np.concatenate((base + jb, base + kb))
+        for a in (jb, kb, holes):
+            a.setflags(write=False)
+        blocks.append((jb, kb, holes))
+    return tuple(blocks)
+
+
+def _pair_products(J: np.ndarray, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Pair products for rows j, k >= 1 of the (N+1)x(N+1) couplings ``J``:
+
+      pp[j,k] = prod_{m not in {j,k}} cos(2 gamma (J[j,m] + J[k,m]))
+      pm[j,k] = prod_{m not in {j,k}} cos(2 gamma (J[j,m] - J[k,m]))
+
+    Both are symmetric in (j, k) bit for bit (addition commutes and cos is
+    even), so only j < k is evaluated and mirrored.  The diagonal is left at
+    0 when J's diagonal is zero: the pair sum weighs it by sin^2(0) = 0, and
+    the full products gave pp + pm >= 0 there, so the sum keeps its value.
+    Every product runs along one contiguous row in m = 0..N, so the values
+    are those of the full (N+1)^3 tensor reduction.
+    """
+    n = J.shape[0] - 1
+    two_g = 2.0 * gamma
+    pp = np.zeros((n + 1, n + 1))
+    pm = np.zeros((n + 1, n + 1))
+    blocks = _pair_blocks(n, bool(np.diagonal(J)[1:].any()))
+    if blocks:
+        # work buffers of the first (largest) block, reused by every block
+        bufs = np.empty((3, len(blocks[0][0]), n + 1))
+    for j, k, holes in blocks:
+        a, b, c = bufs[:, : len(j)]
+        np.take(J, j, axis=0, out=a)
+        np.take(J, k, axis=0, out=b)
+        for combine, out in ((np.add, pp), (np.subtract, pm)):
+            combine(a, b, out=c)
+            c *= two_g
+            np.cos(c, out=c)
+            np.put(c, holes, 1.0)
+            out[j, k] = out[k, j] = c.prod(axis=1)
+    return pp, pm
+
+
+def _qubo_angle_sums(J: np.ndarray, gamma: float) -> Tuple[float, ...]:
+    """Everything :func:`action_qubo` needs from ``J`` and ``gamma``:
+    (tau_hp2, N, sum t_row, sum e2, sum e1, sum (1 - f2), sin2_sum, pair_sum).
+    None of it depends on the fields or on beta."""
     J = np.asarray(J, dtype=float)
     if J.ndim != 2 or J.shape[0] != J.shape[1]:
         raise ValueError("J must be square")
@@ -240,42 +299,65 @@ def action_qubo(J: np.ndarray, fd: FieldDerivs, beta: float, gamma: float) -> fl
     if not (np.abs(J - J.T) <= 1e-12 + 1e-5 * np.abs(J.T)).all():
         raise ValueError("J must be symmetric")
     n = J.shape[0] - 1
-    A0, dA0 = fd["A"]
-    B0, dB0 = fd["B"]
-    bt = B0 + beta
 
     theta = 2.0 * gamma * J
+    sin_theta = np.sin(theta)
     cos_rows = np.cos(theta)[1:, :]  # rows j = 1..N, columns m = 0..N
-    sin_rows = np.sin(theta)[1:, :]
-    w = J[1:, :] * sin_rows
+    w = J[1:, :] * sin_theta[1:, :]
     f1, e1, cross = _hole_sums(cos_rows, w)
     f2, _, _ = _hole_sums(np.cos(2.0 * theta)[1:, :], w)
 
     t_row = (J[1:, :] ** 2).sum(axis=1)
     e2 = t_row * f1 - cross  # Re tau(R_j^2 e^{2 i gamma R_j})
 
-    # pair tensors over m excluding j and k (no divisions)
-    jp = J[:, None, :] + J[None, :, :]
-    jm = J[:, None, :] - J[None, :, :]
-    mp = np.cos(2.0 * gamma * jp)
-    mm = np.cos(2.0 * gamma * jm)
-    idx = np.arange(n + 1)
-    mp[idx, :, idx] = 1.0
-    mp[:, idx, idx] = 1.0
-    mm[idx, :, idx] = 1.0
-    mm[:, idx, idx] = 1.0
-    pp = mp.prod(axis=2)
-    pm = mm.prod(axis=2)
-    sin_sq = np.sin(theta) ** 2
+    pp, pm = _pair_products(J, gamma)
+    sin_sq = sin_theta**2
     pair_sum = float((sin_sq * (pp + pm))[1:, 1:].sum())
     sin2_sum = float(sin_sq[1:, 1:].sum())
 
     tau_hp2 = 0.5 * float((J[1:, 1:] ** 2).sum()) + float((J[1:, 0] ** 2).sum())
+    return (
+        tau_hp2,
+        n,
+        float(t_row.sum()),
+        float(e2.sum()),
+        float(e1.sum()),
+        float((1.0 - f2).sum()),
+        sin2_sum,
+        pair_sum,
+    )
+
+
+def action_qubo(J: np.ndarray, fd: FieldDerivs, beta: float, gamma: float, cache: dict | None = None) -> float:
+    """Scaled QUBO action, normalized as S_bar / 2^N; cost O(N^3) in time and
+    O(N^2) in memory.
+
+    ``J`` is the symmetric (N+1)x(N+1) coupling matrix with zero diagonal and
+    the local fields in row/column 0.  All trigonometric products are
+    evaluated in hole-product form, so exact cosine zeros are safe.
+
+    The action depends on ``beta`` only through a final scalar assembly, so
+    ``cache``, a dict that the caller keeps for one fixed ``J``, maps each
+    exact ``gamma`` to its angle sums and later calls at that ``gamma`` skip
+    the O(N^3) work.  The result is bit-identical with and without it.
+    """
+    # 0.0 and -0.0 share an entry: their sums differ at most in the sign of
+    # a zero e1 sum, which leaves the assembled action unchanged
+    sums = None if cache is None else cache.get(gamma)
+    if sums is None:
+        sums = _qubo_angle_sums(J, gamma)
+        if cache is not None:
+            cache[gamma] = sums
+    tau_hp2, n, t_sum, e2_sum, e1_sum, f2_sum, sin2_sum, pair_sum = sums
+    A0, dA0 = fd["A"]
+    B0, dB0 = fd["B"]
+    bt = B0 + beta
+
     s = dA0**2 * tau_hp2 + n * dB0**2
-    s += 4.0 * A0**2 * (B0**2 + bt**2) * float(t_row.sum())
-    s -= 8.0 * A0**2 * B0 * bt * float(e2.sum())
-    s -= 4.0 * bt * (B0 * dA0 - dB0 * A0) * float(e1.sum())
-    s += 2.0 * B0**2 * bt**2 * float((1.0 - f2).sum())
+    s += 4.0 * A0**2 * (B0**2 + bt**2) * t_sum
+    s -= 8.0 * A0**2 * B0 * bt * e2_sum
+    s -= 4.0 * bt * (B0 * dA0 - dB0 * A0) * e1_sum
+    s += 2.0 * B0**2 * bt**2 * f2_sum
     s += 4.0 * B0**2 * bt**2 * sin2_sum
     s += 4.0 * B0**2 * bt**2 * pair_sum
     return float(s)
@@ -359,16 +441,20 @@ def normalization(model: Model) -> float:
     raise ValueError(f"no closed form for model kind {model.kind!r}")
 
 
-def action(model: Model, fd: FieldDerivs, x: Sequence[float]) -> float:
+def action(model: Model, fd: FieldDerivs, x: Sequence[float], cache: dict | None = None) -> float:
     """Scaled action of ``model`` at the stacked parameters ``x`` (ordered as
-    ``model.param_names``), normalized as :func:`normalization` states."""
+    ``model.param_names``), normalized as :func:`normalization` states.
+
+    ``cache`` is an optional dict kept for this one model; the QUBO evaluator
+    memoizes its gamma-only sums in it (see :func:`action_qubo`), the others
+    ignore it."""
     normalization(model)  # rejects models without a closed form
     if model.kind == "two-spin":
         return action_two_level(fd, x[0], x[1])
     if model.kind == "chain":
         return action_chain(fd, x[0], x[1], x[2])
     if model.kind == "qubo":
-        return action_qubo(model.couplings, fd, x[0], x[1])
+        return action_qubo(model.couplings, fd, x[0], x[1], cache)
     return action_lhz(model.counts, model.couplings, fd, x[0], x[1], x[2])
 
 

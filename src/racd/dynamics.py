@@ -9,12 +9,14 @@ integrator-quality signal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .agp import exact_agp
+from .errors import RacdError
 from .models import Model
 from .operators import (
     DENSE_MATRIX_MAX_QUBITS,
@@ -28,8 +30,19 @@ NORM_DRIFT_TOL = 1e-6
 EXACT_CD_MAX_QUBITS = 8
 
 
-class StepSizeError(RuntimeError):
+class StepSizeError(RacdError, RuntimeError):
     """Norm drift exceeded tolerance during evolution."""
+
+    def __init__(self, drift: float, steps: int, tol: float = NORM_DRIFT_TOL):
+        super().__init__(f"norm drift {drift:.3e} exceeds {tol} at {steps} RK4 steps")
+        self.drift, self.steps, self.tol = drift, steps, tol
+
+    def steps_needed(self) -> int:
+        """Step count that would bring this drift down to the tolerance if it
+        scales as dt^4, RK4's global order.  RK4's norm drift falls faster
+        (about dt^5), so the estimate errs high; it is still an estimate, as
+        only the first output point over the tolerance was seen."""
+        return math.ceil(self.steps * (self.drift / self.tol) ** 0.25)
 
 
 def ground_space(h: np.ndarray, degeneracy_tol: float = 1e-10) -> Tuple[float, np.ndarray]:
@@ -223,7 +236,7 @@ def evolve(
         if pointer < len(out_idx) and k == out_idx[pointer]:
             drift = abs(np.linalg.norm(psi) - 1.0)
             if drift > NORM_DRIFT_TOL:
-                raise StepSizeError(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL}")
+                raise StepSizeError(drift, steps)
             states[pointer] = psi
             pointer += 1
         if k == steps:

@@ -19,6 +19,8 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
+from .errors import RacdError
+
 ZERO_TOL = 1e-14
 DENSE_MATRIX_MAX_QUBITS = 12
 STATE_VECTOR_MAX_QUBITS = 15
@@ -26,15 +28,15 @@ STATE_VECTOR_MAX_QUBITS = 15
 _PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
-class DimensionMismatchError(ValueError):
+class DimensionMismatchError(RacdError, ValueError):
     """Operands act on different qubit counts."""
 
 
-class CapacityError(ValueError):
+class CapacityError(RacdError, ValueError):
     """Dense conversion above the configured qubit cap."""
 
 
-class NotDiagonalError(ValueError):
+class NotDiagonalError(RacdError, ValueError):
     """Operation requires a computational-basis diagonal operator."""
 
 

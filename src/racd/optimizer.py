@@ -22,9 +22,11 @@ from scipy.optimize._linesearch import LineSearchWarning
 
 from . import closed_form
 from .agp import LocalCdSolver, RaParams
+from .errors import RacdError
 from .models import Model, Ramp
 
-class SequentialOptimizeError(RuntimeError):
+
+class SequentialOptimizeError(RacdError, RuntimeError):
     """BFGS aborted at a grid point; carries the failing time index."""
 
 
@@ -177,7 +179,10 @@ def make_action_objective(
     (:func:`racd.closed_form.action`); ``oracle`` uses the dense trace
     (capped by the dense-matrix limit).
     Normalizations differ by constant positive factors only, which is
-    irrelevant to the minimizer.
+    irrelevant to the minimizer.  The closed-form objective keeps its own
+    cache of the evaluator's beta-independent sums (see
+    :func:`racd.closed_form.action_qubo`), which lives as long as the
+    objective and never changes a value.
     """
     if backend == "oracle":
         from .agp import oracle_objective
@@ -188,7 +193,8 @@ def make_action_objective(
 
     fd = model.ua_fields(lam, lam_dot)
     closed_form.normalization(model)  # rejects models without a closed form
-    return lambda x: closed_form.action(model, fd, x)
+    cache: dict = {}
+    return lambda x: closed_form.action(model, fd, x, cache)
 
 
 def sequential_optimize(

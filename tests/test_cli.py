@@ -94,6 +94,35 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.slow
+def test_scaling_default_steps_drift_is_one_error_line(tmp_path, capsys):
+    # the default sizes, seed and --steps (2000): the RA evolution of the
+    # N=5 instance with seed 1 drifts by 1.059e-6, over the 1e-6 tolerance
+    rc = run_cli(["scaling", "--model", "qubo", "--instances", "2", "--out", tmp_path / "out"])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    for part in ("ra evolution", "5 qubits", "instance seed 1", "norm drift 1.059e-06", "--steps 2029"):
+        assert part in lines[0], (part, lines[0])
+    assert not (tmp_path / "out" / "scaling.csv").exists()
+
+
+def test_racd_errors_share_one_base():
+    from racd import RacdError
+    from racd.agp import UnsupportedAnsatzError
+    from racd.closed_form import UndefinedAngleError
+    from racd.dynamics import StepSizeError
+    from racd.operators import CapacityError, DimensionMismatchError, NotDiagonalError
+    from racd.optimizer import SequentialOptimizeError
+
+    for cls in (UnsupportedAnsatzError, UndefinedAngleError, CapacityError, DimensionMismatchError, NotDiagonalError):
+        assert issubclass(cls, RacdError) and issubclass(cls, ValueError)
+    for cls in (StepSizeError, SequentialOptimizeError):
+        assert issubclass(cls, RacdError) and issubclass(cls, RuntimeError)
+    # drift 16x the tolerance at 1000 steps: dt^4 scaling asks for 2x the steps
+    assert StepSizeError(1.6e-5, 1000).steps_needed() == 2000
+
+
 def test_exact_cd_capacity_guard(tmp_path):
     cfg = cli.RunConfig(model="qubo", n=13, protocols=("exact-cd",))
     with pytest.raises(ValueError):

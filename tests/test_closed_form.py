@@ -2,11 +2,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from racd import closed_form as cf
 from racd.agp import GaugeContext, RaParams, action_oracle
-from racd.models import ChainModel, Ramp, TwoSpinModel, random_instance
+from racd.models import ChainModel, QuboModel, Ramp, TwoSpinModel, random_instance
+from racd.optimizer import make_action_objective
 
 RNG = np.random.Generator(np.random.PCG64(2024))
 
@@ -171,6 +174,131 @@ def test_qubo_asymmetric_raises():
     J[1, 2] = 1.0
     with pytest.raises(ValueError):
         cf.action_qubo(J, {"A": (1, 0), "B": (1, 0)}, 0.0, 0.0)
+
+
+def _qubo_sums_tensor(J, gamma):
+    """cf._qubo_angle_sums with the pair products taken over full (N+1)^3
+    tensors, in the same evaluation order."""
+    n = J.shape[0] - 1
+    theta = 2.0 * gamma * J
+    w = J[1:, :] * np.sin(theta)[1:, :]
+    f1, e1, cross = cf._hole_sums(np.cos(theta)[1:, :], w)
+    f2, _, _ = cf._hole_sums(np.cos(2.0 * theta)[1:, :], w)
+    t_row = (J[1:, :] ** 2).sum(axis=1)
+    e2 = t_row * f1 - cross
+    mp = np.cos(2.0 * gamma * (J[:, None, :] + J[None, :, :]))
+    mm = np.cos(2.0 * gamma * (J[:, None, :] - J[None, :, :]))
+    idx = np.arange(n + 1)
+    for m in (mp, mm):
+        m[idx, :, idx] = 1.0  # m == j
+        m[:, idx, idx] = 1.0  # m == k
+    sin_sq = np.sin(theta) ** 2
+    pair_sum = float((sin_sq * (mp.prod(axis=2) + mm.prod(axis=2)))[1:, 1:].sum())
+    sin2_sum = float(sin_sq[1:, 1:].sum())
+    tau_hp2 = 0.5 * float((J[1:, 1:] ** 2).sum()) + float((J[1:, 0] ** 2).sum())
+    sums = (t_row.sum(), e2.sum(), e1.sum(), (1.0 - f2).sum(), sin2_sum, pair_sum)
+    return (tau_hp2, n) + tuple(float(v) for v in sums)
+
+
+def _action_qubo_tensor(J, fd, beta, gamma):
+    tau_hp2, n, t_sum, e2_sum, e1_sum, f2_sum, sin2_sum, pair_sum = _qubo_sums_tensor(J, gamma)
+    A0, dA0 = fd["A"]
+    B0, dB0 = fd["B"]
+    bt = B0 + beta
+    s = dA0**2 * tau_hp2 + n * dB0**2
+    s += 4.0 * A0**2 * (B0**2 + bt**2) * t_sum
+    s -= 8.0 * A0**2 * B0 * bt * e2_sum
+    s -= 4.0 * bt * (B0 * dA0 - dB0 * A0) * e1_sum
+    s += 2.0 * B0**2 * bt**2 * f2_sum
+    s += 4.0 * B0**2 * bt**2 * sin2_sum
+    s += 4.0 * B0**2 * bt**2 * pair_sum
+    return float(s)
+
+
+def _bits(values):
+    return np.array(values, dtype=float).tobytes()
+
+
+_field = st.floats(-3.0, 3.0)
+_gamma = st.one_of(st.sampled_from([0.0, -0.0, np.pi / 4, -np.pi / 8]), st.floats(-4.0, 4.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+    integer=st.booleans(),
+    fd=st.fixed_dictionaries({"A": st.tuples(_field, _field), "B": st.tuples(_field, _field)}),
+    betas=st.lists(_field, min_size=1, max_size=3),
+    gamma=_gamma,
+)
+def test_qubo_action_bit_identical_to_tensor_form(n, seed, integer, fd, betas, gamma):
+    # the cache and the one-triangle pair products change no bit: the angle
+    # sums, and every action call, first or repeated, with and without a
+    # cache, equal the full-tensor evaluation exactly
+    J = random_instance("qubo", n, seed).couplings
+    if integer:  # repeated coupling values
+        J = np.round(2.0 * J)
+    cache = {}
+    for g in (gamma, -gamma):  # 0.0 and -0.0 share one entry
+        assert _bits(cf._qubo_angle_sums(J, g)) == _bits(_qubo_sums_tensor(J, g))
+        for beta in betas + betas:
+            want = _bits(_action_qubo_tensor(J, fd, beta, g))
+            assert _bits(cf.action_qubo(J, fd, beta, g)) == want
+            assert _bits(cf.action_qubo(J, fd, beta, g, cache)) == want
+    assert len(cache) == (1 if gamma == 0.0 else 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 12),
+    seed=st.integers(0, 2**16),
+    lam=st.floats(0.0, 1.0),
+    lam_dot=_field,
+    betas=st.lists(_field, min_size=1, max_size=3),
+    gamma=_gamma,
+)
+def test_qubo_objective_bit_identical_to_tensor_form(n, seed, lam, lam_dot, betas, gamma):
+    model = random_instance("qubo", n, seed)
+    fd = model.ua_fields(lam, lam_dot)
+    objective = make_action_objective(model, lam, lam_dot)
+    for beta in betas + betas:
+        want = _bits(_action_qubo_tensor(model.couplings, fd, beta, gamma))
+        assert _bits(objective(np.array([beta, gamma]))) == want
+
+
+def test_qubo_nonzero_diagonal_bit_identical_to_tensor_form():
+    # a diagonal that action_qubo accepts (models keep it at zero) enters the
+    # pair sum, so those pairs are evaluated too
+    rng = np.random.Generator(np.random.PCG64(17))
+    J = random_instance("qubo", 6, 3).couplings + np.diag(rng.uniform(-1.0, 1.0, 7))
+    fd = {"A": (0.6, 1.3), "B": (0.4, -1.3)}
+    for gamma in (0.3, -1.1):
+        assert _bits(cf.action_qubo(J, fd, 0.2, gamma)) == _bits(_action_qubo_tensor(J, fd, 0.2, gamma))
+
+
+def test_qubo_objective_caches_stay_apart():
+    # objectives for two models and two grid points, evaluated at one gamma
+    # in turn, each return their own model's and grid point's action
+    ramp = Ramp(1.0)
+    models = [random_instance("qubo", 6, 1), QuboModel(random_instance("qubo", 6, 2).couplings)]
+    built = [(m, t, make_action_objective(m, *ramp(t))) for m in models for t in (0.3, 0.6)]
+    x = np.array([0.2, 0.37])
+    values = set()
+    for _ in range(2):
+        for model, t, objective in built:
+            want = cf.action_qubo(model.couplings, model.ua_fields(*ramp(t)), *x)
+            assert objective(x) == want
+            values.add(want)
+    assert len(values) == 4
+
+
+def test_qubo_pair_products_bounded_memory():
+    # the pair products come in blocks of at most _PAIR_BLOCK_BYTES
+    for n, diagonal in ((12, False), (200, False), (200, True)):
+        blocks = cf._pair_blocks(n, diagonal)
+        assert all(8 * len(j) * (n + 1) <= max(cf._PAIR_BLOCK_BYTES, 8 * (n + 1)) for j, _, _ in blocks)
+        assert sum(len(j) for j, _, _ in blocks) == n * (n + 1 if diagonal else n - 1) // 2
 
 
 _TIMING_SCRIPT = """
