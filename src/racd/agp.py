@@ -43,18 +43,10 @@ class RaParams:
     gamma: float
     phi: float | None = None
 
-    def as_vector(self, names: Tuple[str, ...]) -> np.ndarray:
-        vals = {"beta": self.beta, "gamma": self.gamma, "phi": self.phi}
-        return np.array([vals[n] for n in names], dtype=float)
-
     @staticmethod
     def from_vector(x: Sequence[float], names: Tuple[str, ...]) -> "RaParams":
         d = dict(zip(names, (float(v) for v in x)))
         return RaParams(beta=d.get("beta", 0.0), gamma=d.get("gamma", 0.0), phi=d.get("phi"))
-
-    @staticmethod
-    def zero(names: Tuple[str, ...]) -> "RaParams":
-        return RaParams.from_vector(np.zeros(len(names)), names)
 
 
 @dataclass(frozen=True)
@@ -178,77 +170,86 @@ def _assert_real_symmetric(op: SpinOperator) -> None:
             raise ValueError("operator is not real-symmetric in the computational basis")
 
 
-def local_cd_coeffs(h0: SpinOperator, dh0: SpinOperator) -> np.ndarray:
-    """Per-site coefficients of the local CD ansatz A = sum_j alpha_j sy_j.
+class LocalCdError(RacdError, ArithmeticError):
+    """The local-CD normal system has no solution (inconsistent right-hand side)."""
 
-    The action is quadratic in alpha, so the minimizer solves the normal
-    system  sum_k Tr(D_j D_k) alpha_k = -Tr(D_j dH0)  with
-    D_j = -i [H0, sy_j], assembled from symbolic trace products.  Passing the
-    lambda-derivative of H0 yields alpha(lambda); passing dH0/dt yields the
-    time-scaled coefficients lambda_dot * alpha.  Rank deficiency falls back
-    to the least-norm solution.
+
+def _normal_tensors(ops: Sequence[SpinOperator]) -> Tuple[np.ndarray, np.ndarray]:
+    """Gram and right-hand-side tensors of the local-CD normal system of
+    H = sum_p f_p op_p.
+
+    With D_{j,p} = -i [op_p, sy_j]:  gram[p, q, j, k] = Tr(D_{j,p} D_{k,q})
+    and rhs[p, q, j] = Tr(op_p D_{j,q}), so the system at fields f and
+    field derivatives f' is bilinear in them (see :func:`_solve_normal`).
     """
-    _assert_real_symmetric(h0)
-    n = h0.n_qubits
-    d_ops = [(-1j) * commutator(h0, sigma_y(n, j)) for j in range(n)]
-    m = np.empty((n, n))
-    r = np.empty(n)
+    for op in ops:
+        _assert_real_symmetric(op)
+    n = ops[0].n_qubits
+    n_ops = len(ops)
+    d = [[(-1j) * commutator(op, sigma_y(n, j)) for op in ops] for j in range(n)]
+    gram = np.zeros((n_ops, n_ops, n, n))
+    rhs = np.zeros((n_ops, n_ops, n))
     for j in range(n):
-        r[j] = -trace_product(d_ops[j], dh0).real
+        for t in range(n_ops):
+            for tp in range(n_ops):
+                rhs[tp, t, j] = trace_product(ops[tp], d[j][t]).real
         for k in range(j, n):
-            m[j, k] = m[k, j] = trace_product(d_ops[j], d_ops[k]).real
-    alpha, residual, rank, sv = np.linalg.lstsq(m, r, rcond=None)
-    if not np.allclose(m @ alpha, r, atol=1e-8 * max(1.0, float(np.linalg.norm(r)))):
-        cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-        raise ArithmeticError(f"local-CD normal system inconsistent (cond={cond:.3e})")
+            for t in range(n_ops):
+                for tp in range(n_ops):
+                    val = trace_product(d[j][t], d[k][tp]).real
+                    gram[t, tp, j, k] = val
+                    gram[tp, t, k, j] = val
+    return gram, rhs
+
+
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray, f: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """alpha minimizing the action at each row of field values ``f`` with
+    field derivatives ``fp``:  sum_k Tr(D_j D_k) alpha_k = -Tr(D_j dH0).
+
+    A singular batch falls back to the least-norm solution per point, which
+    must still satisfy the system; otherwise :class:`LocalCdError`.
+    """
+    m = np.einsum("tp,tq,pqjk->tjk", f, f, gram)
+    r = -np.einsum("p,tq,pqj->tj", fp, f, rhs)
+    try:
+        return np.linalg.solve(m, r[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        pass
+    alpha = np.empty_like(r)
+    for i, (mi, ri) in enumerate(zip(m, r)):
+        alpha[i], _, _, sv = np.linalg.lstsq(mi, ri, rcond=None)
+        if not np.allclose(mi @ alpha[i], ri, atol=1e-8 * max(1.0, float(np.linalg.norm(ri)))):
+            cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+            raise LocalCdError(f"local-CD normal system inconsistent at point {i} (cond={cond:.3e})")
     return alpha
 
 
-class LocalCdSolver:
-    """Precomputed-tensor version of :func:`local_cd_coeffs` for one model.
+def local_cd_coeffs(h0: SpinOperator, dh0: SpinOperator) -> np.ndarray:
+    """Per-site coefficients of the local CD ansatz A = sum_j alpha_j sy_j,
+    the minimizer of the action, with D_j = -i [H0, sy_j].  Passing the
+    lambda-derivative of H0 yields alpha(lambda); passing dH0/dt yields the
+    time-scaled coefficients lambda_dot * alpha.
+    """
+    gram, rhs = _normal_tensors([h0, dh0])
+    return _solve_normal(gram, rhs, np.array([[1.0, 0.0]]), np.array([0.0, 1.0]))[0]
 
-    D_j(fields) = sum_t field_t * D_{j,t} with D_{j,t} = -i [op_t, sy_j], so
-    the normal matrix and right-hand side are bilinear in the UA fields.  The
-    Gram tensors are assembled once; each time point is then an einsum plus
-    an N x N solve.
+
+class LocalCdSolver:
+    """:func:`local_cd_coeffs` along one model's UA schedule.
+
+    D_j(fields) = sum_t field_t * D_{j,t}, so the normal matrix and
+    right-hand side are bilinear in the UA fields.  The Gram tensors over
+    the model's term operators are assembled once; each time point is then
+    an einsum plus an N x N solve.
     """
 
     def __init__(self, model: Model):
-        _assert_real_symmetric(model.h0(0.0))
-        n = model.n_qubits
-        n_terms = len(model.terms)
-        d = [[(-1j) * commutator(t.operator, sigma_y(n, j)) for t in model.terms] for j in range(n)]
-        gram = np.zeros((n_terms, n_terms, n, n))
-        rhs = np.zeros((n_terms, n_terms, n))
-        for j in range(n):
-            for t in range(n_terms):
-                for tp in range(n_terms):
-                    rhs[tp, t, j] = trace_product(model.terms[tp].operator, d[j][t]).real
-            for k in range(j, n):
-                for t in range(n_terms):
-                    for tp in range(n_terms):
-                        val = trace_product(d[j][t], d[k][tp]).real
-                        gram[t, tp, j, k] = val
-                        gram[tp, t, k, j] = val
         self.model = model
-        self._gram = gram
-        self._rhs = rhs
-
-    def solve(self, lam: float) -> np.ndarray:
-        """alpha(lambda): minimizer of the lambda-form action."""
-        return self.solve_batch(np.array([lam]))[0]
+        self._gram, self._rhs = _normal_tensors([t.operator for t in model.terms])
 
     def solve_batch(self, lams: np.ndarray) -> np.ndarray:
         """alpha(lambda) for a whole grid at once (rows = grid points)."""
         lams = np.asarray(lams, dtype=float)
         f = np.array([[t.ua_value(l) for t in self.model.terms] for l in lams])
         fp = np.array([t.field1 for t in self.model.terms])
-        m = np.einsum("tp,tq,pqjk->tjk", f, f, self._gram)
-        r = -np.einsum("p,tq,pqj->tj", fp, f, self._rhs)
-        try:
-            return np.linalg.solve(m, r[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            return np.stack([np.linalg.lstsq(mi, ri, rcond=None)[0] for mi, ri in zip(m, r)])
-
-    def solve_scaled_batch(self, lams: np.ndarray, lam_dots: np.ndarray) -> np.ndarray:
-        return np.asarray(lam_dots)[:, None] * self.solve_batch(lams)
+        return _solve_normal(self._gram, self._rhs, f, fp)

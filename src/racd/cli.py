@@ -18,16 +18,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .dynamics import StepSizeError, run_protocol
+from .dynamics import EXACT_CD_MAX_QUBITS, StepSizeError, run_protocol
 from .errors import RacdError
 from .models import Model, Ramp, TwoSpinModel, random_instance
-from .operators import DENSE_MATRIX_MAX_QUBITS
 from .optimizer import assemble_protocol, sequential_optimize
 from .validation import run_all_suites
 
@@ -62,10 +61,8 @@ class RunConfig:
         bad = [p for p in self.protocols if p not in ("ua", "local-cd", "ra", "exact-cd")]
         if bad:
             raise ValueError(f"unknown protocols: {bad}")
-        if "exact-cd" in self.protocols:
-            n_q = self._n_qubits()
-            if n_q > DENSE_MATRIX_MAX_QUBITS:
-                raise ValueError("exact-cd requires the dense cap")
+        if "exact-cd" in self.protocols and self._n_qubits() > EXACT_CD_MAX_QUBITS:
+            raise ValueError(f"exact-cd is limited to {EXACT_CD_MAX_QUBITS} qubits, got {self._n_qubits()}")
 
     def _n_qubits(self) -> int:
         if self.model == "two-spin":
@@ -120,9 +117,7 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
         finals: Dict[str, float] = {}
         for kind in config.protocols:
             stage = f"{kind} evolution"
-            protocol = assemble_protocol(
-                model, trajectory, kind, ramp, tau=config.tau, M=config.m_points, seed=model.seed
-            )
+            protocol = assemble_protocol(model, trajectory, kind, ramp)
             trace = run_protocol(protocol, steps=config.steps, n_out=n_out, ground_bases=bases)
             bases = trace.ground_bases  # every protocol shares the output grid
             finals[kind] = float(trace.F[-1])
@@ -130,7 +125,9 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
                 trace.to_csv(out_dir / f"fidelity_{kind}.csv")
                 _write_fields_csv(out_dir / f"fields_{kind}.csv", protocol, trace.times)
     except RacdError as exc:
-        where = f"the {model.kind} model with {model.n_qubits} qubits, instance seed {model.seed}"
+        where = f"the {model.kind} model with {model.n_qubits} qubits"
+        if model.seed is not None:
+            where += f", instance seed {model.seed}"
         msg = f"{stage} failed for {where}: {exc}"
         if isinstance(exc, StepSizeError):
             msg += f"; --steps {exc.steps_needed()} or more should keep it within {exc.tol}"
@@ -156,7 +153,6 @@ def cmd_run(config: RunConfig) -> int:
         "tolerances": {"bfgs_gtol": 1e-10, "norm_drift": 1e-6},
         "final_fidelity": finals,
     }
-    meta["config"]["protocols"] = list(config.protocols)
     with open(out_dir / "run.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -165,10 +161,9 @@ def cmd_run(config: RunConfig) -> int:
     return 0
 
 
-def scaling_study(
-    config: RunConfig, sizes: Sequence[int], protocols: Sequence[str] = SCALING_PROTOCOLS
-) -> List[dict]:
-    """Per-size instance sweep; returns one record per (size, protocol)."""
+def scaling_study(config: RunConfig, sizes: Sequence[int]) -> List[dict]:
+    """Per-size instance sweep over ``SCALING_PROTOCOLS``; returns one
+    record per (size, protocol)."""
     rows: List[dict] = []
     for size in sizes:
         run_cfg = RunConfig(
@@ -178,7 +173,7 @@ def scaling_study(
             tau=config.tau,
             m_points=config.m_points,
             steps=config.steps,
-            protocols=tuple(protocols),
+            protocols=SCALING_PROTOCOLS,
             seed=config.seed,
             backend=config.backend,
         )
@@ -188,7 +183,7 @@ def scaling_study(
             _single_run(_build_model(run_cfg, config.seed + idx), run_cfg, None, n_out=11)
             for idx in range(config.instances)
         ]
-        for kind in protocols:
+        for kind in SCALING_PROTOCOLS:
             f_vals = np.array([f[kind] for f in finals])
             f_ua = np.array([f["ua"] for f in finals])
             rel = f_vals / f_ua
@@ -223,7 +218,7 @@ def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
                 f"{_fmt(r['p75_F'])},{_fmt(r['mean_rel_improvement'])}\n"
             )
     meta = {"config": asdict(config), "sizes": list(sizes), "prng": "numpy-PCG64"}
-    meta["config"]["protocols"] = list(config.protocols)
+    meta["config"]["protocols"] = list(SCALING_PROTOCOLS)
     with open(out_dir / "run.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -266,27 +261,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
-    config = RunConfig(**base)
-    overrides = {
-        "model": args.model,
-        "n": args.n,
-        "n_logical": args.n_logical,
-        "tau": args.tau,
-        "m_points": args.m_points,
-        "steps": args.steps,
-        "seed": args.seed,
-        "instances": args.instances,
-        "out": args.out,
-        "backend": args.backend,
-        "full": args.full,
-    }
-    for key, val in overrides.items():
-        if val is not None:
-            setattr(config, key, val)
     if args.protocols is not None:
-        config.protocols = tuple(s.strip() for s in args.protocols.split(",") if s.strip())
-    else:
-        config.protocols = tuple(config.protocols)
+        args.protocols = [s.strip() for s in args.protocols.split(",") if s.strip()]
+    config = RunConfig(**base)
+    for f in fields(RunConfig):
+        if getattr(args, f.name) is not None:
+            setattr(config, f.name, getattr(args, f.name))
+    config.protocols = tuple(config.protocols)
     return config
 
 

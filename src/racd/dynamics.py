@@ -126,15 +126,13 @@ class _HamiltonianEvaluator:
     Hilbert-space dimension beyond the vector length.  The contracted
     diagonals of the two most recent substeps are kept, since RK4 applies
     each midpoint twice and each step's end again as the next step's start.
-    Exact-CD additionally rebuilds a dense matrix per substep for the
-    spectral gauge potential.
+    Exact-CD instead keeps a dense matrix per substep, with the spectral
+    gauge potential added.
     """
 
     def __init__(self, protocol: Protocol, times: np.ndarray):
         model = protocol.model
         n = model.n_qubits
-        if n > STATE_VECTOR_MAX_QUBITS:
-            raise CapacityError(f"{n} qubits exceeds state-vector cap")
         self.kind = protocol.kind
         self._dim = 1 << n
         fields = protocol.field_table(times)
@@ -163,17 +161,11 @@ class _HamiltonianEvaluator:
             comp_idx = np.array(sorted(groups[x]), dtype=int)
             vecs = np.stack([groups[x][i] for i in comp_idx])
             self._groups.append((comp_idx, vecs, states ^ x))
-        self._diagonals: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+        self._substeps: Dict[int, object] = {}  # the two most recent substeps
 
         if self.kind == "exact-cd":
-            if n > EXACT_CD_MAX_QUBITS:
-                raise CapacityError("exact-CD baseline restricted to 8 qubits")
-            self._lams, self._lam_dots = protocol.ramp.table(times)
+            _, self._lam_dots = protocol.ramp.table(times)
             self._dh_dlam = model.dh0_dlambda(0.0).to_dense()  # schedules are affine
-
-    @property
-    def needs_matrix(self) -> bool:
-        return self.kind == "exact-cd"
 
     def matrix(self, idx: int) -> np.ndarray:
         if self._dim > (1 << DENSE_MATRIX_MAX_QUBITS):
@@ -190,17 +182,35 @@ class _HamiltonianEvaluator:
 
     def apply(self, idx: int, psi: np.ndarray) -> np.ndarray:
         # H|psi>: out[s ^ x] += g_x[s] psi[s] for each word group
-        diagonals = self._diagonals.get(idx)
-        if diagonals is None:
-            c = self._coeffs[idx]
-            diagonals = [(c[comp_idx] @ vecs, perm) for comp_idx, vecs, perm in self._groups]
-            if len(self._diagonals) == 2:
-                del self._diagonals[next(iter(self._diagonals))]
-            self._diagonals[idx] = diagonals
+        substep = self._substeps.get(idx)
+        if substep is None:
+            if self.kind == "exact-cd":
+                substep = self.matrix(idx)
+            else:
+                c = self._coeffs[idx]
+                substep = [(c[comp_idx] @ vecs, perm) for comp_idx, vecs, perm in self._groups]
+            if len(self._substeps) == 2:
+                del self._substeps[next(iter(self._substeps))]
+            self._substeps[idx] = substep
+        if self.kind == "exact-cd":
+            return substep @ psi
         out = np.zeros_like(psi)
-        for g, perm in diagonals:
+        for g, perm in substep:
             out += (g * psi)[perm]
         return out
+
+
+def _output_steps(protocol: Protocol, steps: int, n_out: int) -> np.ndarray:
+    """Indices of the ``n_out`` RK4 steps sampled for output, both ends
+    included, once the protocol is known to fit the propagator."""
+    n = protocol.model.n_qubits
+    if n > STATE_VECTOR_MAX_QUBITS:
+        raise CapacityError(f"{n} qubits exceeds state-vector cap")
+    if protocol.kind == "exact-cd" and n > EXACT_CD_MAX_QUBITS:
+        raise CapacityError(f"exact-CD baseline restricted to {EXACT_CD_MAX_QUBITS} qubits")
+    if steps < 100:
+        raise ValueError("steps must be >= 100")
+    return np.unique(np.linspace(0, steps, n_out).round().astype(int))
 
 
 def evolve(
@@ -215,8 +225,7 @@ def evolve(
     (including both endpoints).  Raises :class:`StepSizeError` if the norm
     drifts by more than 1e-6 anywhere on the output grid.
     """
-    if steps < 100:
-        raise ValueError("steps must be >= 100")
+    out_idx = _output_steps(protocol, steps, n_out)
     tau = protocol.ramp.tau
     h = tau / steps
     # substep times: t_k, t_k + h/2 interleaved, plus the final endpoint
@@ -225,13 +234,11 @@ def evolve(
     sub[1::2] = sub[0:-1:2] + 0.5 * h
     evaluator = _HamiltonianEvaluator(protocol, sub)
 
-    out_idx = np.unique(np.linspace(0, steps, n_out).round().astype(int))
     out_times = sub[2 * out_idx]
     states = np.empty((len(out_idx), len(psi0)), dtype=complex)
     pointer = 0
 
     psi = np.asarray(psi0, dtype=complex).copy()
-    h_next = evaluator.matrix(0) if evaluator.needs_matrix else None
     for k in range(steps + 1):
         if pointer < len(out_idx) and k == out_idx[pointer]:
             drift = abs(np.linalg.norm(psi) - 1.0)
@@ -242,18 +249,10 @@ def evolve(
         if k == steps:
             break
         i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
-        if evaluator.needs_matrix:
-            h0m, hmid, h2m = h_next, evaluator.matrix(i1), evaluator.matrix(i2)
-            h_next = h2m  # endpoint matrix is reused as the next step's start
-            k1 = -1j * (h0m @ psi)
-            k2 = -1j * (hmid @ (psi + 0.5 * h * k1))
-            k3 = -1j * (hmid @ (psi + 0.5 * h * k2))
-            k4 = -1j * (h2m @ (psi + h * k3))
-        else:
-            k1 = -1j * evaluator.apply(i0, psi)
-            k2 = -1j * evaluator.apply(i1, psi + 0.5 * h * k1)
-            k3 = -1j * evaluator.apply(i1, psi + 0.5 * h * k2)
-            k4 = -1j * evaluator.apply(i2, psi + h * k3)
+        k1 = -1j * evaluator.apply(i0, psi)
+        k2 = -1j * evaluator.apply(i1, psi + 0.5 * h * k1)
+        k3 = -1j * evaluator.apply(i1, psi + 0.5 * h * k2)
+        k4 = -1j * evaluator.apply(i2, psi + h * k3)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out_times, states
 
@@ -267,14 +266,6 @@ def ground_trace(model: Model, lambdas: Sequence[float], degeneracy_tol: float =
     return bases
 
 
-def initial_ground_state(model: Model) -> np.ndarray:
-    """Ground state of H0(lambda=0); degenerate start raises."""
-    _, basis = ground_space_op(model.h0(0.0))
-    if basis.shape[1] != 1:
-        raise ValueError("degenerate initial ground state")
-    return basis[:, 0]
-
-
 def run_protocol(
     protocol: Protocol,
     steps: int = 2000,
@@ -282,17 +273,21 @@ def run_protocol(
     ground_bases: List[np.ndarray] | None = None,
 ) -> FidelityTrace:
     """Evolve from the instantaneous ground state at t = 0 and record F(t)
-    and F-tilde(t) on the output grid.
+    and F-tilde(t) on the output grid.  A degenerate start raises.
 
     ``ground_bases`` lets callers share the instantaneous eigenbases across
-    protocols of the same model and ramp.
+    protocols of the same model, ramp and output grid.
     """
     model = protocol.model
-    psi0 = initial_ground_state(model)
-    times, states = evolve(protocol, psi0, steps=steps, n_out=n_out)
+    times = np.linspace(0.0, protocol.ramp.tau, steps + 1)[_output_steps(protocol, steps, n_out)]
     lams, _ = protocol.ramp.table(times)
     if ground_bases is None:
         ground_bases = ground_trace(model, lams)
+    if len(ground_bases) != len(times):
+        raise ValueError(f"{len(ground_bases)} ground bases for {len(times)} output points")
+    if ground_bases[0].shape[1] != 1:
+        raise ValueError("degenerate initial ground state")
+    _, states = evolve(protocol, ground_bases[0][:, 0], steps=steps, n_out=n_out)
     q_tables = protocol.q_table(times)
     q_terms = [(t.param, t.operator.diag_vector().real) for t in model.terms if t.param in ("gamma", "phi")]
 

@@ -107,10 +107,6 @@ class Model:
                 raise ValueError(f"term {term.name!r} is not Hermitian")
 
     @property
-    def field_names(self) -> Tuple[str, ...]:
-        return tuple(t.name for t in self.terms)
-
-    @property
     def param_names(self) -> Tuple[str, ...]:
         present = {t.param for t in self.terms if t.param}
         return tuple(p for p in PARAM_ORDER if p in present)

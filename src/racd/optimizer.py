@@ -18,10 +18,9 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
-from scipy.optimize._linesearch import LineSearchWarning
 
 from . import closed_form
-from .agp import LocalCdSolver, RaParams
+from .agp import LocalCdSolver
 from .errors import RacdError
 from .models import Model, Ramp
 
@@ -85,8 +84,8 @@ def bfgs_minimize(
     try:
         with warnings.catch_warnings():
             # a failing Wolfe search at the finite-difference noise floor is
-            # the expected terminator, not a user-facing problem
-            warnings.simplefilter("ignore", LineSearchWarning)
+            # the expected terminator, not a user-facing problem (scipy's
+            # LineSearchWarning is a RuntimeWarning)
             warnings.simplefilter("ignore", RuntimeWarning)
             res = minimize(
                 guarded,
@@ -151,9 +150,6 @@ class ParamTrajectory:
 
     def derivative(self, name: str, t):
         return self._spline(name)(t, 1)
-
-    def at_knot(self, m: int) -> RaParams:
-        return RaParams.from_vector(self.values[m], self.param_names)
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -262,7 +258,6 @@ class Protocol:
     kind: str
     ramp: Ramp
     trajectory: ParamTrajectory | None = None
-    metadata: dict = field(default_factory=dict)
     _local_solver: LocalCdSolver | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -304,10 +299,9 @@ class Protocol:
         if self.kind != "local-cd":
             return np.zeros((len(times), self.model.n_qubits))
         lams, lam_dots = self.ramp.table(times)
-        return self._local_solver.solve_scaled_batch(lams, lam_dots)
+        return lam_dots[:, None] * self._local_solver.solve_batch(lams)
 
 
-def assemble_protocol(model: Model, trajectory: ParamTrajectory | None, kind: str, ramp: Ramp, **metadata) -> Protocol:
+def assemble_protocol(model: Model, trajectory: ParamTrajectory | None, kind: str, ramp: Ramp) -> Protocol:
     """Build a Protocol; RA consumes the trajectory, other kinds ignore it."""
-    traj = trajectory if kind == "ra" else None
-    return Protocol(model=model, kind=kind, ramp=ramp, trajectory=traj, metadata=dict(metadata))
+    return Protocol(model=model, kind=kind, ramp=ramp, trajectory=trajectory if kind == "ra" else None)

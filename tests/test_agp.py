@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from racd import RacdError
 from racd.agp import (
     GaugeContext,
+    LocalCdError,
     LocalCdSolver,
     RaParams,
     UnsupportedAnsatzError,
@@ -14,7 +18,7 @@ from racd.agp import (
     ra_agp,
 )
 from racd.closed_form import two_level_phi0, two_level_optimum, chain_alpha_coefficients, chain_basis_sums
-from racd.models import ChainModel, TwoSpinModel, random_instance
+from racd.models import ChainModel, QuboModel, TwoSpinModel, random_instance
 from racd.operators import SpinOperator, commutator, sigma_x, sigma_y, sigma_z
 
 
@@ -254,8 +258,46 @@ def test_local_cd_solver_matches_function():
     solver = LocalCdSolver(model)
     for lam in (0.2, 0.5, 0.9):
         assert_allclose(
-            solver.solve(lam), local_cd_coeffs(model.h0(lam), model.dh0_dlambda(lam)), atol=1e-10
+            solver.solve_batch([lam])[0], local_cd_coeffs(model.h0(lam), model.dh0_dlambda(lam)), atol=1e-10
         )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.one_of(
+        st.builds(random_instance, st.just("qubo"), st.integers(2, 6), st.integers(0, 2**16)),
+        st.builds(random_instance, st.just("lhz"), st.integers(3, 4), st.integers(0, 2**16)),
+        st.builds(ChainModel, st.integers(3, 6)),
+    ),
+    inner=st.lists(st.floats(0.0, 1.0), max_size=4),
+)
+def test_local_cd_solver_matches_function_property(model, inner):
+    lams = [0.0, *inner, 1.0]
+    batch = LocalCdSolver(model).solve_batch(lams)
+    for lam, alpha in zip(lams, batch):
+        assert_allclose(alpha, local_cd_coeffs(model.h0(lam), model.dh0_dlambda(lam)), atol=1e-10)
+
+
+def test_local_cd_uncoupled_qubit_is_least_norm():
+    # qubit 2 has no field and no coupling, so at lambda = 1 (no transverse
+    # field) D_2 = 0 and the normal system is singular but consistent
+    J = random_instance("qubo", 4, 3).couplings.copy()
+    J[2, :] = J[:, 2] = 0.0
+    model = QuboModel(J)
+    lams = [0.0, 0.5, 1.0]
+    batch = LocalCdSolver(model).solve_batch(lams)
+    assert batch[2, 1] == 0.0
+    for lam, alpha in zip(lams, batch):
+        assert_allclose(alpha, local_cd_coeffs(model.h0(lam), model.dh0_dlambda(lam)), atol=1e-10)
+
+
+def test_local_cd_inconsistent_system_raises():
+    from racd.agp import _solve_normal
+
+    assert issubclass(LocalCdError, RacdError) and issubclass(LocalCdError, ArithmeticError)
+    # a zero normal matrix with a nonzero right-hand side has no solution
+    with pytest.raises(LocalCdError):
+        _solve_normal(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1)), np.ones((1, 1)), np.ones(1))
 
 
 def test_local_cd_requires_real_symmetric():

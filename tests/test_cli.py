@@ -129,6 +129,43 @@ def test_exact_cd_capacity_guard(tmp_path):
         cfg.validate()
 
 
+def test_exact_cd_cap_refused_before_any_run(tmp_path, capsys):
+    # 9 qubits fit the dense cap (12) but not the exact-CD propagator (8)
+    out = tmp_path / "out"
+    rc = run_cli(["run", "--model", "chain", "--n", "9", "--protocols", "ua,exact-cd",
+                  "--steps", "200", "--out", out])
+    assert rc == 2
+    assert not (out / "fidelity_ua.csv").exists()
+    assert "limited to 8 qubits" in capsys.readouterr().err
+
+
+def test_run_error_names_seed_only_for_random_instances(monkeypatch):
+    from racd.dynamics import StepSizeError
+    from racd.models import TwoSpinModel, random_instance
+
+    def drifting(*args, **kwargs):
+        raise StepSizeError(2e-6, 100)
+
+    monkeypatch.setattr(cli, "run_protocol", drifting)
+    config = cli.RunConfig(protocols=("ua",))
+    with pytest.raises(StepSizeError) as seedless:
+        cli._single_run(TwoSpinModel(), config, None)
+    assert "two-spin model with 2 qubits: norm drift" in str(seedless.value)
+    assert "seed" not in str(seedless.value)
+    with pytest.raises(StepSizeError) as seeded:
+        cli._single_run(random_instance("qubo", 3, 4), config, None)
+    assert "qubo model with 3 qubits, instance seed 4: norm drift" in str(seeded.value)
+
+
+def test_scaling_run_json_records_protocols_that_ran(tmp_path):
+    config = cli.RunConfig(model="qubo", instances=1, steps=500, m_points=20, out=str(tmp_path))
+    assert cli.cmd_scaling(config, sizes=(3,)) == 0
+    meta = json.loads((tmp_path / "run.json").read_text())
+    rows = (tmp_path / "scaling.csv").read_text().splitlines()[1:]
+    assert meta["config"]["protocols"] == ["ua", "local-cd", "ra"]
+    assert [r.split(",")[1] for r in rows] == meta["config"]["protocols"]
+
+
 def test_validate_suites_pass():
     # the fast subset: identity suites + boundary conditions must be green
     from racd.validation import (

@@ -7,7 +7,7 @@ from racd.dynamics import (
     evolve,
     fidelity,
     ground_space,
-    initial_ground_state,
+    ground_space_op,
     rotated_fidelity,
     run_protocol,
 )
@@ -92,7 +92,8 @@ def test_evolve_requires_steps():
 def test_evolve_step_halving_converged():
     model = TwoSpinModel()
     protocol = assemble_protocol(model, None, "ua", Ramp(1.0))
-    psi0 = initial_ground_state(model)
+    _, basis = ground_space_op(model.h0(0.0))
+    psi0 = basis[:, 0]
     _, coarse = evolve(protocol, psi0, steps=1000, n_out=2)
     _, fine = evolve(protocol, psi0, steps=2000, n_out=2)
     assert np.linalg.norm(coarse[-1] - fine[-1]) <= 1e-6
@@ -103,7 +104,8 @@ def test_time_reversal_round_trip():
     model = TwoSpinModel()
     ramp = Ramp(1.0)
     forward = assemble_protocol(model, None, "ua", ramp)
-    psi0 = initial_ground_state(model)
+    _, basis = ground_space_op(model.h0(0.0))
+    psi0 = basis[:, 0]
     _, states = evolve(forward, psi0, steps=2000, n_out=2)
     psi_tau = states[-1]
 
@@ -180,6 +182,27 @@ def test_fidelity_trace_invariants_and_csv(tmp_path):
     assert len(lines) == 22
     # 12-significant-digit scientific notation with '.' separator
     assert "e" in lines[1].split(",")[1]
+
+
+def test_run_protocol_checks_capacity_before_ground_solves(monkeypatch):
+    from racd import dynamics
+    from racd.operators import CapacityError
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("ground solve before the capacity check")
+
+    monkeypatch.setattr(dynamics, "ground_space_op", no_solve)
+    protocol = assemble_protocol(ChainModel(9), None, "exact-cd", Ramp(1.0))
+    with pytest.raises(CapacityError):
+        run_protocol(protocol, steps=200)
+
+
+def test_run_protocol_rejects_bases_of_another_grid():
+    model = TwoSpinModel()
+    protocol = assemble_protocol(model, None, "ua", Ramp(1.0))
+    bases = run_protocol(protocol, steps=200, n_out=11).ground_bases
+    with pytest.raises(ValueError):
+        run_protocol(protocol, steps=200, n_out=21, ground_bases=bases)
 
 
 def test_exact_cd_two_spin_perfect():
