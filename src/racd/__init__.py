@@ -6,7 +6,7 @@ and verifies them by exact state-vector evolution against unassisted,
 local-CD and exact-CD baselines.
 """
 
-from .agp import GaugeContext, RaParams, action_oracle, exact_agp, g_operator, local_cd_coeffs, ra_agp
+from .agp import action_oracle, exact_agp, g_operator, local_cd_coeffs, ra_agp
 from .closed_form import (
     action_cd_two_param,
     action_chain,
@@ -31,7 +31,7 @@ from .models import (
     ramp_eval,
     random_instance,
 )
-from .operators import PauliString, SpinOperator, commutator, diag_component, pauli_mul, trace_product
+from .operators import SpinOperator, commutator, diag_component, trace_product
 from .optimizer import ParamTrajectory, Protocol, assemble_protocol, bfgs_minimize, sequential_optimize
 
 __version__ = "0.1.0"

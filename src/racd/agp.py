@@ -14,13 +14,12 @@ optimal and enforces the protocol's time boundary conditions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import RacdError
-from .models import Model
+from .models import FieldSet, Model
 from .operators import (
     DENSE_MATRIX_MAX_QUBITS,
     SpinOperator,
@@ -28,60 +27,6 @@ from .operators import (
     sigma_y,
     trace_product,
 )
-
-
-class UnsupportedAnsatzError(RacdError, ValueError):
-    """Rotation generator contains non-diagonal terms."""
-
-
-@dataclass(frozen=True)
-class RaParams:
-    """Variational parameters: beta on the K term, gamma (and optionally phi)
-    on the rotation-generator terms."""
-
-    beta: float
-    gamma: float
-    phi: float | None = None
-
-    @staticmethod
-    def from_vector(x: Sequence[float], names: Tuple[str, ...]) -> "RaParams":
-        d = dict(zip(names, (float(v) for v in x)))
-        return RaParams(beta=d.get("beta", 0.0), gamma=d.get("gamma", 0.0), phi=d.get("phi"))
-
-
-@dataclass(frozen=True)
-class GaugeContext:
-    """Frozen snapshot of H0, dH0/dt and the ansatz term operators at one
-    instant of the protocol."""
-
-    h0: SpinOperator
-    dh0_dt: SpinOperator
-    q_ops: Tuple[Tuple[str, SpinOperator], ...]  # (param name, diagonal operator)
-    k_ops: Tuple[Tuple[str, SpinOperator], ...]
-
-    def __post_init__(self):
-        if self.h0.n_qubits != self.dh0_dt.n_qubits:
-            raise ValueError("H0 and dH0/dt act on different qubit counts")
-        if not self.h0.is_hermitian() or not self.dh0_dt.is_hermitian():
-            raise ValueError("H0 and dH0/dt must be Hermitian")
-
-    @property
-    def n_qubits(self) -> int:
-        return self.h0.n_qubits
-
-    @classmethod
-    def from_model(cls, model: Model, lam: float, lam_dot: float) -> "GaugeContext":
-        return cls.from_fields(model, model.ua_fields(lam, lam_dot))
-
-    @classmethod
-    def from_fields(cls, model: Model, fd) -> "GaugeContext":
-        """Context for arbitrary field values and time derivatives, ``fd``
-        mapping each term name to (value, derivative)."""
-        h0 = model.hamiltonian([fd[t.name][0] for t in model.terms])
-        dh0 = model.hamiltonian([fd[t.name][1] for t in model.terms])
-        q_ops = tuple((t.param, t.operator) for t in model.terms if t.param in ("gamma", "phi"))
-        k_ops = tuple((t.param, t.operator) for t in model.terms if t.param == "beta")
-        return cls(h0, dh0, q_ops, k_ops)
 
 
 def exact_agp(h0: np.ndarray, dh0_dlambda: np.ndarray, gap_tol: float = 1e-10) -> np.ndarray:
@@ -104,59 +49,50 @@ def exact_agp(h0: np.ndarray, dh0_dlambda: np.ndarray, gap_tol: float = 1e-10) -
     return vec @ a_eig @ vec.conj().T
 
 
-def ra_agp(ctx: GaugeContext, params: RaParams) -> np.ndarray:
+def ra_agp(model: Model, fd: FieldSet, x: Sequence[float]) -> np.ndarray:
     """Time-scaled rotated-ansatz gauge potential, densely:
 
     lambda_dot * A = e^{iQ} (H0 + K) e^{-iQ} - H0
 
-    with Q = gamma * Q_gamma [+ phi * Q_phi] and K = beta * K_beta.  Q is
-    diagonal for every model here, so the conjugation is elementwise phases.
+    with Q = gamma * Q_gamma [+ phi * Q_phi] and K = beta * K_beta, at the
+    field values of ``fd`` (term name -> (value, time derivative)) and the
+    parameters ``x`` ordered as ``model.param_names``.  Q is diagonal (the
+    model refuses any other rotation term), so the conjugation is
+    elementwise phases.
     """
-    n = ctx.n_qubits
-    values = {"beta": params.beta, "gamma": params.gamma, "phi": params.phi}
-    q = SpinOperator.zero(n)
-    for pname, op in ctx.q_ops:
-        if not op.is_diagonal():
-            raise UnsupportedAnsatzError(f"rotation term for {pname!r} is not diagonal")
-        v = values[pname]
-        if v is None:
-            raise ValueError(f"model requires parameter {pname!r}")
-        q = q + float(v) * op
-    k = SpinOperator.zero(n)
-    for pname, op in ctx.k_ops:
-        k = k + float(values[pname]) * op
+    if len(x) != len(model.param_names):
+        raise ValueError(f"expected parameters {model.param_names}, got {len(x)} values")
+    values = dict(zip(model.param_names, x))
+    q = SpinOperator.zero(model.n_qubits)
+    k = SpinOperator.zero(model.n_qubits)
+    for t in model.terms:
+        if t.param == "beta":
+            k = k + float(values["beta"]) * t.operator
+        elif t.param in ("gamma", "phi"):
+            q = q + float(values[t.param]) * t.operator
 
-    h0 = ctx.h0.to_dense()
+    h0 = model.hamiltonian([fd[t.name][0] for t in model.terms]).to_dense()
     hk = h0 + k.to_dense()
     phases = np.exp(1j * q.diag_vector().real)
     return phases[:, None] * hk * np.conj(phases)[None, :] - h0
 
 
-def g_operator(ctx: GaugeContext, scaled_agp: np.ndarray) -> np.ndarray:
-    """G_t = dH0/dt - i [H0, lambda_dot * A]; Hermitian."""
-    h0 = ctx.h0.to_dense()
+def g_operator(model: Model, fd: FieldSet, scaled_agp: np.ndarray) -> np.ndarray:
+    """G_t = dH0/dt - i [H0, lambda_dot * A] at the fields of ``fd``; Hermitian."""
+    h0 = model.hamiltonian([fd[t.name][0] for t in model.terms]).to_dense()
     if scaled_agp.shape != h0.shape:
         raise ValueError(f"shape mismatch: {scaled_agp.shape} vs {h0.shape}")
-    return ctx.dh0_dt.to_dense() - 1j * (h0 @ scaled_agp - scaled_agp @ h0)
+    dh0 = model.hamiltonian([fd[t.name][1] for t in model.terms]).to_dense()
+    return dh0 - 1j * (h0 @ scaled_agp - scaled_agp @ h0)
 
 
-def action_oracle(ctx: GaugeContext, params: RaParams) -> float:
-    """Scaled action Tr(G_t^2) >= 0, computed densely (exact reference)."""
-    if ctx.n_qubits > DENSE_MATRIX_MAX_QUBITS:
-        raise ValueError(f"{ctx.n_qubits} qubits exceeds the dense oracle cap")
-    g = g_operator(ctx, ra_agp(ctx, params))
+def action_oracle(model: Model, fd: FieldSet, x: Sequence[float]) -> float:
+    """Scaled action Tr(G_t^2) >= 0, computed densely (exact reference); the
+    arguments are those of :func:`racd.closed_form.action`."""
+    if model.n_qubits > DENSE_MATRIX_MAX_QUBITS:
+        raise ValueError(f"{model.n_qubits} qubits exceeds the dense oracle cap")
+    g = g_operator(model, fd, ra_agp(model, fd, x))
     return float(np.vdot(g, g).real)  # Tr(G^2) = ||G||_F^2 for Hermitian G
-
-
-def oracle_objective(model: Model, lam: float, lam_dot: float):
-    """Scaled action as a function of the stacked parameter vector."""
-    ctx = GaugeContext.from_model(model, lam, lam_dot)
-    names = model.param_names
-
-    def objective(x: np.ndarray) -> float:
-        return action_oracle(ctx, RaParams.from_vector(x, names))
-
-    return objective
 
 
 def _assert_real_symmetric(op: SpinOperator) -> None:

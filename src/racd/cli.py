@@ -26,8 +26,8 @@ import numpy as np
 
 from .dynamics import EXACT_CD_MAX_QUBITS, StepSizeError, run_protocol
 from .errors import RacdError
-from .models import Model, Ramp, TwoSpinModel, random_instance
-from .optimizer import assemble_protocol, sequential_optimize
+from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, random_instance
+from .optimizer import PROTOCOL_KINDS, assemble_protocol, sequential_optimize
 from .validation import run_all_suites
 
 DEFAULT_PROTOCOLS = ("ua", "ra")
@@ -58,11 +58,6 @@ class RunConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
-        bad = [p for p in self.protocols if p not in ("ua", "local-cd", "ra", "exact-cd")]
-        if bad:
-            raise ValueError(f"unknown protocols: {bad}")
-        if "exact-cd" in self.protocols and self._n_qubits() > EXACT_CD_MAX_QUBITS:
-            raise ValueError(f"exact-cd is limited to {EXACT_CD_MAX_QUBITS} qubits, got {self._n_qubits()}")
 
     def _n_qubits(self) -> int:
         if self.model == "two-spin":
@@ -140,6 +135,13 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
 
 def cmd_run(config: RunConfig) -> int:
     config.validate()
+    # checked here, not in RunConfig.validate: scaling runs its own protocols
+    # at its own sizes
+    bad = [p for p in config.protocols if p not in PROTOCOL_KINDS]
+    if bad:
+        raise ValueError(f"unknown protocols: {bad}")
+    if "exact-cd" in config.protocols and config._n_qubits() > EXACT_CD_MAX_QUBITS:
+        raise ValueError(f"exact-cd is limited to {EXACT_CD_MAX_QUBITS} qubits, got {config._n_qubits()}")
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     model = _build_model(config, config.seed)
@@ -147,7 +149,7 @@ def cmd_run(config: RunConfig) -> int:
     meta = {
         "config": asdict(config),
         "model": model.to_json(),
-        "prng": "numpy-PCG64",
+        "prng": PRNG_NAME,
         "seeds": {"instance": config.seed},
         "action_backend": config.backend,
         "tolerances": {"bfgs_gtol": 1e-10, "norm_drift": 1e-6},
@@ -217,7 +219,7 @@ def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
                 f"{r['size']},{r['protocol']},{_fmt(r['mean_F'])},{_fmt(r['p25_F'])},"
                 f"{_fmt(r['p75_F'])},{_fmt(r['mean_rel_improvement'])}\n"
             )
-    meta = {"config": asdict(config), "sizes": list(sizes), "prng": "numpy-PCG64"}
+    meta = {"config": asdict(config), "sizes": list(sizes), "prng": PRNG_NAME}
     meta["config"]["protocols"] = list(SCALING_PROTOCOLS)
     with open(out_dir / "run.json", "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -428,7 +428,8 @@ def action_lhz(
 
 def normalization(model: Model) -> float:
     """Factor by which the dense trace Tr(G_t^2) exceeds :func:`action` for
-    ``model``; raises ``ValueError`` where no closed form applies."""
+    ``model``; raises ``ValueError`` where no closed form applies, which
+    includes an LHZ layout with a repeated constraint."""
     n = model.n_qubits
     if model.kind == "two-spin":
         return 1.0
@@ -436,6 +437,8 @@ def normalization(model: Model) -> float:
         if n < 4:
             raise ValueError("chain closed form needs N >= 4; use backend='oracle'")
         return n * 2.0**n
+    if model.kind == "lhz" and len(set(model.constraints)) < len(model.constraints):
+        raise ValueError("LHZ closed form does not support a repeated constraint; use backend='oracle'")
     if model.kind in ("qubo", "lhz"):
         return 2.0**n
     raise ValueError(f"no closed form for model kind {model.kind!r}")

@@ -14,7 +14,6 @@ construction; every operation returns a new object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
@@ -24,8 +23,6 @@ from .errors import RacdError
 ZERO_TOL = 1e-14
 DENSE_MATRIX_MAX_QUBITS = 12
 STATE_VECTOR_MAX_QUBITS = 15
-
-_PHASES = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 
 class DimensionMismatchError(RacdError, ValueError):
@@ -42,79 +39,6 @@ class NotDiagonalError(RacdError, ValueError):
 
 def _parity(n: int) -> int:
     return n.bit_count() & 1
-
-
-@dataclass(frozen=True)
-class PauliString:
-    """A single Pauli word with a unit phase in {1, i, -1, -i}."""
-
-    n_qubits: int
-    x_mask: int
-    z_mask: int
-    phase: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if self.n_qubits < 1:
-            raise ValueError("n_qubits must be positive")
-        top = 1 << self.n_qubits
-        if not (0 <= self.x_mask < top and 0 <= self.z_mask < top):
-            raise ValueError("mask does not fit in n_qubits bits")
-        if self.phase not in _PHASES:
-            raise ValueError(f"phase must be a fourth root of unity, got {self.phase}")
-
-    @classmethod
-    def identity(cls, n_qubits: int) -> "PauliString":
-        return cls(n_qubits, 0, 0)
-
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Build from a string like ``'XIZY'`` (site 0 = leftmost)."""
-        x = z = 0
-        phase = 1.0 + 0.0j
-        for j, c in enumerate(label):
-            bit = 1 << j
-            if c == "X":
-                x |= bit
-            elif c == "Z":
-                z |= bit
-            elif c == "Y":
-                x |= bit
-                z |= bit
-                phase *= 1j  # Y = i * X*Z
-            elif c != "I":
-                raise ValueError(f"unknown Pauli letter {c!r}")
-        return cls(len(label), x, z, phase)
-
-    def to_label(self) -> str:
-        letters = []
-        for j in range(self.n_qubits):
-            bit = 1 << j
-            has_x = bool(self.x_mask & bit)
-            has_z = bool(self.z_mask & bit)
-            letters.append("Y" if has_x and has_z else "X" if has_x else "Z" if has_z else "I")
-        return "".join(letters)
-
-    def dagger(self) -> "PauliString":
-        # (X^x Z^z)^dag = Z^z X^x = (-1)^(x.z) X^x Z^z
-        sign = -1.0 if _parity(self.x_mask & self.z_mask) else 1.0
-        return PauliString(self.n_qubits, self.x_mask, self.z_mask, np.conj(self.phase) * sign)
-
-    def to_operator(self) -> "SpinOperator":
-        return SpinOperator(self.n_qubits, {(self.x_mask, self.z_mask): self.phase})
-
-
-def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
-    """Group product of two Pauli words with exact phase bookkeeping."""
-    if a.n_qubits != b.n_qubits:
-        raise DimensionMismatchError(f"{a.n_qubits} vs {b.n_qubits} qubits")
-    # Z^za X^xb = (-1)^(za.xb) X^xb Z^za
-    sign = -1.0 if _parity(a.z_mask & b.x_mask) else 1.0
-    return PauliString(
-        a.n_qubits,
-        a.x_mask ^ b.x_mask,
-        a.z_mask ^ b.z_mask,
-        a.phase * b.phase * sign,
-    )
 
 
 class SpinOperator:
@@ -138,10 +62,6 @@ class SpinOperator:
         return cls(n_qubits, {(0, 0): weight})
 
     # -- inspection --------------------------------------------------------
-    @property
-    def terms(self) -> Dict[Tuple[int, int], complex]:
-        return dict(self._terms)
-
     def __len__(self) -> int:
         return len(self._terms)
 
@@ -180,7 +100,8 @@ class SpinOperator:
             return f"SpinOperator({self.n_qubits}, 0)"
         parts = []
         for (x, z), w in sorted(self._terms.items()):
-            label = PauliString(self.n_qubits, x, z).to_label()
+            # site j's letter from its (x, z) bits, site 0 leftmost
+            label = "".join("IXZY"[(x >> j & 1) | (z >> j & 1) << 1] for j in range(self.n_qubits))
             parts.append(f"({w:.6g})*{label}")
         return " + ".join(parts)
 
@@ -226,9 +147,6 @@ class SpinOperator:
             sign = -1.0 if _parity(x & z) else 1.0
             out[(x, z)] = np.conj(w) * sign
         return SpinOperator(self.n_qubits, out)
-
-    def trace(self) -> complex:
-        return self._terms.get((0, 0), 0.0 + 0.0j) * (1 << self.n_qubits)
 
     # -- dense conversion ----------------------------------------------------
     def to_dense(self, max_qubits: int = DENSE_MATRIX_MAX_QUBITS) -> np.ndarray:

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
 from . import closed_form
-from .agp import LocalCdSolver
+from .agp import LocalCdSolver, action_oracle
 from .errors import RacdError
 from .models import Model, Ramp
 
@@ -180,14 +180,11 @@ def make_action_objective(
     :func:`racd.closed_form.action_qubo`), which lives as long as the
     objective and never changes a value.
     """
-    if backend == "oracle":
-        from .agp import oracle_objective
-
-        return oracle_objective(model, lam, lam_dot)
-    if backend != "closed-form":
+    if backend not in ("closed-form", "oracle"):
         raise ValueError(f"unknown action backend {backend!r}")
-
     fd = model.ua_fields(lam, lam_dot)
+    if backend == "oracle":
+        return lambda x: action_oracle(model, fd, x)
     closed_form.normalization(model)  # rejects models without a closed form
     cache: dict = {}
     return lambda x: closed_form.action(model, fd, x, cache)

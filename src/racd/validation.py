@@ -10,7 +10,7 @@ from typing import List
 import numpy as np
 
 from . import closed_form
-from .agp import GaugeContext, RaParams, action_oracle
+from .agp import action_oracle
 from .models import ChainModel, Ramp, TwoSpinModel, random_instance, ramp_eval
 from .operators import (
     SpinOperator,
@@ -53,8 +53,7 @@ def closed_form_deviation(model, draws: int, seed: int) -> float:
         x = np.array(
             [rng.uniform(-2.0, 2.0) if n == "beta" else rng.uniform(-1.0, 1.0) for n in names]
         )
-        ctx = GaugeContext.from_fields(model, fd)
-        oracle = action_oracle(ctx, RaParams.from_vector(x, names)) / normalization
+        oracle = action_oracle(model, fd, x) / normalization
         closed = closed_form.action(model, fd, x)
         rel = abs(closed - oracle) / max(abs(oracle), 1e-12)
         worst = max(worst, rel)

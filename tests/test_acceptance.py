@@ -13,7 +13,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from racd import closed_form as cf
-from racd.agp import GaugeContext, RaParams, action_oracle
+from racd.agp import action_oracle
 from racd.cli import RunConfig, scaling_study
 from racd.dynamics import ground_trace, run_protocol
 from racd.models import ChainModel, Ramp, TwoSpinModel, ramp_eval, random_instance
@@ -241,9 +241,9 @@ def test_criterion_5_chain_n_independence():
     worst = 0.0
     for _ in range(20):
         fd = {t.name: (rng.uniform(-2, 2), rng.uniform(-3, 3)) for t in m4.terms}
-        params = RaParams(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        s4 = action_oracle(GaugeContext.from_fields(m4, fd), params) / (4 * 2.0**4)
-        s5 = action_oracle(GaugeContext.from_fields(m5, fd), params) / (5 * 2.0**5)
+        params = rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)
+        s4 = action_oracle(m4, fd, params) / (4 * 2.0**4)
+        s5 = action_oracle(m5, fd, params) / (5 * 2.0**5)
         worst = max(worst, abs(s4 - s5))
     ok = worst <= 1e-10
     report(5, ok, f"max |S/N2^N (N=4) - (N=5)| = {worst:.2e} (<=1e-10)")

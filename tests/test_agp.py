@@ -6,11 +6,8 @@ from numpy.testing import assert_allclose
 
 from racd import RacdError
 from racd.agp import (
-    GaugeContext,
     LocalCdError,
     LocalCdSolver,
-    RaParams,
-    UnsupportedAnsatzError,
     action_oracle,
     exact_agp,
     g_operator,
@@ -20,10 +17,6 @@ from racd.agp import (
 from racd.closed_form import two_level_phi0, two_level_optimum, chain_alpha_coefficients, chain_basis_sums
 from racd.models import ChainModel, QuboModel, TwoSpinModel, random_instance
 from racd.operators import SpinOperator, commutator, sigma_x, sigma_y, sigma_z
-
-
-def ctx_for(model, lam, lam_dot):
-    return GaugeContext.from_model(model, lam, lam_dot)
 
 
 def random_hermitian(dim, rng):
@@ -89,17 +82,17 @@ def test_exact_agp_hermitian_and_input_check():
 # -- rotated-ansatz AGP -------------------------------------------------------
 
 def test_ra_agp_zero_params():
-    ctx = ctx_for(TwoSpinModel(), 0.3, 0.8)
-    assert_allclose(ra_agp(ctx, RaParams(0.0, 0.0)), np.zeros((4, 4)), atol=1e-14)
+    model = TwoSpinModel()
+    fd = model.ua_fields(0.3, 0.8)
+    assert_allclose(ra_agp(model, fd, (0.0, 0.0)), np.zeros((4, 4)), atol=1e-14)
 
 
 def test_ra_agp_two_spin_structure_at_optimum():
     model = TwoSpinModel()
     lam, lam_dot = 0.37, 1.21
-    ctx = ctx_for(model, lam, lam_dot)
     fd = model.ua_fields(lam, lam_dot)
     beta, gamma = two_level_optimum(fd)
-    a = ra_agp(ctx, RaParams(beta, gamma))
+    a = ra_agp(model, fd, (beta, gamma))
     # expansion: beta*o + a_xx (XX - YY) + a_xy (XY + YX) with a_xx = 0,
     # a_xy = -phi0/2
     phi0 = two_level_phi0(fd)
@@ -120,31 +113,19 @@ def test_ra_agp_chain_six_coefficient_expansion():
     for _ in range(10):
         lam = rng.uniform(0, 1)
         lam_dot = rng.uniform(-2, 2)
-        params = RaParams(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        ctx = ctx_for(model, lam, lam_dot)
+        beta, gamma, phi = rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)
         fd = model.ua_fields(lam, lam_dot)
-        alphas = chain_alpha_coefficients(fd, params.beta, params.gamma, params.phi)
+        alphas = chain_alpha_coefficients(fd, beta, gamma, phi)
         want = sum(alphas[n] * b.to_dense() for n, b in zip(names, basis))
-        assert_allclose(ra_agp(ctx, params), want, atol=1e-10)
-
-
-def test_ra_agp_rejects_non_diagonal_generator():
-    model = TwoSpinModel()
-    ctx = GaugeContext(
-        model.h0(0.2),
-        model.dh0_dt(0.2, 0.5),
-        q_ops=(("gamma", sigma_x(2, 0)),),
-        k_ops=(("beta", model.terms[1].operator),),
-    )
-    with pytest.raises(UnsupportedAnsatzError):
-        ra_agp(ctx, RaParams(0.1, 0.2))
+        assert_allclose(ra_agp(model, fd, (beta, gamma, phi)), want, atol=1e-10)
 
 
 def test_ra_agp_continuous_to_zero():
-    ctx = ctx_for(ChainModel(4), 0.5, 1.0)
+    model = ChainModel(4)
+    fd = model.ua_fields(0.5, 1.0)
     norms = []
     for eps in (1e-2, 1e-4, 1e-6):
-        a = ra_agp(ctx, RaParams(eps, eps, eps))
+        a = ra_agp(model, fd, (eps, eps, eps))
         norms.append(np.abs(a).max())
     assert norms[0] > norms[1] > norms[2]
     assert norms[2] < 1e-4
@@ -153,8 +134,9 @@ def test_ra_agp_continuous_to_zero():
 # -- G operator and oracle ----------------------------------------------------
 
 def test_g_operator_zero_agp():
-    ctx = ctx_for(TwoSpinModel(), 0.6, 0.9)
-    assert_allclose(g_operator(ctx, np.zeros((4, 4))), ctx.dh0_dt.to_dense(), atol=1e-14)
+    model = TwoSpinModel()
+    fd = model.ua_fields(0.6, 0.9)
+    assert_allclose(g_operator(model, fd, np.zeros((4, 4))), model.dh0_dt(0.6, 0.9).to_dense(), atol=1e-14)
 
 
 def test_g_operator_exact_agp_orthogonal_to_commutators():
@@ -162,10 +144,9 @@ def test_g_operator_exact_agp_orthogonal_to_commutators():
     rng = np.random.Generator(np.random.PCG64(3))
     model = ChainModel(4)
     lam, lam_dot = 0.45, 1.4
-    ctx = ctx_for(model, lam, lam_dot)
-    h0 = ctx.h0.to_dense()
+    h0 = model.h0(lam).to_dense()
     agp = exact_agp(h0, model.dh0_dlambda(lam).to_dense())
-    g = g_operator(ctx, lam_dot * agp)
+    g = g_operator(model, model.ua_fields(lam, lam_dot), lam_dot * agp)
     for _ in range(20):
         x = random_hermitian(16, rng)
         comm = h0 @ x - x @ h0
@@ -177,11 +158,10 @@ def test_g_operator_two_spin_optimum_commutes():
     # off-diagonal in the instantaneous eigenbasis, i.e. [G, H0] = 0
     model = TwoSpinModel()
     lam, lam_dot = 0.52, 1.1
-    ctx = ctx_for(model, lam, lam_dot)
     fd = model.ua_fields(lam, lam_dot)
     beta, gamma = two_level_optimum(fd)
-    g = g_operator(ctx, ra_agp(ctx, RaParams(beta, gamma)))
-    h0 = ctx.h0.to_dense()
+    g = g_operator(model, fd, ra_agp(model, fd, (beta, gamma)))
+    h0 = model.h0(lam).to_dense()
     assert np.abs(h0 @ g - g @ h0).max() < 1e-10
 
 
@@ -189,13 +169,12 @@ def test_action_oracle_zero_ansatz_and_nonnegativity():
     rng = np.random.Generator(np.random.PCG64(4))
     model = ChainModel(4)
     for _ in range(10):
-        ctx = ctx_for(model, rng.uniform(0, 1), rng.uniform(-2, 2))
-        zero = action_oracle(ctx, RaParams(0.0, 0.0, 0.0))
-        dh = ctx.dh0_dt.to_dense()
+        lam, lam_dot = rng.uniform(0, 1), rng.uniform(-2, 2)
+        fd = model.ua_fields(lam, lam_dot)
+        zero = action_oracle(model, fd, (0.0, 0.0, 0.0))
+        dh = model.dh0_dt(lam, lam_dot).to_dense()
         assert zero == pytest.approx(float(np.vdot(dh, dh).real), rel=1e-12)
-        s = action_oracle(
-            ctx, RaParams(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        )
+        s = action_oracle(model, fd, (rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)))
         assert s >= 0.0
 
 
@@ -203,12 +182,12 @@ def test_action_oracle_exact_agp_is_global_minimum():
     rng = np.random.Generator(np.random.PCG64(5))
     model = TwoSpinModel()
     lam, lam_dot = 0.31, 0.7
-    ctx = ctx_for(model, lam, lam_dot)
-    h0 = ctx.h0.to_dense()
+    h0 = model.h0(lam).to_dense()
+    dh = model.dh0_dt(lam, lam_dot).to_dense()
     agp = exact_agp(h0, model.dh0_dlambda(lam).to_dense())
 
     def action_of(a):
-        g = ctx.dh0_dt.to_dense() - 1j * (h0 @ a - a @ h0)
+        g = dh - 1j * (h0 @ a - a @ h0)
         return float(np.vdot(g, g).real)
 
     s_star = action_of(lam_dot * agp)

@@ -109,13 +109,12 @@ def test_scaling_default_steps_drift_is_one_error_line(tmp_path, capsys):
 
 def test_racd_errors_share_one_base():
     from racd import RacdError
-    from racd.agp import UnsupportedAnsatzError
     from racd.closed_form import UndefinedAngleError
     from racd.dynamics import StepSizeError
     from racd.operators import CapacityError, DimensionMismatchError, NotDiagonalError
     from racd.optimizer import SequentialOptimizeError
 
-    for cls in (UnsupportedAnsatzError, UndefinedAngleError, CapacityError, DimensionMismatchError, NotDiagonalError):
+    for cls in (UndefinedAngleError, CapacityError, DimensionMismatchError, NotDiagonalError):
         assert issubclass(cls, RacdError) and issubclass(cls, ValueError)
     for cls in (StepSizeError, SequentialOptimizeError):
         assert issubclass(cls, RacdError) and issubclass(cls, RuntimeError)
@@ -124,9 +123,19 @@ def test_racd_errors_share_one_base():
 
 
 def test_exact_cd_capacity_guard(tmp_path):
-    cfg = cli.RunConfig(model="qubo", n=13, protocols=("exact-cd",))
+    cfg = cli.RunConfig(model="qubo", n=13, protocols=("exact-cd",), out=str(tmp_path / "out"))
     with pytest.raises(ValueError):
-        cfg.validate()
+        cli.cmd_run(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def test_scaling_ignores_run_protocols(tmp_path):
+    # scaling runs its own protocols at its own sizes, so the run options
+    # for exact-CD at 9 qubits do not apply to it
+    cfg = cli.RunConfig(model="qubo", protocols=("exact-cd",), n=9, instances=1, steps=500, m_points=20,
+                        out=str(tmp_path / "out"))
+    assert cli.cmd_scaling(cfg, sizes=(3,)) == 0
+    assert (tmp_path / "out" / "scaling.csv").exists()
 
 
 def test_exact_cd_cap_refused_before_any_run(tmp_path, capsys):

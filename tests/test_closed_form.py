@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from racd import closed_form as cf
-from racd.agp import GaugeContext, RaParams, action_oracle
-from racd.models import ChainModel, QuboModel, Ramp, TwoSpinModel, random_instance
+from racd.agp import action_oracle
+from racd.models import ChainModel, LhzModel, QuboModel, Ramp, TwoSpinModel, random_instance
 from racd.optimizer import make_action_objective
 
 RNG = np.random.Generator(np.random.PCG64(2024))
@@ -33,7 +33,7 @@ def test_two_level_matches_oracle():
     for _ in range(100):
         fd = random_fd(model, rng)
         beta, gamma = rng.uniform(-2, 2), rng.uniform(-1, 1)
-        oracle = action_oracle(GaugeContext.from_fields(model, fd), RaParams(beta, gamma))
+        oracle = action_oracle(model, fd, (beta, gamma))
         closed = cf.action_two_level(fd, beta, gamma)
         assert closed == pytest.approx(oracle, rel=1e-10, abs=1e-12)
 
@@ -109,7 +109,7 @@ def test_chain_matches_oracle(n):
     for _ in range(100):
         fd = random_fd(model, rng)
         x = rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)
-        oracle = action_oracle(GaugeContext.from_fields(model, fd), RaParams(*x)) / norm
+        oracle = action_oracle(model, fd, x) / norm
         closed = cf.action_chain(fd, *x)
         assert closed == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
@@ -124,9 +124,9 @@ def test_chain_per_site_oracle_n_independent():
     m4, m5 = ChainModel(4), ChainModel(5)
     for _ in range(20):
         fd = random_fd(m4, rng)
-        x = RaParams(rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1))
-        s4 = action_oracle(GaugeContext.from_fields(m4, fd), x) / (4 * 2.0**4)
-        s5 = action_oracle(GaugeContext.from_fields(m5, fd), x) / (5 * 2.0**5)
+        x = rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)
+        s4 = action_oracle(m4, fd, x) / (4 * 2.0**4)
+        s5 = action_oracle(m5, fd, x) / (5 * 2.0**5)
         assert abs(s4 - s5) <= 1e-10 * max(1.0, abs(s4))
 
 
@@ -148,7 +148,7 @@ def test_qubo_matches_oracle(n):
     for _ in range(100):
         fd = random_fd(model, rng)
         beta, gamma = rng.uniform(-2, 2), rng.uniform(-1, 1)
-        oracle = action_oracle(GaugeContext.from_fields(model, fd), RaParams(beta, gamma)) / 2.0**n
+        oracle = action_oracle(model, fd, (beta, gamma)) / 2.0**n
         closed = cf.action_qubo(model.couplings, fd, beta, gamma)
         assert closed == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
@@ -401,7 +401,7 @@ def test_lhz_matches_oracle():
     for _ in range(100):
         fd = random_fd(model, rng)
         x = rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)
-        oracle = action_oracle(GaugeContext.from_fields(model, fd), RaParams(*x)) / 2.0**model.n_qubits
+        oracle = action_oracle(model, fd, x) / 2.0**model.n_qubits
         closed = cf.action_lhz(counts, model.couplings, fd, *x)
         assert closed == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
@@ -419,6 +419,41 @@ def test_lhz_inconsistent_counts_rejected():
     model = random_instance("lhz", 4, 1)
     with pytest.raises(ValueError):
         cf.action_lhz(counts, model.couplings, {"A": (1, 0), "B": (1, 0), "C": (1, 0)}, 0, 0, 0)
+
+
+def test_lhz_repeated_constraint_rejected():
+    # the closed form reads 41% low for this layout; the oracle still applies
+    J = np.random.default_rng(0).uniform(-1.0, 1.0, size=6)
+    model = LhzModel(4, J, constraints=[(0, 1, 3), (0, 1, 3), (2, 4, 5)])
+    fd = {"A": (0.6, 1.0), "B": (0.4, -1.0), "C": (1.2, 3.0)}
+    x = (0.3, 0.2, 0.4)
+    for call in (lambda: cf.normalization(model), lambda: cf.action(model, fd, x)):
+        with pytest.raises(ValueError, match="backend='oracle'"):
+            call()
+    assert action_oracle(model, fd, x) > 0.0
+    for n in range(3, 7):
+        assert cf.normalization(random_instance("lhz", n, 1)) == 2.0 ** (n * (n - 1) // 2)
+
+
+_oracle_model = st.one_of(
+    st.just(TwoSpinModel()),
+    st.builds(ChainModel, st.integers(4, 6)),
+    st.builds(random_instance, st.just("qubo"), st.integers(2, 6), st.integers(0, 2**16)),
+    st.builds(random_instance, st.just("lhz"), st.integers(3, 4), st.integers(0, 2**16)),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_oracle_model, data=st.data())
+def test_closed_form_matches_oracle_on_shared_arguments(model, data):
+    # both backends take (model, fd, x); they differ by the normalization.
+    # abs applies on the closed form's normalized scale, as in the fixed-seed
+    # oracle tests: near gamma = 0 with zero field rates the closed form
+    # subtracts nearly equal terms and loses digits against the oracle
+    fd = {t.name: data.draw(st.tuples(st.floats(-2.0, 2.0), _field)) for t in model.terms}
+    x = [data.draw(st.floats(-2.0, 2.0) if n == "beta" else st.floats(-1.0, 1.0)) for n in model.param_names]
+    want = action_oracle(model, fd, x) / cf.normalization(model)
+    assert cf.action(model, fd, x) == pytest.approx(want, rel=1e-8, abs=1e-12)
 
 
 # -- two-operator CD -------------------------------------------------------------

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from racd.models import (
     ChainModel,
     Model,
+    ModelTerm,
     QuboModel,
     TwoSpinModel,
     build_hamiltonian,
@@ -14,6 +15,7 @@ from racd.models import (
     ramp_eval,
     random_instance,
 )
+from racd.operators import sigma_x
 
 
 def test_ramp_endpoints_and_midpoint():
@@ -84,6 +86,14 @@ def test_all_models_hermitian():
     for model in models:
         fields = [t.ua_value(0.37) for t in model.terms]
         assert build_hamiltonian(model, fields).is_hermitian()
+
+
+def test_model_rejects_non_diagonal_rotation_term():
+    # the rotated ansatz conjugates by e^{iQ} elementwise, so Q must be diagonal
+    beta_term = TwoSpinModel().term_by_param("beta")
+    for param in ("gamma", "phi"):
+        with pytest.raises(ValueError, match="must be diagonal"):
+            Model(2, [ModelTerm("h", sigma_x(2, 0), 5.0, -5.0, param), beta_term])
 
 
 def test_ua_fields_examples():

@@ -6,12 +6,10 @@ from racd.operators import (
     CapacityError,
     DimensionMismatchError,
     NotDiagonalError,
-    PauliString,
     SpinOperator,
     commutator,
     dense_diag_component,
     diag_component,
-    pauli_mul,
     sigma_x,
     sigma_y,
     sigma_z,
@@ -27,8 +25,14 @@ SINGLE = {
 }
 
 
-def dense_of(ps: PauliString) -> np.ndarray:
-    return ps.to_operator().to_dense()
+def word(label: str) -> SpinOperator:
+    """The Pauli word of a label like ``'XIZY'`` (site 0 leftmost)."""
+    n = len(label)
+    op = SpinOperator.identity(n)
+    for j, c in enumerate(label):
+        if c != "I":
+            op = op @ {"X": sigma_x, "Y": sigma_y, "Z": sigma_z}[c](n, j)
+    return op
 
 
 def random_operator(n, rng, n_terms=8, hermitian=False):
@@ -48,37 +52,34 @@ def test_single_qubit_product_table_exhaustive():
     # all 16 ordered pairs, phases included
     for a in "IXYZ":
         for b in "IXYZ":
-            pa, pb = PauliString.from_label(a), PauliString.from_label(b)
-            got = dense_of(pauli_mul(pa, pb))
+            got = (word(a) @ word(b)).to_dense()
             want = SINGLE[a] @ SINGLE[b]
             assert_allclose(got, want, atol=1e-15, err_msg=f"{a}*{b}")
 
 
-def test_pauli_mul_examples():
-    x, y = PauliString.from_label("X"), PauliString.from_label("Y")
-    xy = pauli_mul(x, y)
-    assert xy.to_label() == "Z" and xy.phase == 1j  # X*Y = iZ
-    xx = pauli_mul(x, x)
-    assert xx.to_label() == "I" and xx.phase == 1.0  # involution
-    a = PauliString.from_label("XZ")
-    b = PauliString.from_label("YZ")
-    ab = pauli_mul(a, b)
-    assert ab.to_label() == "ZI" and ab.phase == 1j  # (X@Z)(Y@Z) = iZ@I
+def test_word_product_examples():
+    x, y = word("X"), word("Y")
+    xy = x @ y
+    assert repr(xy) == "(0+1j)*Z"  # X*Y = iZ
+    xx = x @ x
+    assert repr(xx) == "(1+0j)*I"  # involution
+    ab = word("XZ") @ word("YZ")
+    assert repr(ab) == "(0+1j)*ZI"  # (X@Z)(Y@Z) = iZ@I
 
 
-def test_pauli_mul_associative():
+def test_word_product_associative():
     rng = np.random.Generator(np.random.PCG64(1))
     for _ in range(50):
         labels = ["".join(rng.choice(list("IXYZ"), size=3)) for _ in range(3)]
-        a, b, c = (PauliString.from_label(s) for s in labels)
-        left = pauli_mul(pauli_mul(a, b), c)
-        right = pauli_mul(a, pauli_mul(b, c))
-        assert left == right
+        a, b, c = (word(s) for s in labels)
+        left = (a @ b) @ c
+        right = a @ (b @ c)
+        assert left.equals(right, tol=0.0) and len(left) == 1
 
 
-def test_pauli_mul_size_mismatch():
+def test_word_product_size_mismatch():
     with pytest.raises(DimensionMismatchError):
-        pauli_mul(PauliString.from_label("X"), PauliString.from_label("XX"))
+        word("X") @ word("XX")
 
 
 def test_commutator_examples():
