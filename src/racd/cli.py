@@ -108,18 +108,12 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
     try:
         if "ra" in config.protocols:
             trajectory = sequential_optimize(model, ramp, M=config.m_points, backend=config.backend)
-        bases = None
-        finals: Dict[str, float] = {}
-        for kind in config.protocols:
-            stage = f"{kind} evolution"
-            protocol = assemble_protocol(model, trajectory, kind, ramp)
-            trace = run_protocol(protocol, steps=config.steps, n_out=n_out, ground_bases=bases)
-            bases = trace.ground_bases  # every protocol shares the output grid
-            finals[kind] = float(trace.F[-1])
-            if out_dir is not None:
-                trace.to_csv(out_dir / f"fidelity_{kind}.csv")
-                _write_fields_csv(out_dir / f"fields_{kind}.csv", protocol, trace.times)
+        stage = f"{','.join(config.protocols)} evolution"
+        protocols = [assemble_protocol(model, trajectory, kind, ramp) for kind in config.protocols]
+        traces = run_protocol(protocols, steps=config.steps, n_out=n_out) if protocols else []
     except RacdError as exc:
+        if isinstance(exc, StepSizeError) and exc.kind is not None:
+            stage = f"{exc.kind} evolution"
         where = f"the {model.kind} model with {model.n_qubits} qubits"
         if model.seed is not None:
             where += f", instance seed {model.seed}"
@@ -128,8 +122,13 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
             msg += f"; --steps {exc.steps_needed()} or more should keep it within {exc.tol}"
         exc.args = (msg,)
         raise
-    if out_dir is not None and trajectory is not None:
-        trajectory.to_csv(out_dir / "params_ra.csv")
+    finals = {p.kind: float(t.F[-1]) for p, t in zip(protocols, traces)}
+    if out_dir is not None:
+        for protocol, trace in zip(protocols, traces):
+            trace.to_csv(out_dir / f"fidelity_{protocol.kind}.csv")
+            _write_fields_csv(out_dir / f"fields_{protocol.kind}.csv", protocol, trace.times)
+        if trajectory is not None:
+            trajectory.to_csv(out_dir / "params_ra.csv")
     return finals
 
 

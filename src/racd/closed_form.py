@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -437,11 +437,30 @@ def normalization(model: Model) -> float:
         if n < 4:
             raise ValueError("chain closed form needs N >= 4; use backend='oracle'")
         return n * 2.0**n
-    if model.kind == "lhz" and len(set(model.constraints)) < len(model.constraints):
+    if model.kind == "lhz" and model.has_repeated_constraint:
         raise ValueError("LHZ closed form does not support a repeated constraint; use backend='oracle'")
     if model.kind in ("qubo", "lhz"):
         return 2.0**n
     raise ValueError(f"no closed form for model kind {model.kind!r}")
+
+
+def evaluator(model: Model) -> Callable[[FieldDerivs, Sequence[float], dict | None], float]:
+    """:func:`action` of ``model`` as a function of ``(fd, x, cache)``, with
+    the closed form checked (see :func:`normalization`) and chosen once.
+    The ``action_*`` evaluator is looked up in this module when the function
+    is built, so a replacement made before then is the one called."""
+    normalization(model)  # rejects models without a closed form
+    if model.kind == "two-spin":
+        fn = action_two_level
+        return lambda fd, x, cache=None: fn(fd, x[0], x[1])
+    if model.kind == "chain":
+        fn = action_chain
+        return lambda fd, x, cache=None: fn(fd, x[0], x[1], x[2])
+    if model.kind == "qubo":
+        fn, couplings = action_qubo, model.couplings
+        return lambda fd, x, cache=None: fn(couplings, fd, x[0], x[1], cache)
+    fn, counts, couplings = action_lhz, model.counts, model.couplings
+    return lambda fd, x, cache=None: fn(counts, couplings, fd, x[0], x[1], x[2])
 
 
 def action(model: Model, fd: FieldDerivs, x: Sequence[float], cache: dict | None = None) -> float:
@@ -450,15 +469,9 @@ def action(model: Model, fd: FieldDerivs, x: Sequence[float], cache: dict | None
 
     ``cache`` is an optional dict kept for this one model; the QUBO evaluator
     memoizes its gamma-only sums in it (see :func:`action_qubo`), the others
-    ignore it."""
-    normalization(model)  # rejects models without a closed form
-    if model.kind == "two-spin":
-        return action_two_level(fd, x[0], x[1])
-    if model.kind == "chain":
-        return action_chain(fd, x[0], x[1], x[2])
-    if model.kind == "qubo":
-        return action_qubo(model.couplings, fd, x[0], x[1], cache)
-    return action_lhz(model.counts, model.couplings, fd, x[0], x[1], x[2])
+    ignore it.  Repeated evaluations on one model should build
+    :func:`evaluator` once instead."""
+    return evaluator(model)(fd, x, cache)
 
 
 # ---------------------------------------------------------------------------

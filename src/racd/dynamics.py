@@ -2,15 +2,16 @@
 observables F(t) and F-tilde(t).
 
 Evolution is fixed-step fourth-order Runge-Kutta on dpsi/dt = -i H(t) psi
-with the Hamiltonian rebuilt from the protocol's control fields at every
-substep.  The state norm is asserted, never repaired: drift is the
-integrator-quality signal.
+with the Hamiltonian rebuilt from the protocols' control fields at every
+substep.  All protocols of one model and ramp evolve together, as one block
+with a state per protocol; exact-CD forms a batch of its own.  The state
+norm is asserted, never repaired: drift is the integrator-quality signal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -33,9 +34,11 @@ EXACT_CD_MAX_QUBITS = 8
 class StepSizeError(RacdError, RuntimeError):
     """Norm drift exceeded tolerance during evolution."""
 
-    def __init__(self, drift: float, steps: int, tol: float = NORM_DRIFT_TOL):
+    def __init__(self, drift: float, steps: int, tol: float = NORM_DRIFT_TOL, kind: str | None = None):
         super().__init__(f"norm drift {drift:.3e} exceeds {tol} at {steps} RK4 steps")
         self.drift, self.steps, self.tol = drift, steps, tol
+        #: the protocol kind whose state drifted, where known
+        self.kind = kind
 
     def steps_needed(self) -> int:
         """Step count that would bring this drift down to the tolerance if it
@@ -92,15 +95,12 @@ def rotated_fidelity(psi: np.ndarray, ground: np.ndarray, q_diag: np.ndarray) ->
 @dataclass
 class FidelityTrace:
     """Instantaneous fidelities along a run; F_tilde equals F except for the
-    rotated-frame protocol.  ``ground_bases`` are the instantaneous
-    ground-subspace bases the fidelities were measured against (not written
-    by :meth:`to_csv`), for reuse by other protocols on the same grid."""
+    rotated-frame protocol."""
 
     times: np.ndarray
     lambdas: np.ndarray
     F: np.ndarray
     F_tilde: np.ndarray
-    ground_bases: List[np.ndarray] | None = field(default=None, repr=False)
 
     def validate(self) -> None:
         for arr in (self.F, self.F_tilde):
@@ -117,36 +117,45 @@ class FidelityTrace:
 
 
 class _HamiltonianEvaluator:
-    """H(t) on the RK substep grid, precomputed from protocol field tables.
+    """H(t) on the RK substep grid for a batch of protocols of one model and
+    ramp, applied to a ``(B, 2^N)`` block holding one state per protocol.
 
-    The components (model terms, plus one sigma-y per site for local CD) are
-    grouped by the x-mask of their Pauli words; each group carries a
-    per-component diagonal sign vector.  Applying H(t) is then one small
-    coefficient contraction plus a gather per x-mask, independent of the
-    Hilbert-space dimension beyond the vector length.  The contracted
-    diagonals of the two most recent substeps are kept, since RK4 applies
-    each midpoint twice and each step's end again as the next step's start.
-    Exact-CD instead keeps a dense matrix per substep, with the spectral
-    gauge potential added.
+    The components (model terms, plus one sigma-y per site when the batch
+    holds local CD) are grouped by the x-mask of their Pauli words; each
+    group carries a per-component diagonal sign vector.  The diagonal group
+    (x-mask 0) is kept apart.  The off-diagonal groups are stacked, their
+    weights stored at the destination state s (which receives from s ^ x)
+    and padded with zero weights to one component count, so that one
+    batched product contracts them all.  The protocols' field tables are
+    evaluated in chunks of substeps, and contracted into per-substep vectors
+    in smaller chunks, so memory does not grow with the step count.
+    Applying H(t) to the block is then a few numpy calls.  Exact-CD instead
+    keeps a dense matrix per substep and protocol, with the spectral gauge
+    potential added.
     """
 
-    def __init__(self, protocol: Protocol, times: np.ndarray):
-        model = protocol.model
+    #: substeps whose protocol tables are evaluated in one call
+    TABLE_CHUNK = 256
+    #: bytes of contracted per-substep vectors (or exact-CD matrices) held at once
+    CHUNK_BYTES = 1 << 20
+
+    def __init__(self, protocols: Sequence[Protocol], times: np.ndarray):
+        self._protocols = list(protocols)
+        self._times = np.asarray(times, dtype=float)
+        model = self._protocols[0].model
         n = model.n_qubits
-        self.kind = protocol.kind
-        self._dim = 1 << n
-        fields = protocol.field_table(times)
-        coeff_rows = [np.asarray(fields[t.name], dtype=float) for t in model.terms]
+        n_batch = len(self._protocols)
+        self._exact = self._protocols[0].kind == "exact-cd"
+        self._dim = dim = 1 << n
+        self._n_terms = len(model.terms)
         ops = [t.operator for t in model.terms]
-        if self.kind == "local-cd":
-            y_rows = protocol.y_table(times)
-            coeff_rows += [y_rows[:, j] for j in range(n)]
+        if any(p.kind == "local-cd" for p in self._protocols):
             ops += [sigma_y(n, j) for j in range(n)]
-        self._coeffs = np.column_stack(coeff_rows)
+        self._n_comp = len(ops)
 
         # word groups: x_mask -> per-component z-sign vectors (only components
         # that actually contribute to the mask are stored)
-        states = np.arange(self._dim)
+        states = np.arange(dim)
         groups: Dict[int, Dict[int, np.ndarray]] = {}
         for comp_idx, op in enumerate(ops):
             for (x, z), w in op:
@@ -156,95 +165,191 @@ class _HamiltonianEvaluator:
                     rows[comp_idx] = rows[comp_idx] + w * signs
                 else:
                     rows[comp_idx] = w * signs
-        self._groups = []
-        for x in sorted(groups):
-            comp_idx = np.array(sorted(groups[x]), dtype=int)
-            vecs = np.stack([groups[x][i] for i in comp_idx])
-            self._groups.append((comp_idx, vecs, states ^ x))
-        self._substeps: Dict[int, object] = {}  # the two most recent substeps
-
-        if self.kind == "exact-cd":
-            _, self._lam_dots = protocol.ramp.table(times)
+        diag = groups.pop(0, None)
+        self._diag = None if diag is None else _stack_groups([diag], [states])
+        masks = sorted(groups)
+        self._perms = np.stack([states ^ x for x in masks]) if masks else None
+        self._off = _stack_groups([groups[x] for x in masks], self._perms) if masks else None
+        if self._perms is not None:
+            # flat gather index into the block: [k, b, s] -> row b, state s ^ x_k
+            self._gather = (np.arange(n_batch)[:, None] * dim + self._perms[:, None, :])
+        if self._exact:
             self._dh_dlam = model.dh0_dlambda(0.0).to_dense()  # schedules are affine
+            per_substep = n_batch * dim * dim * 16
+        else:
+            per_substep = n_batch * (len(masks) + 1) * dim * 16
+        self._chunk = max(1, min(self.TABLE_CHUNK, self.CHUNK_BYTES // per_substep))
+        self._table_chunk = self._chunk * (self.TABLE_CHUNK // self._chunk)
+        self._table_span = (0, 0)
+        self._span = (0, 0)
 
-    def matrix(self, idx: int) -> np.ndarray:
+    def _tables(self, idx: int) -> None:
+        """Evaluate every protocol's tables on the table chunk holding ``idx``."""
+        t0 = idx - idx % self._table_chunk
+        t1 = min(t0 + self._table_chunk, len(self._times))
+        times = self._times[t0:t1]
+        coeffs = np.zeros((t1 - t0, len(self._protocols), self._n_comp))
+        for b, protocol in enumerate(self._protocols):
+            fields = protocol.field_table(times)
+            for c, term in enumerate(protocol.model.terms):
+                coeffs[:, b, c] = fields[term.name]
+            if protocol.kind == "local-cd":
+                coeffs[:, b, self._n_terms:] = protocol.y_table(times)
+        if self._exact:
+            _, self._lam_dots = self._protocols[0].ramp.table(times)
+        self._table_coeffs, self._table_span = coeffs, (t0, t1)
+
+    def _contract(self, idx: int) -> None:
+        """Contract the coefficients of the substep chunk holding ``idx``."""
+        c0 = idx - idx % self._chunk
+        c1 = min(c0 + self._chunk, len(self._times))
+        if not self._table_span[0] <= c0 < self._table_span[1]:
+            self._tables(c0)
+        t0 = self._table_span[0]
+        coeffs = self._table_coeffs[c0 - t0 : c1 - t0]
+        # diagonal (C, B, 2^N) and off-diagonal (C, groups, B, 2^N) vectors
+        d = None if self._diag is None else _contract_groups(coeffs, *self._diag)[:, 0]
+        off = None if self._off is None else _contract_groups(coeffs, *self._off)
+        if self._exact:
+            h = self._dense(d, off)
+            for j, lam_dot in enumerate(self._lam_dots[c0 - t0 : c1 - t0]):
+                for b in range(len(self._protocols)):
+                    h[j, b] = h[j, b] + lam_dot * exact_agp(h[j, b], self._dh_dlam)
+            self._block = h
+        else:
+            self._block = (d, off)
+        self._span = (c0, c1)
+
+    def _dense(self, d, off) -> np.ndarray:
+        """Dense matrices of diagonal ``(..., B, 2^N)`` and off-diagonal
+        ``(..., groups, B, 2^N)`` vectors, either of them None."""
         if self._dim > (1 << DENSE_MATRIX_MAX_QUBITS):
             raise CapacityError("dense Hamiltonian requested above the dense cap")
-        c = self._coeffs[idx]
-        h = np.zeros((self._dim, self._dim), dtype=complex)
-        cols = np.arange(self._dim)
-        for comp_idx, vecs, perm in self._groups:
-            h[perm, cols] += c[comp_idx] @ vecs
-        if self.kind == "exact-cd":
-            agp = exact_agp(h, self._dh_dlam)
-            h = h + self._lam_dots[idx] * agp
+        lead = (d if d is not None else off[..., 0, :, :]).shape[:-1]
+        h = np.zeros(lead + (self._dim, self._dim), dtype=complex)
+        rows = np.arange(self._dim)
+        if d is not None:
+            h[..., rows, rows] = d
+        if off is not None:
+            h[..., rows, self._perms] = np.swapaxes(off, -3, -2)
         return h
 
+    def _substep(self, idx: int) -> int:
+        if not self._span[0] <= idx < self._span[1]:
+            self._contract(idx)
+        return idx - self._span[0]
+
+    def matrix(self, idx: int) -> np.ndarray:
+        """Dense H at substep ``idx``, one ``(2^N, 2^N)`` matrix per protocol."""
+        j = self._substep(idx)
+        if self._exact:
+            return self._block[j]
+        d, off = self._block
+        return self._dense(None if d is None else d[j], None if off is None else off[j])
+
     def apply(self, idx: int, psi: np.ndarray) -> np.ndarray:
-        # H|psi>: out[s ^ x] += g_x[s] psi[s] for each word group
-        substep = self._substeps.get(idx)
-        if substep is None:
-            if self.kind == "exact-cd":
-                substep = self.matrix(idx)
-            else:
-                c = self._coeffs[idx]
-                substep = [(c[comp_idx] @ vecs, perm) for comp_idx, vecs, perm in self._groups]
-            if len(self._substeps) == 2:
-                del self._substeps[next(iter(self._substeps))]
-            self._substeps[idx] = substep
-        if self.kind == "exact-cd":
-            return substep @ psi
-        out = np.zeros_like(psi)
-        for g, perm in substep:
-            out += (g * psi)[perm]
+        """H at substep ``idx`` applied to each row of the ``(B, 2^N)`` block."""
+        j = self._substep(idx)
+        if self._exact:
+            return np.matmul(self._block[j], psi[:, :, None])[:, :, 0]
+        d, off = self._block
+        # out[b, s] = d[b, s] psi[b, s] + sum_x off_x[b, s] psi[b, s ^ x]
+        out = d[j] * psi if d is not None else np.zeros_like(psi)
+        if off is not None:
+            out += (off[j] * np.take(psi, self._gather)).sum(axis=0)
         return out
 
 
-def _output_steps(protocol: Protocol, steps: int, n_out: int) -> np.ndarray:
+def _stack_groups(groups: List[Dict[int, np.ndarray]], sources) -> Tuple[np.ndarray, np.ndarray]:
+    """Components ``(groups, m)`` and weights ``(groups, m, 2^N)`` read at
+    each group's ``sources``, padded with zero weights on component 0 to the
+    largest component count m.  The weights are real where every imaginary
+    part is exactly zero, which changes no value."""
+    width = max(len(rows) for rows in groups)
+    comp_idx = np.zeros((len(groups), width), dtype=int)
+    vecs = np.zeros((len(groups), width, len(sources[0])), dtype=complex)
+    for k, (rows, source) in enumerate(zip(groups, sources)):
+        for i, c in enumerate(sorted(rows)):
+            comp_idx[k, i] = c
+            vecs[k, i] = rows[c][source]
+    return comp_idx, (vecs if vecs.imag.any() else vecs.real.copy())
+
+
+def _contract_groups(coeffs: np.ndarray, comp_idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``(C, groups, B, 2^N)`` vectors of stacked word groups (see
+    :func:`_stack_groups`) at the coefficients ``(C, B, components)``, each
+    substep's block contiguous."""
+    n_groups, width = comp_idx.shape
+    n_sub, n_batch, _ = coeffs.shape
+    g = coeffs[..., comp_idx].transpose(2, 0, 1, 3).reshape(n_groups, -1, width)
+    out = np.matmul(g, vecs).reshape(n_groups, n_sub, n_batch, -1)
+    return np.ascontiguousarray(out.swapaxes(0, 1))
+
+
+def _output_steps(protocols: Sequence[Protocol], steps: int, n_out: int) -> np.ndarray:
     """Indices of the ``n_out`` RK4 steps sampled for output, both ends
-    included, once the protocol is known to fit the propagator."""
-    n = protocol.model.n_qubits
-    if n > STATE_VECTOR_MAX_QUBITS:
-        raise CapacityError(f"{n} qubits exceeds state-vector cap")
-    if protocol.kind == "exact-cd" and n > EXACT_CD_MAX_QUBITS:
-        raise CapacityError(f"exact-CD baseline restricted to {EXACT_CD_MAX_QUBITS} qubits")
+    included, once the protocols are known to fit the propagator."""
+    for protocol in protocols:
+        n = protocol.model.n_qubits
+        if n > STATE_VECTOR_MAX_QUBITS:
+            raise CapacityError(f"{n} qubits exceeds state-vector cap")
+        if protocol.kind == "exact-cd" and n > EXACT_CD_MAX_QUBITS:
+            raise CapacityError(f"exact-CD baseline restricted to {EXACT_CD_MAX_QUBITS} qubits")
     if steps < 100:
         raise ValueError("steps must be >= 100")
     return np.unique(np.linspace(0, steps, n_out).round().astype(int))
 
 
+def _check_batch(protocols: Sequence[Protocol]) -> None:
+    if not protocols:
+        raise ValueError("no protocols to evolve")
+    first = protocols[0]
+    if any(p.model is not first.model or p.ramp != first.ramp for p in protocols):
+        raise ValueError("a batch must share one model and one ramp")
+
+
 def evolve(
-    protocol: Protocol,
+    protocols: Sequence[Protocol],
     psi0: np.ndarray,
     steps: int = 2000,
     n_out: int = 101,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Fixed-step RK4 propagation over [0, tau].
+    """Fixed-step RK4 propagation over [0, tau] of every protocol from the
+    same initial state, as one block.
 
-    Returns (times, states) sampled at ``n_out`` integrator grid points
-    (including both endpoints).  Raises :class:`StepSizeError` if the norm
-    drifts by more than 1e-6 anywhere on the output grid.
+    The protocols share one model and one ramp; exact-CD forms its own batch
+    (``ValueError`` for a batch that mixes it with other kinds).  Returns
+    (times, states) sampled at ``n_out`` integrator grid points (including
+    both endpoints), ``states`` shaped ``(n_out, 2^N, B)`` with one column
+    per protocol.  Raises :class:`StepSizeError`, naming the protocol, if a
+    state's norm drifts by more than 1e-6 anywhere on the output grid: the
+    first protocol over the tolerance at the earliest such point.
     """
-    out_idx = _output_steps(protocol, steps, n_out)
-    tau = protocol.ramp.tau
+    protocols = list(protocols)
+    _check_batch(protocols)
+    if len({p.kind == "exact-cd" for p in protocols}) > 1:
+        raise ValueError("exact-cd evolves in its own batch")
+    out_idx = _output_steps(protocols, steps, n_out)
+    tau = protocols[0].ramp.tau
     h = tau / steps
     # substep times: t_k, t_k + h/2 interleaved, plus the final endpoint
     sub = np.empty(2 * steps + 1)
     sub[0::2] = np.linspace(0.0, tau, steps + 1)
     sub[1::2] = sub[0:-1:2] + 0.5 * h
-    evaluator = _HamiltonianEvaluator(protocol, sub)
+    evaluator = _HamiltonianEvaluator(protocols, sub)
 
     out_times = sub[2 * out_idx]
-    states = np.empty((len(out_idx), len(psi0)), dtype=complex)
+    psi = np.tile(np.asarray(psi0, dtype=complex), (len(protocols), 1))
+    states = np.empty((len(out_idx), psi.shape[1], len(protocols)), dtype=complex)
     pointer = 0
 
-    psi = np.asarray(psi0, dtype=complex).copy()
     for k in range(steps + 1):
         if pointer < len(out_idx) and k == out_idx[pointer]:
-            drift = abs(np.linalg.norm(psi) - 1.0)
-            if drift > NORM_DRIFT_TOL:
-                raise StepSizeError(drift, steps)
-            states[pointer] = psi
+            drift = np.abs(np.linalg.norm(psi, axis=1) - 1.0)
+            over = np.flatnonzero(drift > NORM_DRIFT_TOL)
+            if over.size:
+                raise StepSizeError(float(drift[over[0]]), steps, kind=protocols[over[0]].kind)
+            states[pointer] = psi.T
             pointer += 1
         if k == steps:
             break
@@ -267,32 +372,51 @@ def ground_trace(model: Model, lambdas: Sequence[float], degeneracy_tol: float =
 
 
 def run_protocol(
-    protocol: Protocol,
+    protocols: Sequence[Protocol],
     steps: int = 2000,
     n_out: int = 101,
     ground_bases: List[np.ndarray] | None = None,
-) -> FidelityTrace:
-    """Evolve from the instantaneous ground state at t = 0 and record F(t)
-    and F-tilde(t) on the output grid.  A degenerate start raises.
+) -> List[FidelityTrace]:
+    """Evolve every protocol from the instantaneous ground state at t = 0
+    and record F(t) and F-tilde(t) on the output grid; one trace per
+    protocol, in order.  A degenerate start raises.
 
-    ``ground_bases`` lets callers share the instantaneous eigenbases across
-    protocols of the same model, ramp and output grid.
+    The protocols share one model and one ramp.  The ground bases are
+    solved once (or taken from ``ground_bases``, which must lie on the same
+    output grid) and shared; exact-CD protocols evolve as one batch, all
+    others as another (see :func:`evolve`).
     """
-    model = protocol.model
-    times = np.linspace(0.0, protocol.ramp.tau, steps + 1)[_output_steps(protocol, steps, n_out)]
-    lams, _ = protocol.ramp.table(times)
+    protocols = list(protocols)
+    _check_batch(protocols)
+    model, ramp = protocols[0].model, protocols[0].ramp
+    times = np.linspace(0.0, ramp.tau, steps + 1)[_output_steps(protocols, steps, n_out)]
+    lams, _ = ramp.table(times)
     if ground_bases is None:
         ground_bases = ground_trace(model, lams)
     if len(ground_bases) != len(times):
         raise ValueError(f"{len(ground_bases)} ground bases for {len(times)} output points")
     if ground_bases[0].shape[1] != 1:
         raise ValueError("degenerate initial ground state")
-    _, states = evolve(protocol, ground_bases[0][:, 0], steps=steps, n_out=n_out)
-    q_tables = protocol.q_table(times)
-    q_terms = [(t.param, t.operator.diag_vector().real) for t in model.terms if t.param in ("gamma", "phi")]
+    batches: Dict[bool, List[int]] = {}
+    for i, protocol in enumerate(protocols):
+        batches.setdefault(protocol.kind == "exact-cd", []).append(i)
+    traces: List[FidelityTrace] = [None] * len(protocols)
+    for batch in batches.values():
+        _, states = evolve([protocols[i] for i in batch], ground_bases[0][:, 0], steps=steps, n_out=n_out)
+        for col, i in enumerate(batch):
+            traces[i] = _fidelity_trace(protocols[i], np.ascontiguousarray(states[:, :, col]), times, lams,
+                                        ground_bases)
+    return traces
 
+
+def _fidelity_trace(protocol: Protocol, states: np.ndarray, times: np.ndarray, lams: np.ndarray,
+                    ground_bases: List[np.ndarray]) -> FidelityTrace:
+    """F and F-tilde of one protocol's states ``(n_out, 2^N)`` on the output grid."""
     f_vals = np.empty(len(times))
     ft_vals = np.empty(len(times))
+    if protocol.kind == "ra":
+        q_tables = protocol.q_table(times)
+        q_terms = [(t.param, t.operator.diag_vector().real) for t in protocol.model.terms if t.param in ("gamma", "phi")]
     for i in range(len(times)):
         f_vals[i] = fidelity(states[i], ground_bases[i])
         if protocol.kind == "ra":
@@ -302,6 +426,6 @@ def run_protocol(
             ft_vals[i] = rotated_fidelity(states[i], ground_bases[i], q_diag)
         else:
             ft_vals[i] = f_vals[i]
-    trace = FidelityTrace(times=times, lambdas=lams, F=f_vals, F_tilde=ft_vals, ground_bases=ground_bases)
+    trace = FidelityTrace(times=times, lambdas=lams, F=f_vals, F_tilde=ft_vals)
     trace.validate()
     return trace

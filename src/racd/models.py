@@ -288,7 +288,9 @@ class LhzModel(Model):
     qubits.  H_p = -sum J_k sz_k (A0 = lambda, gamma), H_x = -sum sx_k
     (B0 = 1 - lambda, beta), H_c = -sum_l prod_{q in l} sz_q
     (C0 = C_f * lambda with C_f = 3, phi).  ``counts`` holds the layout's
-    constraint combinatorics, which the closed-form action consumes.
+    constraint combinatorics, which the closed-form action consumes, and
+    ``has_repeated_constraint`` whether a constraint appears twice, which the
+    closed form does not support.
     """
 
     kind = "lhz"
@@ -329,6 +331,7 @@ class LhzModel(Model):
         self.couplings = J
         self.constraints = list(constraints)
         self.counts = lhz_counts(self.constraints, n)
+        self.has_repeated_constraint = len(set(self.constraints)) < len(self.constraints)
         super().__init__(
             n,
             [

@@ -171,8 +171,8 @@ def make_action_objective(
 ) -> Callable[[np.ndarray], float]:
     """Scaled-action objective in the stacked parameter vector.
 
-    ``closed-form`` dispatches to the model's polynomial evaluator
-    (:func:`racd.closed_form.action`); ``oracle`` uses the dense trace
+    ``closed-form`` calls the model's polynomial evaluator, chosen once per
+    objective (:func:`racd.closed_form.evaluator`); ``oracle`` uses the dense trace
     (capped by the dense-matrix limit).
     Normalizations differ by constant positive factors only, which is
     irrelevant to the minimizer.  The closed-form objective keeps its own
@@ -185,9 +185,9 @@ def make_action_objective(
     fd = model.ua_fields(lam, lam_dot)
     if backend == "oracle":
         return lambda x: action_oracle(model, fd, x)
-    closed_form.normalization(model)  # rejects models without a closed form
+    evaluate = closed_form.evaluator(model)  # rejects models without a closed form
     cache: dict = {}
-    return lambda x: closed_form.action(model, fd, x, cache)
+    return lambda x: evaluate(fd, x, cache)
 
 
 def sequential_optimize(

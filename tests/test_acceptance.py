@@ -35,9 +35,9 @@ def two_spin_run():
     traj = sequential_optimize(model, ramp, M=100)
     ua = assemble_protocol(model, None, "ua", ramp)
     ra = assemble_protocol(model, traj, "ra", ramp)
-    trace_ua = run_protocol(ua, steps=2000)
+    (trace_ua,) = run_protocol([ua], steps=2000)
     bases = ground_trace(model, trace_ua.lambdas)
-    trace_ra = run_protocol(ra, steps=2000, ground_bases=bases)
+    (trace_ra,) = run_protocol([ra], steps=2000, ground_bases=bases)
     elapsed = time.perf_counter() - t0
     return {
         "model": model,
@@ -62,7 +62,7 @@ def chain_run():
     protocols = {}
     for kind in ("ua", "local-cd", "ra"):
         protocol = assemble_protocol(model, traj, kind, ramp)
-        trace = run_protocol(protocol, steps=2000, ground_bases=bases)
+        (trace,) = run_protocol([protocol], steps=2000, ground_bases=bases)
         if bases is None:
             bases = ground_trace(model, trace.lambdas)
         finals[kind] = trace.F[-1]
@@ -263,7 +263,7 @@ def test_criterion_6_exact_cd_perfect_driving():
     for tau in (0.1, 1.0):
         for name, model in models:
             protocol = assemble_protocol(model, None, "exact-cd", Ramp(tau))
-            trace = run_protocol(protocol, steps=2000)
+            (trace,) = run_protocol([protocol], steps=2000)
             worst = min(worst, trace.F.min())
     ok = worst >= 1.0 - 1e-6
     report(6, ok, f"min F(t) over models/taus = {worst:.9f} (>= 1 - 1e-6)")

@@ -166,6 +166,28 @@ def test_run_error_names_seed_only_for_random_instances(monkeypatch):
     assert "qubo model with 3 qubits, instance seed 4: norm drift" in str(seeded.value)
 
 
+def test_evolution_error_stage_names_the_protocols(monkeypatch):
+    # a drift names the protocol that drifted; any other error raised while
+    # evolving names the whole batch
+    from racd.dynamics import StepSizeError
+    from racd.models import TwoSpinModel
+    from racd.operators import CapacityError
+
+    errors = [StepSizeError(2e-6, 100, kind="local-cd"), CapacityError("too big")]
+
+    def failing(*args, **kwargs):
+        raise errors.pop(0)
+
+    monkeypatch.setattr(cli, "run_protocol", failing)
+    config = cli.RunConfig(protocols=("ua", "local-cd"))
+    with pytest.raises(StepSizeError) as drift:
+        cli._single_run(TwoSpinModel(), config, None)
+    assert str(drift.value).startswith("local-cd evolution failed for the two-spin model")
+    with pytest.raises(CapacityError) as other:
+        cli._single_run(TwoSpinModel(), config, None)
+    assert str(other.value).startswith("ua,local-cd evolution failed for the two-spin model")
+
+
 def test_scaling_run_json_records_protocols_that_ran(tmp_path):
     config = cli.RunConfig(model="qubo", instances=1, steps=500, m_points=20, out=str(tmp_path))
     assert cli.cmd_scaling(config, sizes=(3,)) == 0

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from racd.dynamics import (
@@ -8,12 +10,13 @@ from racd.dynamics import (
     fidelity,
     ground_space,
     ground_space_op,
+    ground_trace,
     rotated_fidelity,
     run_protocol,
 )
 from racd.models import ChainModel, Ramp, TwoSpinModel, random_instance
-from racd.operators import sigma_z
-from racd.optimizer import assemble_protocol, sequential_optimize
+from racd.operators import sigma_y, sigma_z
+from racd.optimizer import ParamTrajectory, assemble_protocol, sequential_optimize
 
 
 def test_ground_space_single_qubit():
@@ -60,8 +63,8 @@ def test_evolve_zero_hamiltonian():
 
     protocol = assemble_protocol(NullModel(), None, "ua", Ramp(1.0))
     psi0 = np.array([0.6, 0.8], dtype=complex)
-    times, states = evolve(protocol, psi0, steps=100, n_out=3)
-    assert_allclose(states[-1], psi0, atol=1e-12)
+    times, states = evolve([protocol], psi0, steps=100, n_out=3)
+    assert_allclose(states[-1, :, 0], psi0, atol=1e-12)
 
 
 def test_evolve_constant_sigma_z_phases():
@@ -77,16 +80,16 @@ def test_evolve_constant_sigma_z_phases():
     tau = 1.0
     protocol = assemble_protocol(ZModel(), None, "ua", Ramp(tau))
     psi0 = np.array([1.0, 1.0], dtype=complex) / np.sqrt(2)
-    _, states = evolve(protocol, psi0, steps=400, n_out=3)
+    _, states = evolve([protocol], psi0, steps=400, n_out=3)
     want = np.array([np.exp(-1j * tau), np.exp(1j * tau)]) / np.sqrt(2)
-    overlap = abs(np.vdot(want, states[-1])) ** 2
+    overlap = abs(np.vdot(want, states[-1, :, 0])) ** 2
     assert overlap >= 1.0 - 1e-8
 
 
 def test_evolve_requires_steps():
     protocol = assemble_protocol(TwoSpinModel(), None, "ua", Ramp(1.0))
     with pytest.raises(ValueError):
-        evolve(protocol, np.array([1, 0, 0, 0], dtype=complex), steps=50)
+        evolve([protocol], np.array([1, 0, 0, 0], dtype=complex), steps=50)
 
 
 def test_evolve_step_halving_converged():
@@ -94,9 +97,9 @@ def test_evolve_step_halving_converged():
     protocol = assemble_protocol(model, None, "ua", Ramp(1.0))
     _, basis = ground_space_op(model.h0(0.0))
     psi0 = basis[:, 0]
-    _, coarse = evolve(protocol, psi0, steps=1000, n_out=2)
-    _, fine = evolve(protocol, psi0, steps=2000, n_out=2)
-    assert np.linalg.norm(coarse[-1] - fine[-1]) <= 1e-6
+    _, coarse = evolve([protocol], psi0, steps=1000, n_out=2)
+    _, fine = evolve([protocol], psi0, steps=2000, n_out=2)
+    assert np.linalg.norm(coarse[-1, :, 0] - fine[-1, :, 0]) <= 1e-6
 
 
 def test_time_reversal_round_trip():
@@ -106,8 +109,8 @@ def test_time_reversal_round_trip():
     forward = assemble_protocol(model, None, "ua", ramp)
     _, basis = ground_space_op(model.h0(0.0))
     psi0 = basis[:, 0]
-    _, states = evolve(forward, psi0, steps=2000, n_out=2)
-    psi_tau = states[-1]
+    _, states = evolve([forward], psi0, steps=2000, n_out=2)
+    psi_tau = states[-1, :, 0]
 
     class ReversedProtocol:
         model = forward.model
@@ -124,8 +127,8 @@ def test_time_reversal_round_trip():
         def y_table(self, times):
             return np.zeros((len(np.atleast_1d(times)), 2))
 
-    _, back = evolve(ReversedProtocol(), psi_tau, steps=2000, n_out=2)
-    assert abs(np.vdot(psi0, back[-1])) ** 2 >= 1.0 - 1e-5
+    _, back = evolve([ReversedProtocol()], psi_tau, steps=2000, n_out=2)
+    assert abs(np.vdot(psi0, back[-1, :, 0])) ** 2 >= 1.0 - 1e-5
 
 
 def test_fidelity_projection():
@@ -152,7 +155,7 @@ def test_rotated_fidelity_zero_rotation():
 
 def test_two_spin_ua_final_fidelity():
     protocol = assemble_protocol(TwoSpinModel(), None, "ua", Ramp(1.0))
-    trace = run_protocol(protocol, steps=2000)
+    (trace,) = run_protocol([protocol], steps=2000)
     assert trace.F[-1] == pytest.approx(0.66, abs=0.02)
 
 
@@ -161,7 +164,7 @@ def test_two_spin_ra_rotated_fidelity_near_one():
     ramp = Ramp(1.0)
     traj = sequential_optimize(model, ramp, M=100)
     protocol = assemble_protocol(model, traj, "ra", ramp)
-    trace = run_protocol(protocol, steps=2000)
+    (trace,) = run_protocol([protocol], steps=2000)
     assert trace.F_tilde.min() >= 1.0 - 1e-3
     assert trace.F[-1] >= 1.0 - 1e-3
     # boundary identity F~ = F at both ends
@@ -171,7 +174,7 @@ def test_two_spin_ra_rotated_fidelity_near_one():
 
 def test_fidelity_trace_invariants_and_csv(tmp_path):
     protocol = assemble_protocol(TwoSpinModel(), None, "ua", Ramp(1.0))
-    trace = run_protocol(protocol, steps=500, n_out=21)
+    (trace,) = run_protocol([protocol], steps=500, n_out=21)
     trace.validate()
     assert trace.F[0] == pytest.approx(1.0, abs=1e-9)
     assert np.all((trace.F >= -1e-9) & (trace.F <= 1 + 1e-9))
@@ -194,20 +197,20 @@ def test_run_protocol_checks_capacity_before_ground_solves(monkeypatch):
     monkeypatch.setattr(dynamics, "ground_space_op", no_solve)
     protocol = assemble_protocol(ChainModel(9), None, "exact-cd", Ramp(1.0))
     with pytest.raises(CapacityError):
-        run_protocol(protocol, steps=200)
+        run_protocol([protocol], steps=200)
 
 
 def test_run_protocol_rejects_bases_of_another_grid():
     model = TwoSpinModel()
     protocol = assemble_protocol(model, None, "ua", Ramp(1.0))
-    bases = run_protocol(protocol, steps=200, n_out=11).ground_bases
+    bases = ground_trace(model, run_protocol([protocol], steps=200, n_out=11)[0].lambdas)
     with pytest.raises(ValueError):
-        run_protocol(protocol, steps=200, n_out=21, ground_bases=bases)
+        run_protocol([protocol], steps=200, n_out=21, ground_bases=bases)
 
 
 def test_exact_cd_two_spin_perfect():
     protocol = assemble_protocol(TwoSpinModel(), None, "exact-cd", Ramp(1.0))
-    trace = run_protocol(protocol, steps=2000)
+    (trace,) = run_protocol([protocol], steps=2000)
     assert trace.F.min() >= 1.0 - 1e-6
 
 
@@ -227,23 +230,28 @@ def test_norm_drift_raises():
     protocol = assemble_protocol(StiffModel(), None, "ua", Ramp(1.0))
     psi0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(StepSizeError):
-        evolve(protocol, psi0, steps=100, n_out=51)
+        evolve([protocol], psi0, steps=100, n_out=51)
 
 
 def test_evaluator_apply_matches_dense_hamiltonian():
-    # the grouped word-application equals explicit dense H(t) action
+    # the grouped word-application equals explicit dense H(t) action, for
+    # every protocol of one batch
     from racd.dynamics import _HamiltonianEvaluator
 
     rng = np.random.Generator(np.random.PCG64(13))
     model = ChainModel(5)
     ramp = Ramp(1.0)
     traj = sequential_optimize(model, ramp, M=20)
-    for kind in ("ua", "ra", "local-cd"):
-        protocol = assemble_protocol(model, traj, kind, ramp)
-        times = np.linspace(0.0, 1.0, 7)
-        ev = _HamiltonianEvaluator(protocol, times)
-        fields = protocol.field_table(times)
-        for idx in (0, 3, 6):
+    kinds = ("ua", "ra", "local-cd")
+    protocols = [assemble_protocol(model, traj, kind, ramp) for kind in kinds]
+    times = np.linspace(0.0, 1.0, 7)
+    ev = _HamiltonianEvaluator(protocols, times)
+    for idx in (0, 3, 6):
+        psi = rng.normal(size=(len(kinds), 32)) + 1j * rng.normal(size=(len(kinds), 32))
+        applied = ev.apply(idx, psi)
+        matrices = ev.matrix(idx)
+        for b, (kind, protocol) in enumerate(zip(kinds, protocols)):
+            fields = protocol.field_table(times)
             h = sum(
                 float(fields[t.name][idx]) * t.operator.to_dense() for t in model.terms
             )
@@ -252,12 +260,175 @@ def test_evaluator_apply_matches_dense_hamiltonian():
                 h = h + sum(
                     y[idx, j] * sigma_y_dense(5, j) for j in range(5)
                 )
-            psi = rng.normal(size=32) + 1j * rng.normal(size=32)
-            assert_allclose(ev.apply(idx, psi), h @ psi, atol=1e-10)
-            assert_allclose(ev.matrix(idx), h, atol=1e-10)
+            assert_allclose(applied[b], h @ psi[b], atol=1e-10)
+            assert_allclose(matrices[b], h, atol=1e-10)
 
 
 def sigma_y_dense(n, j):
     from racd.operators import sigma_y
 
     return sigma_y(n, j).to_dense()
+
+
+def random_trajectory(model, seed, scale=0.1, knots=6):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    values = rng.uniform(-scale, scale, size=(knots, len(model.param_names)))
+    return ParamTrajectory(np.linspace(0.0, 1.0, knots), values, model.param_names, bc="clamped-zero")
+
+
+def dense_rk4(protocol, psi0, steps, n_out):
+    """Test-local reference: RK4 on dense H(t) built term by term from the
+    protocol's tables on the same substep grid."""
+    model = protocol.model
+    n = model.n_qubits
+    h = protocol.ramp.tau / steps
+    sub = np.empty(2 * steps + 1)
+    sub[0::2] = np.linspace(0.0, protocol.ramp.tau, steps + 1)
+    sub[1::2] = sub[0:-1:2] + 0.5 * h
+    fields = protocol.field_table(sub)
+    y = protocol.y_table(sub)
+    terms = [t.operator.to_dense() for t in model.terms]
+    ys = [sigma_y(n, j).to_dense() for j in range(n)]
+
+    def ham(i):
+        out = sum(fields[t.name][i] * m for t, m in zip(model.terms, terms))
+        return out + sum(y[i, j] * ys[j] for j in range(n))
+
+    out_idx = np.unique(np.linspace(0, steps, n_out).round().astype(int))
+    psi = np.asarray(psi0, dtype=complex)
+    states = []
+    for k in range(steps + 1):
+        if k in out_idx:
+            states.append(psi)
+        if k == steps:
+            break
+        h0, h1, h2 = ham(2 * k), ham(2 * k + 1), ham(2 * k + 2)
+        k1 = -1j * h0 @ psi
+        k2 = -1j * h1 @ (psi + 0.5 * h * k1)
+        k3 = -1j * h1 @ (psi + 0.5 * h * k2)
+        k4 = -1j * h2 @ (psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return np.array(states)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    model=st.one_of(
+        st.just(TwoSpinModel()),
+        st.builds(random_instance, st.just("qubo"), st.integers(2, 6), st.integers(0, 2**16)),
+        st.builds(ChainModel, st.integers(4, 6)),
+        st.builds(random_instance, st.just("lhz"), st.just(3), st.integers(0, 2**16)),
+    ),
+    order=st.permutations(["ua", "local-cd", "ra"]),
+    size=st.integers(1, 3),
+    traj_seed=st.integers(0, 2**16),
+    steps=st.integers(100, 300),
+    n_out=st.integers(2, 12),
+)
+def test_batch_columns_match_single_and_dense_evolution(model, order, size, traj_seed, steps, n_out):
+    ramp = Ramp(1.0)
+    traj = random_trajectory(model, traj_seed)
+    protocols = [assemble_protocol(model, traj, kind, ramp) for kind in order[:size]]
+    _, basis = ground_space_op(model.h0(0.0))
+    psi0 = basis[:, 0]
+    try:
+        times, states = evolve(protocols, psi0, steps=steps, n_out=n_out)
+    except StepSizeError as exc:
+        # the protocol the error names drifts on its own as well
+        named = [p for p in protocols if p.kind == exc.kind]
+        with pytest.raises(StepSizeError):
+            evolve(named, psi0, steps=steps, n_out=n_out)
+        return
+    assert states.shape == (len(times), len(psi0), len(protocols))
+    for b, protocol in enumerate(protocols):
+        _, alone = evolve([protocol], psi0, steps=steps, n_out=n_out)
+        assert_allclose(states[:, :, b], alone[:, :, 0], rtol=0, atol=1e-12)
+        assert_allclose(states[:, :, b], dense_rk4(protocol, psi0, steps, n_out), rtol=0, atol=1e-12)
+
+
+def test_drift_error_names_the_drifting_protocol():
+    # same model and ramp; only the RA protocol's beta makes its field stiff
+    model = TwoSpinModel()
+    ramp = Ramp(1.0)
+    stiff = ParamTrajectory(np.linspace(0.0, 1.0, 11), np.tile([3.0e3, 0.0], (11, 1)), model.param_names)
+    protocols = [assemble_protocol(model, None, "ua", ramp), assemble_protocol(model, stiff, "ra", ramp)]
+    _, basis = ground_space_op(model.h0(0.0))
+    evolve(protocols[:1], basis[:, 0], steps=100, n_out=51)  # UA alone is fine
+    with pytest.raises(StepSizeError) as err:
+        evolve(protocols, basis[:, 0], steps=100, n_out=51)
+    assert err.value.kind == "ra"
+    with pytest.raises(StepSizeError) as err:
+        run_protocol(protocols, steps=100, n_out=51)
+    assert err.value.kind == "ra"
+
+
+def test_mixed_exact_cd_batch_refused():
+    model = TwoSpinModel()
+    ramp = Ramp(1.0)
+    protocols = [assemble_protocol(model, None, kind, ramp) for kind in ("ua", "exact-cd")]
+    with pytest.raises(ValueError):
+        evolve(protocols, np.array([1, 0, 0, 0], dtype=complex), steps=100)
+
+
+def test_batch_needs_one_model_and_ramp():
+    model = TwoSpinModel()
+    psi0 = np.array([1, 0, 0, 0], dtype=complex)
+    with pytest.raises(ValueError):
+        evolve([], psi0, steps=100)
+    other_ramp = [assemble_protocol(model, None, "ua", Ramp(tau)) for tau in (1.0, 2.0)]
+    other_model = [assemble_protocol(m, None, "ua", Ramp(1.0)) for m in (model, TwoSpinModel())]
+    for protocols in (other_ramp, other_model):
+        with pytest.raises(ValueError):
+            evolve(protocols, psi0, steps=100)
+        with pytest.raises(ValueError):
+            run_protocol(protocols, steps=100)
+
+
+def test_run_protocol_evolves_exact_cd_in_its_own_batch(monkeypatch):
+    from racd import dynamics
+
+    batches = []
+    inner = dynamics.evolve
+
+    def recording(protocols, *args, **kwargs):
+        batches.append([p.kind for p in protocols])
+        return inner(protocols, *args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "evolve", recording)
+    model = TwoSpinModel()
+    ramp = Ramp(1.0)
+    protocols = [assemble_protocol(model, None, kind, ramp) for kind in ("ua", "exact-cd")]
+    traces = run_protocol(protocols, steps=500, n_out=11)
+    assert batches == [["ua"], ["exact-cd"]]
+    (alone,) = run_protocol(protocols[1:], steps=500, n_out=11)
+    assert_allclose(traces[1].F, alone.F, rtol=0, atol=1e-12)
+
+
+def test_evolve_without_diagonal_or_off_diagonal_group():
+    from racd.models import Model, ModelTerm
+    from racd.operators import SpinOperator
+
+    class OneTermModel(Model):
+        kind = "chain"
+
+        def __init__(self, word, field):
+            super().__init__(1, [ModelTerm("t", SpinOperator(1, {word: 1.0}), field, 0.0, None)])
+
+    tau = 1.0
+    psi0 = np.array([1.0, 1.0j], dtype=complex) / np.sqrt(2)
+    # sigma_x only (no diagonal group), with local CD adding sigma_y words
+    x_model = OneTermModel((1, 0), 0.7)
+    protocols = [assemble_protocol(x_model, None, kind, Ramp(tau)) for kind in ("ua", "local-cd")]
+    _, states = evolve(protocols, psi0, steps=400, n_out=3)
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    want = np.cos(0.7 * tau) * psi0 - 1j * np.sin(0.7 * tau) * (x @ psi0)
+    for b, protocol in enumerate(protocols):
+        y = protocol.y_table(np.linspace(0.0, tau, 5))
+        assert_allclose(y, 0.0, atol=1e-12)  # [X, Y] has no overlap with dH/dlambda = 0
+        assert_allclose(states[-1, :, b], want, atol=1e-8)
+    # sigma_z only (no off-diagonal group)
+    z_model = OneTermModel((0, 1), 1.0)
+    protocols = [assemble_protocol(z_model, None, "ua", Ramp(tau)) for _ in range(2)]
+    _, states = evolve(protocols, psi0, steps=400, n_out=3)
+    want = np.array([np.exp(-1j * tau), np.exp(1j * tau)]) * psi0
+    assert_allclose(states[-1], np.column_stack([want, want]), atol=1e-8)

@@ -201,6 +201,44 @@ def test_lhz_objective_uses_each_models_own_counts():
         gc.collect()
 
 
+@pytest.mark.parametrize(
+    "model, fn",
+    [
+        (TwoSpinModel(), "action_two_level"),
+        (ChainModel(4), "action_chain"),
+        (random_instance("qubo", 4, 2), "action_qubo"),
+        (random_instance("lhz", 4, 2), "action_lhz"),
+    ],
+)
+def test_objective_checks_once_and_calls_the_module_evaluator(monkeypatch, model, fn):
+    # the closed form is checked and chosen when the objective is built; each
+    # evaluation then calls the module's action_* as it was at that time,
+    # with the same value as closed_form.action
+    calls = []
+    original = getattr(cf, fn)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(cf, fn, counting)
+    lam, lam_dot = 0.4, 0.9
+    objective = make_action_objective(model, lam, lam_dot)
+    monkeypatch.setattr(cf, "normalization", lambda m: pytest.fail("normalization called per evaluation"))
+    x = np.full(len(model.param_names), 0.3)
+    values = [objective(x) for _ in range(3)]
+    assert len(calls) == 3
+    monkeypatch.undo()
+    assert values == [cf.action(model, model.ua_fields(lam, lam_dot), x)] * 3
+
+
+def test_lhz_repeated_constraint_checked_once_on_the_model():
+    m = LhzModel(3, np.ones(3), constraints=[(0, 1, 2), (0, 1, 2)])
+    assert m.has_repeated_constraint and not LhzModel(3, np.ones(3)).has_repeated_constraint
+    with pytest.raises(ValueError, match="oracle"):
+        make_action_objective(m, 0.5, 1.0)
+
+
 def test_sequential_deterministic():
     model = random_instance("qubo", 4, 5)
     ramp = Ramp(1.0)
