@@ -28,21 +28,21 @@ from .operators import (
     trace_product,
 )
 
+GAP_TOL = 1e-10
 
-def exact_agp(h0: np.ndarray, dh0_dlambda: np.ndarray, gap_tol: float = 1e-10) -> np.ndarray:
+
+def exact_agp(h0: np.ndarray, dh0_dlambda: np.ndarray) -> np.ndarray:
     """Spectral adiabatic gauge potential.
 
     A = i * sum_{m != l} <m| dH0/dlambda |l> / (eps_l - eps_m) |m><l|,
-    skipping pairs closer than ``gap_tol``.  Hermitian for Hermitian inputs.
+    skipping pairs closer than ``GAP_TOL``.  Hermitian for Hermitian inputs.
     """
-    if gap_tol <= 0:
-        raise ValueError("gap_tol must be positive")
     if not np.allclose(h0, h0.conj().T, atol=1e-12):
         raise ValueError("H0 must be Hermitian")
     eps, vec = np.linalg.eigh(h0)
     num = vec.conj().T @ dh0_dlambda @ vec
     gaps = eps[None, :] - eps[:, None]  # eps_l - eps_m at [m, l]
-    safe = np.abs(gaps) >= gap_tol
+    safe = np.abs(gaps) >= GAP_TOL
     denom = np.where(safe, gaps, 1.0)
     a_eig = np.where(safe, 1j * num / denom, 0.0)
     np.fill_diagonal(a_eig, 0.0)
@@ -142,8 +142,9 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray, f: np.ndarray, fp: np.ndarr
     """alpha minimizing the action at each row of field values ``f`` with
     field derivatives ``fp``:  sum_k Tr(D_j D_k) alpha_k = -Tr(D_j dH0).
 
-    A singular batch falls back to the least-norm solution per point, which
-    must still satisfy the system; otherwise :class:`LocalCdError`.
+    A singular batch is solved point by point, so no point depends on the
+    batch; a singular point takes the least-norm solution, which must still
+    satisfy the system; otherwise :class:`LocalCdError`.
     """
     m = np.einsum("tp,tq,pqjk->tjk", f, f, gram)
     r = -np.einsum("p,tq,pqj->tj", fp, f, rhs)
@@ -153,10 +154,13 @@ def _solve_normal(gram: np.ndarray, rhs: np.ndarray, f: np.ndarray, fp: np.ndarr
         pass
     alpha = np.empty_like(r)
     for i, (mi, ri) in enumerate(zip(m, r)):
-        alpha[i], _, _, sv = np.linalg.lstsq(mi, ri, rcond=None)
-        if not np.allclose(mi @ alpha[i], ri, atol=1e-8 * max(1.0, float(np.linalg.norm(ri)))):
-            cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
-            raise LocalCdError(f"local-CD normal system inconsistent at point {i} (cond={cond:.3e})")
+        try:
+            alpha[i] = np.linalg.solve(mi, ri)
+        except np.linalg.LinAlgError:
+            alpha[i], _, _, sv = np.linalg.lstsq(mi, ri, rcond=None)
+            if not np.allclose(mi @ alpha[i], ri, atol=1e-8 * max(1.0, float(np.linalg.norm(ri)))):
+                cond = sv[0] / sv[-1] if sv[-1] > 0 else np.inf
+                raise LocalCdError(f"local-CD normal system inconsistent at point {i} (cond={cond:.3e})")
     return alpha
 
 

@@ -18,16 +18,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .dynamics import EXACT_CD_MAX_QUBITS, StepSizeError, run_protocol
+from .dynamics import EXACT_CD_MAX_QUBITS, NORM_DRIFT_TOL, StepSizeError, run_protocol
 from .errors import RacdError
 from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, random_instance
-from .optimizer import PROTOCOL_KINDS, assemble_protocol, sequential_optimize
+from .optimizer import BFGS_GTOL, PROTOCOL_KINDS, assemble_protocol, sequential_optimize
 from .validation import run_all_suites
 
 DEFAULT_PROTOCOLS = ("ua", "ra")
@@ -58,13 +58,6 @@ class RunConfig:
             raise ValueError(f"unknown model {self.model!r}")
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
-
-    def _n_qubits(self) -> int:
-        if self.model == "two-spin":
-            return 2
-        if self.model == "chain" or self.model == "qubo":
-            return self.n
-        return self.n_logical * (self.n_logical - 1) // 2
 
 
 def _build_model(config: RunConfig, seed: int) -> Model:
@@ -139,11 +132,11 @@ def cmd_run(config: RunConfig) -> int:
     bad = [p for p in config.protocols if p not in PROTOCOL_KINDS]
     if bad:
         raise ValueError(f"unknown protocols: {bad}")
-    if "exact-cd" in config.protocols and config._n_qubits() > EXACT_CD_MAX_QUBITS:
-        raise ValueError(f"exact-cd is limited to {EXACT_CD_MAX_QUBITS} qubits, got {config._n_qubits()}")
+    model = _build_model(config, config.seed)
+    if "exact-cd" in config.protocols and model.n_qubits > EXACT_CD_MAX_QUBITS:
+        raise ValueError(f"exact-cd is limited to {EXACT_CD_MAX_QUBITS} qubits, got {model.n_qubits}")
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    model = _build_model(config, config.seed)
     finals = _single_run(model, config, out_dir)
     meta = {
         "config": asdict(config),
@@ -151,7 +144,7 @@ def cmd_run(config: RunConfig) -> int:
         "prng": PRNG_NAME,
         "seeds": {"instance": config.seed},
         "action_backend": config.backend,
-        "tolerances": {"bfgs_gtol": 1e-10, "norm_drift": 1e-6},
+        "tolerances": {"bfgs_gtol": BFGS_GTOL, "norm_drift": NORM_DRIFT_TOL},
         "final_fidelity": finals,
     }
     with open(out_dir / "run.json", "w") as fh:
@@ -167,17 +160,7 @@ def scaling_study(config: RunConfig, sizes: Sequence[int]) -> List[dict]:
     record per (size, protocol)."""
     rows: List[dict] = []
     for size in sizes:
-        run_cfg = RunConfig(
-            model=config.model,
-            n=size,
-            n_logical=size,
-            tau=config.tau,
-            m_points=config.m_points,
-            steps=config.steps,
-            protocols=SCALING_PROTOCOLS,
-            seed=config.seed,
-            backend=config.backend,
-        )
+        run_cfg = replace(config, n=size, n_logical=size, protocols=SCALING_PROTOCOLS)
         # scaling only consumes final fidelities: a sparse output grid keeps
         # the norm-drift checkpoints without per-point eigensolves
         finals = [

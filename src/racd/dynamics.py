@@ -29,14 +29,15 @@ from .optimizer import Protocol
 
 NORM_DRIFT_TOL = 1e-6
 EXACT_CD_MAX_QUBITS = 8
+DEGENERACY_TOL = 1e-10
 
 
 class StepSizeError(RacdError, RuntimeError):
     """Norm drift exceeded tolerance during evolution."""
 
-    def __init__(self, drift: float, steps: int, tol: float = NORM_DRIFT_TOL, kind: str | None = None):
-        super().__init__(f"norm drift {drift:.3e} exceeds {tol} at {steps} RK4 steps")
-        self.drift, self.steps, self.tol = drift, steps, tol
+    def __init__(self, drift: float, steps: int, kind: str | None = None):
+        super().__init__(f"norm drift {drift:.3e} exceeds {NORM_DRIFT_TOL} at {steps} RK4 steps")
+        self.drift, self.steps, self.tol = drift, steps, NORM_DRIFT_TOL
         #: the protocol kind whose state drifted, where known
         self.kind = kind
 
@@ -48,22 +49,22 @@ class StepSizeError(RacdError, RuntimeError):
         return math.ceil(self.steps * (self.drift / self.tol) ** 0.25)
 
 
-def ground_space(h: np.ndarray, degeneracy_tol: float = 1e-10) -> Tuple[float, np.ndarray]:
+def ground_space(h: np.ndarray) -> Tuple[float, np.ndarray]:
     """Ground energy and an orthonormal basis of the ground subspace
-    (eigenvectors within ``degeneracy_tol`` of the minimum)."""
+    (eigenvectors within ``DEGENERACY_TOL`` of the minimum)."""
     if not np.allclose(h, h.conj().T, atol=1e-12):
         raise ValueError("Hamiltonian must be Hermitian")
     eps, vec = np.linalg.eigh(h)
-    mask = eps <= eps[0] + degeneracy_tol
+    mask = eps <= eps[0] + DEGENERACY_TOL
     return float(eps[0]), vec[:, mask]
 
 
-def ground_space_op(op, degeneracy_tol: float = 1e-10) -> Tuple[float, np.ndarray]:
+def ground_space_op(op) -> Tuple[float, np.ndarray]:
     """Ground space of a SpinOperator; iterative matrix-free solve above the
     dense cap (best-effort degeneracy resolution from the lowest few levels)."""
     n = op.n_qubits
     if n <= DENSE_MATRIX_MAX_QUBITS:
-        return ground_space(op.to_dense(), degeneracy_tol)
+        return ground_space(op.to_dense())
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     dim = 1 << n
@@ -72,7 +73,7 @@ def ground_space_op(op, degeneracy_tol: float = 1e-10) -> Tuple[float, np.ndarra
     eps, vec = eigsh(lin, k=k, which="SA")
     order = np.argsort(eps)
     eps, vec = eps[order], vec[:, order]
-    mask = eps <= eps[0] + degeneracy_tol
+    mask = eps <= eps[0] + DEGENERACY_TOL
     return float(eps[0]), vec[:, mask]
 
 
@@ -362,11 +363,11 @@ def evolve(
     return out_times, states
 
 
-def ground_trace(model: Model, lambdas: Sequence[float], degeneracy_tol: float = 1e-10) -> List[np.ndarray]:
+def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
     """Instantaneous ground-subspace bases of H0(lambda) along a grid."""
     bases = []
     for lam in lambdas:
-        _, basis = ground_space_op(model.h0(lam), degeneracy_tol)
+        _, basis = ground_space_op(model.h0(lam))
         bases.append(basis)
     return bases
 
@@ -375,15 +376,13 @@ def run_protocol(
     protocols: Sequence[Protocol],
     steps: int = 2000,
     n_out: int = 101,
-    ground_bases: List[np.ndarray] | None = None,
 ) -> List[FidelityTrace]:
     """Evolve every protocol from the instantaneous ground state at t = 0
     and record F(t) and F-tilde(t) on the output grid; one trace per
     protocol, in order.  A degenerate start raises.
 
     The protocols share one model and one ramp.  The ground bases are
-    solved once (or taken from ``ground_bases``, which must lie on the same
-    output grid) and shared; exact-CD protocols evolve as one batch, all
+    solved once and shared; exact-CD protocols evolve as one batch, all
     others as another (see :func:`evolve`).
     """
     protocols = list(protocols)
@@ -391,10 +390,7 @@ def run_protocol(
     model, ramp = protocols[0].model, protocols[0].ramp
     times = np.linspace(0.0, ramp.tau, steps + 1)[_output_steps(protocols, steps, n_out)]
     lams, _ = ramp.table(times)
-    if ground_bases is None:
-        ground_bases = ground_trace(model, lams)
-    if len(ground_bases) != len(times):
-        raise ValueError(f"{len(ground_bases)} ground bases for {len(times)} output points")
+    ground_bases = ground_trace(model, lams)
     if ground_bases[0].shape[1] != 1:
         raise ValueError("degenerate initial ground state")
     batches: Dict[bool, List[int]] = {}

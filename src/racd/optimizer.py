@@ -24,6 +24,10 @@ from .agp import LocalCdSolver, action_oracle
 from .errors import RacdError
 from .models import Model, Ramp
 
+BFGS_GTOL = 1e-10
+BFGS_MAX_ITER = 500
+FD_STEP = 1e-6
+
 
 class SequentialOptimizeError(RacdError, RuntimeError):
     """BFGS aborted at a grid point; carries the failing time index."""
@@ -54,19 +58,14 @@ def _central_gradient(f: Callable[[np.ndarray], float], x: np.ndarray, rel_step:
     return g
 
 
-def bfgs_minimize(
-    objective: Callable[[np.ndarray], float],
-    x0: Sequence[float],
-    gtol: float = 1e-10,
-    max_iter: int = 500,
-    fd_step: float = 1e-6,
-) -> BfgsResult:
+def bfgs_minimize(objective: Callable[[np.ndarray], float], x0: Sequence[float]) -> BfgsResult:
     """BFGS with Wolfe line search and central finite-difference gradients.
 
-    Gradient steps are h_i = fd_step * max(1, |x_i|).  Termination: gradient
-    norm below ``gtol``, ``max_iter`` iterations, or the line search hitting
-    the finite-difference noise floor (treated as converged-at-floor).  A
-    non-finite objective value aborts with the best iterate seen so far.
+    Gradient steps are h_i = ``FD_STEP`` * max(1, |x_i|).  Termination:
+    gradient norm below ``BFGS_GTOL``, ``BFGS_MAX_ITER`` iterations, or the
+    line search hitting the finite-difference noise floor (treated as
+    converged-at-floor).  A non-finite objective value aborts with the best
+    iterate seen so far.
     """
     x0 = np.asarray(x0, dtype=float)
     best: Dict[str, object] = {"x": x0.copy(), "f": np.inf}
@@ -91,8 +90,8 @@ def bfgs_minimize(
                 guarded,
                 x0,
                 method="BFGS",
-                jac=lambda x: _central_gradient(guarded, x, fd_step),
-                options={"gtol": gtol, "maxiter": max_iter},
+                jac=lambda x: _central_gradient(guarded, x, FD_STEP),
+                options={"gtol": BFGS_GTOL, "maxiter": BFGS_MAX_ITER},
             )
         x_star = np.asarray(res.x, dtype=float)
         f_star = float(res.fun)
@@ -111,7 +110,7 @@ class ParamTrajectory:
     """Time-gridded variational parameters with spline interpolation.
 
     ``values`` has one row per grid time, columns ordered as ``param_names``.
-    Interpolation is a cubic spline (natural boundary), whose analytic
+    Interpolation is a cubic spline (boundary per ``bc``), whose analytic
     derivative supplies the Q-parameter rates entering the RA fields.
     """
 
@@ -122,7 +121,7 @@ class ParamTrajectory:
     #: when the knots are known to have vanishing end rates (the sequential
     #: optimizer's output, where lambda_dot = lambda_ddot = 0 at t = 0, tau)
     bc: str = "natural"
-    _splines: Dict[str, CubicSpline] = field(default_factory=dict, repr=False)
+    _splines: Dict[str, CubicSpline] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -160,10 +159,12 @@ class ParamTrajectory:
 
     @staticmethod
     def from_csv(path) -> "ParamTrajectory":
+        """Read ``params_ra.csv``, which holds :func:`sequential_optimize`
+        output, so its ``"clamped-zero"`` spline boundary is restored."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        return ParamTrajectory(data[:, 0], data[:, 1:], tuple(header[1:]))
+        return ParamTrajectory(data[:, 0], data[:, 1:], tuple(header[1:]), bc="clamped-zero")
 
 
 def make_action_objective(
@@ -195,8 +196,6 @@ def sequential_optimize(
     ramp: Ramp,
     M: int = 100,
     backend: str = "closed-form",
-    gtol: float = 1e-10,
-    max_iter: int = 500,
 ) -> ParamTrajectory:
     """Warm-started per-time-point minimization of the scaled action.
 
@@ -214,7 +213,7 @@ def sequential_optimize(
     for m, t in enumerate(times):
         lam, lam_dot = ramp(t)
         objective = make_action_objective(model, lam, lam_dot, backend)
-        res = bfgs_minimize(objective, x, gtol=gtol, max_iter=max_iter)
+        res = bfgs_minimize(objective, x)
         if res.aborted:
             raise SequentialOptimizeError(f"BFGS aborted at grid index {m} (t={t:.6g})")
         x = res.x.copy()
@@ -255,7 +254,7 @@ class Protocol:
     kind: str
     ramp: Ramp
     trajectory: ParamTrajectory | None = None
-    _local_solver: LocalCdSolver | None = field(default=None, repr=False)
+    _local_solver: LocalCdSolver | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in PROTOCOL_KINDS:
@@ -265,7 +264,7 @@ class Protocol:
                 raise ValueError("RA protocol needs a trajectory")
             if self.trajectory.param_names != self.model.param_names:
                 raise ValueError("trajectory parameters do not match the model")
-        if self.kind == "local-cd" and self._local_solver is None:
+        if self.kind == "local-cd":
             self._local_solver = LocalCdSolver(self.model)
 
     def field_table(self, times: np.ndarray) -> Dict[str, np.ndarray]:

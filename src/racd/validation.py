@@ -23,6 +23,14 @@ from .operators import (
 )
 from .optimizer import bfgs_minimize, sequential_optimize, assemble_protocol
 
+#: fixed seeds and sizes of the suites (``racd validate`` sets only ``draws``)
+ORACLE_SEED = 20240
+IDENTITY_SEED = 77
+IDENTITY_OPS = 5
+SUITE_M = 100
+SUITE_TAU = 1.0
+CD_SCAN_GRID = 101
+
 
 @dataclass
 class SuiteResult:
@@ -60,24 +68,24 @@ def closed_form_deviation(model, draws: int, seed: int) -> float:
     return worst
 
 
-def suite_closed_form_vs_oracle(draws: int = 100, seed: int = 20240) -> SuiteResult:
+def suite_closed_form_vs_oracle(draws: int = 100) -> SuiteResult:
     cases = [
-        (TwoSpinModel(), seed),
-        (ChainModel(4), seed + 4),
-        (ChainModel(5), seed + 5),
-        (random_instance("qubo", 4, seed + 40), seed + 6),
-        (random_instance("qubo", 5, seed + 50), seed + 7),
-        (random_instance("lhz", 4, seed + 5), seed + 6),
+        (TwoSpinModel(), ORACLE_SEED),
+        (ChainModel(4), ORACLE_SEED + 4),
+        (ChainModel(5), ORACLE_SEED + 5),
+        (random_instance("qubo", 4, ORACLE_SEED + 40), ORACLE_SEED + 6),
+        (random_instance("qubo", 5, ORACLE_SEED + 50), ORACLE_SEED + 7),
+        (random_instance("lhz", 4, ORACLE_SEED + 5), ORACLE_SEED + 6),
     ]
     worst = max(closed_form_deviation(model, draws, s) for model, s in cases)
     return SuiteResult("closed-form vs dense oracle", worst <= 1e-8, worst, 1e-8)
 
 
-def suite_decomposition_identities(seed: int = 77, n_ops: int = 5) -> SuiteResult:
-    rng = np.random.Generator(np.random.PCG64(seed))
+def suite_decomposition_identities() -> SuiteResult:
+    rng = np.random.Generator(np.random.PCG64(IDENTITY_SEED))
     worst = 0.0
     for n in range(2, 6):
-        for _ in range(n_ops):
+        for _ in range(IDENTITY_OPS):
             terms = {}
             for _ in range(6):
                 z = int(rng.integers(0, 1 << n))
@@ -137,10 +145,10 @@ def _matfun_diag(fn, mat: np.ndarray) -> np.ndarray:
     return np.diag(fn(np.diag(mat).real)).astype(complex)
 
 
-def suite_two_level_analytic(M: int = 100, tau: float = 1.0) -> SuiteResult:
+def suite_two_level_analytic() -> SuiteResult:
     model = TwoSpinModel()
-    ramp = Ramp(tau)
-    traj = sequential_optimize(model, ramp, M=M)
+    ramp = Ramp(SUITE_TAU)
+    traj = sequential_optimize(model, ramp, M=SUITE_M)
     worst = 0.0
     for m, t in enumerate(traj.times):
         lam, lam_dot = ramp(t)
@@ -150,7 +158,7 @@ def suite_two_level_analytic(M: int = 100, tau: float = 1.0) -> SuiteResult:
     return SuiteResult("two-level sequential vs analytic optimum", worst <= 1e-3, worst, 1e-3)
 
 
-def suite_cd_limitations(grid: int = 101) -> SuiteResult:
+def suite_cd_limitations() -> SuiteResult:
     model = TwoSpinModel()
     h_term = model.term_by_param("gamma").operator
     j_term = model.term_by_param("beta").operator
@@ -163,7 +171,7 @@ def suite_cd_limitations(grid: int = 101) -> SuiteResult:
         return closed_form.action_cd_two_param(h_term, j_term, A0, B0, dA0, dB0, a[0], a[1])
 
     s0 = s_of((0.0, 0.0))
-    alphas = np.linspace(-1.0, 1.0, grid)
+    alphas = np.linspace(-1.0, 1.0, CD_SCAN_GRID)
     worst = 0.0
     for aa in alphas:
         for ab in alphas:
@@ -180,17 +188,17 @@ def suite_cd_limitations(grid: int = 101) -> SuiteResult:
     )
 
 
-def suite_boundary_conditions(tau: float = 1.0, M: int = 100) -> SuiteResult:
+def suite_boundary_conditions() -> SuiteResult:
     worst = 0.0
-    for t in (0.0, tau):
-        _, lam_dot = ramp_eval(t, tau)
+    for t in (0.0, SUITE_TAU):
+        _, lam_dot = ramp_eval(t, SUITE_TAU)
         worst = max(worst, abs(lam_dot))
     for model in (TwoSpinModel(), ChainModel(6)):
-        ramp = Ramp(tau)
-        traj = sequential_optimize(model, ramp, M=M)
+        ramp = Ramp(SUITE_TAU)
+        traj = sequential_optimize(model, ramp, M=SUITE_M)
         ra = assemble_protocol(model, traj, "ra", ramp)
         ua = assemble_protocol(model, None, "ua", ramp)
-        ends = np.array([0.0, tau])
+        ends = np.array([0.0, SUITE_TAU])
         worst = max(worst, float(np.abs(traj.values[0]).max()), float(np.abs(traj.values[-1]).max()))
         f_ra = ra.field_table(ends)
         f_ua = ua.field_table(ends)

@@ -15,7 +15,7 @@ from scipy.integrate import solve_ivp
 from racd import closed_form as cf
 from racd.agp import action_oracle
 from racd.cli import RunConfig, scaling_study
-from racd.dynamics import ground_trace, run_protocol
+from racd.dynamics import run_protocol
 from racd.models import ChainModel, Ramp, TwoSpinModel, ramp_eval, random_instance
 from racd.optimizer import assemble_protocol, bfgs_minimize, sequential_optimize
 from racd.validation import suite_closed_form_vs_oracle, suite_decomposition_identities
@@ -35,9 +35,7 @@ def two_spin_run():
     traj = sequential_optimize(model, ramp, M=100)
     ua = assemble_protocol(model, None, "ua", ramp)
     ra = assemble_protocol(model, traj, "ra", ramp)
-    (trace_ua,) = run_protocol([ua], steps=2000)
-    bases = ground_trace(model, trace_ua.lambdas)
-    (trace_ra,) = run_protocol([ra], steps=2000, ground_bases=bases)
+    trace_ua, trace_ra = run_protocol([ua, ra], steps=2000)
     elapsed = time.perf_counter() - t0
     return {
         "model": model,
@@ -57,16 +55,9 @@ def chain_run():
     ramp = Ramp(1.0)
     t0 = time.perf_counter()
     traj = sequential_optimize(model, ramp, M=100)
-    finals = {}
-    bases = None
-    protocols = {}
-    for kind in ("ua", "local-cd", "ra"):
-        protocol = assemble_protocol(model, traj, kind, ramp)
-        (trace,) = run_protocol([protocol], steps=2000, ground_bases=bases)
-        if bases is None:
-            bases = ground_trace(model, trace.lambdas)
-        finals[kind] = trace.F[-1]
-        protocols[kind] = protocol
+    protocols = {kind: assemble_protocol(model, traj, kind, ramp) for kind in ("ua", "local-cd", "ra")}
+    traces = run_protocol(list(protocols.values()), steps=2000)
+    finals = {kind: trace.F[-1] for kind, trace in zip(protocols, traces)}
     elapsed = time.perf_counter() - t0
     return {"model": model, "ramp": ramp, "traj": traj, "finals": finals,
             "protocols": protocols, "elapsed": elapsed}

@@ -228,7 +228,7 @@ def test_local_cd_matches_direct_minimization():
         g = dh_m - 1j * (h0_m @ op - op @ h0_m)
         return float(np.vdot(g, g).real)
 
-    res = bfgs_minimize(action, np.zeros(4), gtol=1e-12)
+    res = bfgs_minimize(action, np.zeros(4))
     assert_allclose(alpha, res.x, atol=1e-6)
 
 
@@ -268,6 +268,18 @@ def test_local_cd_uncoupled_qubit_is_least_norm():
     assert batch[2, 1] == 0.0
     for lam, alpha in zip(lams, batch):
         assert_allclose(alpha, local_cd_coeffs(model.h0(lam), model.dh0_dlambda(lam)), atol=1e-10)
+
+
+def test_local_cd_coefficients_do_not_depend_on_the_batch():
+    # lambda = 1 makes the batch singular (see the test above); every other
+    # point must still get the coefficients of its own solve
+    J = random_instance("qubo", 4, 3).couplings.copy()
+    J[2, :] = J[:, 2] = 0.0
+    solver = LocalCdSolver(QuboModel(J))
+    lams = np.linspace(0.0, 1.0, 11)
+    batch = solver.solve_batch(lams)
+    for lam, alpha in zip(lams, batch):
+        assert np.array_equal(alpha, solver.solve_batch([lam])[0]), lam
 
 
 def test_local_cd_inconsistent_system_raises():

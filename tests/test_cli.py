@@ -56,6 +56,15 @@ def test_run_rerun_byte_identical(tmp_path):
     assert a == b
 
 
+def test_run_json_records_the_tolerances_used(tmp_path):
+    from racd import dynamics, optimizer
+
+    out = tmp_path / "out"
+    assert run_cli(["run", "--model", "two-spin", "--protocols", "ua", "--steps", "200", "--out", out]) == 0
+    meta = json.loads((out / "run.json").read_text())
+    assert meta["tolerances"] == {"bfgs_gtol": optimizer.BFGS_GTOL, "norm_drift": dynamics.NORM_DRIFT_TOL}
+
+
 def test_run_local_cd_field_columns(tmp_path):
     out = tmp_path / "out"
     rc = run_cli(["run", "--model", "chain", "--n", "4", "--protocols", "ua,local-cd",

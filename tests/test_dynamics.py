@@ -10,7 +10,6 @@ from racd.dynamics import (
     fidelity,
     ground_space,
     ground_space_op,
-    ground_trace,
     rotated_fidelity,
     run_protocol,
 )
@@ -198,14 +197,6 @@ def test_run_protocol_checks_capacity_before_ground_solves(monkeypatch):
     protocol = assemble_protocol(ChainModel(9), None, "exact-cd", Ramp(1.0))
     with pytest.raises(CapacityError):
         run_protocol([protocol], steps=200)
-
-
-def test_run_protocol_rejects_bases_of_another_grid():
-    model = TwoSpinModel()
-    protocol = assemble_protocol(model, None, "ua", Ramp(1.0))
-    bases = ground_trace(model, run_protocol([protocol], steps=200, n_out=11)[0].lambdas)
-    with pytest.raises(ValueError):
-        run_protocol([protocol], steps=200, n_out=21, ground_bases=bases)
 
 
 def test_exact_cd_two_spin_perfect():

@@ -121,6 +121,23 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert_allclose(again.values, vals, atol=1e-11)
 
 
+def test_reloaded_sequential_trajectory_keeps_the_protocol(tmp_path):
+    # params_ra.csv holds sequential_optimize output: reloading it must give
+    # the same RA fields, and UA fields at both ends
+    model, ramp = TwoSpinModel(), Ramp(1.0)
+    traj = sequential_optimize(model, ramp, M=100)
+    path = tmp_path / "params_ra.csv"
+    traj.to_csv(path)
+    again = ParamTrajectory.from_csv(path)
+    times = np.linspace(0.0, 1.0, 201)
+    original = assemble_protocol(model, traj, "ra", ramp).field_table(times)
+    reloaded = assemble_protocol(model, again, "ra", ramp).field_table(times)
+    ua = assemble_protocol(model, None, "ua", ramp).field_table(times)
+    for name, values in original.items():
+        assert_allclose(reloaded[name], values, rtol=0, atol=1e-10)
+        assert_allclose(reloaded[name][[0, -1]], ua[name][[0, -1]], rtol=0, atol=1e-6)
+
+
 # -- sequential optimization -------------------------------------------------------
 
 def test_sequential_two_spin_matches_analytic():
