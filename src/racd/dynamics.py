@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -117,9 +117,16 @@ class FidelityTrace:
                 fh.write(",".join(f"{v:.12e}" for v in row) + "\n")
 
 
-class _HamiltonianEvaluator:
-    """H(t) on the RK substep grid for a batch of protocols of one model and
-    ramp, applied to a ``(B, 2^N)`` block holding one state per protocol.
+#: substeps whose protocol tables are evaluated in one call
+TABLE_CHUNK = 256
+#: bytes of contracted per-substep vectors (or exact-CD matrices) held at once
+CHUNK_BYTES = 1 << 20
+
+
+def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
+    """H(t) at each of ``times``, in order, for a batch of protocols of one
+    model and ramp; :func:`_apply` applies each to a ``(B, 2^N)`` block
+    holding one state per protocol.
 
     The components (model terms, plus one sigma-y per site when the batch
     holds local CD) are grouped by the x-mask of their Pauli words; each
@@ -129,136 +136,102 @@ class _HamiltonianEvaluator:
     and padded with zero weights to one component count, so that one
     batched product contracts them all.  The protocols' field tables are
     evaluated in chunks of substeps, and contracted into per-substep vectors
-    in smaller chunks, so memory does not grow with the step count.
-    Applying H(t) to the block is then a few numpy calls.  Exact-CD instead
-    keeps a dense matrix per substep and protocol, with the spectral gauge
-    potential added.
+    in smaller chunks, so memory does not grow with the step count.  Each
+    substep is then a ``(diagonal, off-diagonal, gather index)`` triple.
+    Exact-CD instead yields a dense matrix per protocol, ``(B, 2^N, 2^N)``,
+    with the spectral gauge potential added.
     """
+    model = protocols[0].model
+    n = model.n_qubits
+    n_batch = len(protocols)
+    exact = protocols[0].kind == "exact-cd"
+    dim = 1 << n
+    ops = [t.operator for t in model.terms]
+    if any(p.kind == "local-cd" for p in protocols):
+        ops += [sigma_y(n, j) for j in range(n)]
 
-    #: substeps whose protocol tables are evaluated in one call
-    TABLE_CHUNK = 256
-    #: bytes of contracted per-substep vectors (or exact-CD matrices) held at once
-    CHUNK_BYTES = 1 << 20
+    # word groups: x_mask -> per-component z-sign vectors (only components
+    # that actually contribute to the mask are stored)
+    states = np.arange(dim)
+    groups: Dict[int, Dict[int, np.ndarray]] = {}
+    for comp_idx, op in enumerate(ops):
+        for (x, z), w in op:
+            rows = groups.setdefault(x, {})
+            signs = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
+            if comp_idx in rows:
+                rows[comp_idx] = rows[comp_idx] + w * signs
+            else:
+                rows[comp_idx] = w * signs
+    diag = groups.pop(0, None)
+    diag = None if diag is None else _stack_groups([diag], [states])
+    masks = sorted(groups)
+    perms = np.stack([states ^ x for x in masks]) if masks else None
+    off = _stack_groups([groups[x] for x in masks], perms) if masks else None
+    # flat gather index into the block: [k, b, s] -> row b, state s ^ x_k
+    gather = None if perms is None else np.arange(n_batch)[:, None] * dim + perms[:, None, :]
+    if exact:
+        dh_dlam = model.dh0_dlambda(0.0).to_dense()  # schedules are affine
+        per_substep = n_batch * dim * dim * 16
+    else:
+        per_substep = n_batch * (len(masks) + 1) * dim * 16
+    chunk = max(1, min(TABLE_CHUNK, CHUNK_BYTES // per_substep))
+    table_chunk = chunk * (TABLE_CHUNK // chunk)
 
-    def __init__(self, protocols: Sequence[Protocol], times: np.ndarray):
-        self._protocols = list(protocols)
-        self._times = np.asarray(times, dtype=float)
-        model = self._protocols[0].model
-        n = model.n_qubits
-        n_batch = len(self._protocols)
-        self._exact = self._protocols[0].kind == "exact-cd"
-        self._dim = dim = 1 << n
-        self._n_terms = len(model.terms)
-        ops = [t.operator for t in model.terms]
-        if any(p.kind == "local-cd" for p in self._protocols):
-            ops += [sigma_y(n, j) for j in range(n)]
-        self._n_comp = len(ops)
-
-        # word groups: x_mask -> per-component z-sign vectors (only components
-        # that actually contribute to the mask are stored)
-        states = np.arange(dim)
-        groups: Dict[int, Dict[int, np.ndarray]] = {}
-        for comp_idx, op in enumerate(ops):
-            for (x, z), w in op:
-                rows = groups.setdefault(x, {})
-                signs = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
-                if comp_idx in rows:
-                    rows[comp_idx] = rows[comp_idx] + w * signs
-                else:
-                    rows[comp_idx] = w * signs
-        diag = groups.pop(0, None)
-        self._diag = None if diag is None else _stack_groups([diag], [states])
-        masks = sorted(groups)
-        self._perms = np.stack([states ^ x for x in masks]) if masks else None
-        self._off = _stack_groups([groups[x] for x in masks], self._perms) if masks else None
-        if self._perms is not None:
-            # flat gather index into the block: [k, b, s] -> row b, state s ^ x_k
-            self._gather = (np.arange(n_batch)[:, None] * dim + self._perms[:, None, :])
-        if self._exact:
-            self._dh_dlam = model.dh0_dlambda(0.0).to_dense()  # schedules are affine
-            per_substep = n_batch * dim * dim * 16
-        else:
-            per_substep = n_batch * (len(masks) + 1) * dim * 16
-        self._chunk = max(1, min(self.TABLE_CHUNK, self.CHUNK_BYTES // per_substep))
-        self._table_chunk = self._chunk * (self.TABLE_CHUNK // self._chunk)
-        self._table_span = (0, 0)
-        self._span = (0, 0)
-
-    def _tables(self, idx: int) -> None:
-        """Evaluate every protocol's tables on the table chunk holding ``idx``."""
-        t0 = idx - idx % self._table_chunk
-        t1 = min(t0 + self._table_chunk, len(self._times))
-        times = self._times[t0:t1]
-        coeffs = np.zeros((t1 - t0, len(self._protocols), self._n_comp))
-        for b, protocol in enumerate(self._protocols):
-            fields = protocol.field_table(times)
-            for c, term in enumerate(protocol.model.terms):
+    for t0 in range(0, len(times), table_chunk):
+        table_times = times[t0 : t0 + table_chunk]
+        coeffs = np.zeros((len(table_times), n_batch, len(ops)))
+        for b, protocol in enumerate(protocols):
+            fields = protocol.field_table(table_times)
+            for c, term in enumerate(model.terms):
                 coeffs[:, b, c] = fields[term.name]
             if protocol.kind == "local-cd":
-                coeffs[:, b, self._n_terms:] = protocol.y_table(times)
-        if self._exact:
-            _, self._lam_dots = self._protocols[0].ramp.table(times)
-        self._table_coeffs, self._table_span = coeffs, (t0, t1)
+                coeffs[:, b, len(model.terms):] = protocol.y_table(table_times)
+        if exact:
+            _, lam_dots = protocols[0].ramp.table(table_times)
+        for c0 in range(0, len(table_times), chunk):
+            part = coeffs[c0 : c0 + chunk]
+            # diagonal (C, B, 2^N) and off-diagonal (C, groups, B, 2^N) vectors
+            d = None if diag is None else _contract_groups(part, *diag)[:, 0]
+            o = None if off is None else _contract_groups(part, *off)
+            if exact:
+                h = _dense(d, o, perms)
+                for j, lam_dot in enumerate(lam_dots[c0 : c0 + chunk]):
+                    for b in range(n_batch):
+                        h[j, b] = h[j, b] + lam_dot * exact_agp(h[j, b], dh_dlam)
+                yield from h
+            else:
+                for j in range(len(part)):
+                    yield None if d is None else d[j], None if o is None else o[j], gather
 
-    def _contract(self, idx: int) -> None:
-        """Contract the coefficients of the substep chunk holding ``idx``."""
-        c0 = idx - idx % self._chunk
-        c1 = min(c0 + self._chunk, len(self._times))
-        if not self._table_span[0] <= c0 < self._table_span[1]:
-            self._tables(c0)
-        t0 = self._table_span[0]
-        coeffs = self._table_coeffs[c0 - t0 : c1 - t0]
-        # diagonal (C, B, 2^N) and off-diagonal (C, groups, B, 2^N) vectors
-        d = None if self._diag is None else _contract_groups(coeffs, *self._diag)[:, 0]
-        off = None if self._off is None else _contract_groups(coeffs, *self._off)
-        if self._exact:
-            h = self._dense(d, off)
-            for j, lam_dot in enumerate(self._lam_dots[c0 - t0 : c1 - t0]):
-                for b in range(len(self._protocols)):
-                    h[j, b] = h[j, b] + lam_dot * exact_agp(h[j, b], self._dh_dlam)
-            self._block = h
-        else:
-            self._block = (d, off)
-        self._span = (c0, c1)
 
-    def _dense(self, d, off) -> np.ndarray:
-        """Dense matrices of diagonal ``(..., B, 2^N)`` and off-diagonal
-        ``(..., groups, B, 2^N)`` vectors, either of them None."""
-        if self._dim > (1 << DENSE_MATRIX_MAX_QUBITS):
-            raise CapacityError("dense Hamiltonian requested above the dense cap")
-        lead = (d if d is not None else off[..., 0, :, :]).shape[:-1]
-        h = np.zeros(lead + (self._dim, self._dim), dtype=complex)
-        rows = np.arange(self._dim)
-        if d is not None:
-            h[..., rows, rows] = d
-        if off is not None:
-            h[..., rows, self._perms] = np.swapaxes(off, -3, -2)
-        return h
+def _dense(d, off, perms) -> np.ndarray:
+    """Dense matrices of diagonal ``(..., B, 2^N)`` and off-diagonal
+    ``(..., groups, B, 2^N)`` vectors, either of them None, whose groups
+    read from ``perms``."""
+    lead = (d if d is not None else off[..., 0, :, :]).shape[:-1]
+    dim = (d if d is not None else off).shape[-1]
+    if dim > (1 << DENSE_MATRIX_MAX_QUBITS):
+        raise CapacityError("dense Hamiltonian requested above the dense cap")
+    h = np.zeros(lead + (dim, dim), dtype=complex)
+    rows = np.arange(dim)
+    if d is not None:
+        h[..., rows, rows] = d
+    if off is not None:
+        h[..., rows, perms] = np.swapaxes(off, -3, -2)
+    return h
 
-    def _substep(self, idx: int) -> int:
-        if not self._span[0] <= idx < self._span[1]:
-            self._contract(idx)
-        return idx - self._span[0]
 
-    def matrix(self, idx: int) -> np.ndarray:
-        """Dense H at substep ``idx``, one ``(2^N, 2^N)`` matrix per protocol."""
-        j = self._substep(idx)
-        if self._exact:
-            return self._block[j]
-        d, off = self._block
-        return self._dense(None if d is None else d[j], None if off is None else off[j])
-
-    def apply(self, idx: int, psi: np.ndarray) -> np.ndarray:
-        """H at substep ``idx`` applied to each row of the ``(B, 2^N)`` block."""
-        j = self._substep(idx)
-        if self._exact:
-            return np.matmul(self._block[j], psi[:, :, None])[:, :, 0]
-        d, off = self._block
-        # out[b, s] = d[b, s] psi[b, s] + sum_x off_x[b, s] psi[b, s ^ x]
-        out = d[j] * psi if d is not None else np.zeros_like(psi)
-        if off is not None:
-            out += (off[j] * np.take(psi, self._gather)).sum(axis=0)
-        return out
+def _apply(h, psi: np.ndarray) -> np.ndarray:
+    """One substep ``h`` of :func:`_hamiltonians` applied to each row of the
+    ``(B, 2^N)`` block ``psi``."""
+    if isinstance(h, np.ndarray):  # exact-CD
+        return np.matmul(h, psi[:, :, None])[:, :, 0]
+    d, off, gather = h
+    # out[b, s] = d[b, s] psi[b, s] + sum_x off_x[b, s] psi[b, s ^ x]
+    out = d * psi if d is not None else np.zeros_like(psi)
+    if off is not None:
+        out += (off * np.take(psi, gather)).sum(axis=0)
+    return out
 
 
 def _stack_groups(groups: List[Dict[int, np.ndarray]], sources) -> Tuple[np.ndarray, np.ndarray]:
@@ -337,7 +310,8 @@ def evolve(
     sub = np.empty(2 * steps + 1)
     sub[0::2] = np.linspace(0.0, tau, steps + 1)
     sub[1::2] = sub[0:-1:2] + 0.5 * h
-    evaluator = _HamiltonianEvaluator(protocols, sub)
+    hamiltonians = _hamiltonians(protocols, sub)
+    end = next(hamiltonians)
 
     out_times = sub[2 * out_idx]
     psi = np.tile(np.asarray(psi0, dtype=complex), (len(protocols), 1))
@@ -354,11 +328,12 @@ def evolve(
             pointer += 1
         if k == steps:
             break
-        i0, i1, i2 = 2 * k, 2 * k + 1, 2 * k + 2
-        k1 = -1j * evaluator.apply(i0, psi)
-        k2 = -1j * evaluator.apply(i1, psi + 0.5 * h * k1)
-        k3 = -1j * evaluator.apply(i1, psi + 0.5 * h * k2)
-        k4 = -1j * evaluator.apply(i2, psi + h * k3)
+        # substeps 2k, 2k+1 and 2k+2; the end one starts the next step
+        start, mid, end = end, next(hamiltonians), next(hamiltonians)
+        k1 = -1j * _apply(start, psi)
+        k2 = -1j * _apply(mid, psi + 0.5 * h * k1)
+        k3 = -1j * _apply(mid, psi + 0.5 * h * k2)
+        k4 = -1j * _apply(end, psi + h * k3)
         psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return out_times, states
 

@@ -31,26 +31,43 @@ LHZ_FINAL_CONSTRAINT_STRENGTH = 3.0
 FieldSet = Dict[str, Tuple[float, float]]  # name -> (value, time derivative)
 
 
-def ramp_eval(t: float, tau: float) -> Tuple[float, float]:
+def ramp_table(times: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
     """Smooth ramp lambda(t) = sin^2[(pi/2) sin^2(pi t / 2 tau)] and its
-    analytic time derivative.  Both lambda' and lambda'' vanish at t = 0, tau.
+    analytic time derivative at each of ``times``.  Both lambda' and
+    lambda'' vanish at t = 0, tau.
+
+    Each square is a C ``pow()`` on one Python float, so every entry equals
+    the formula evaluated with numpy scalars on that time alone; numpy's
+    array power multiplies instead, which differs in the last bit of some
+    values.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
-    t = float(t)
-    if t < -1e-9 * tau or t > tau * (1 + 1e-9):
-        raise ValueError(f"t={t} outside [0, {tau}]")
-    t = min(max(t, 0.0), tau)
+    t = np.asarray(times, dtype=float)
+    outside = (t < -1e-9 * tau) | (t > tau * (1 + 1e-9))
+    if outside.any():
+        raise ValueError(f"t={float(t[outside][0])} outside [0, {tau}]")
+    t = np.minimum(np.maximum(t, 0.0), tau)
     v = np.pi * t / (2.0 * tau)
-    u = 0.5 * np.pi * np.sin(v) ** 2
-    lam = np.sin(u) ** 2
+    u = 0.5 * np.pi * _pow2(np.sin(v))
+    lam = _pow2(np.sin(u))
     lam_dot = (np.pi**2 / (4.0 * tau)) * np.sin(2.0 * u) * np.sin(2.0 * v)
-    return float(lam), float(lam_dot)
+    return lam, lam_dot
+
+
+def _pow2(x: np.ndarray) -> np.ndarray:
+    return np.array([s**2 for s in x.tolist()])
+
+
+def ramp_eval(t: float, tau: float) -> Tuple[float, float]:
+    """:func:`ramp_table` at one time."""
+    lam, lam_dot = ramp_table(np.array([float(t)]), tau)
+    return float(lam[0]), float(lam_dot[0])
 
 
 @dataclass(frozen=True)
 class Ramp:
-    """Total-duration wrapper around :func:`ramp_eval` (hbar = 1)."""
+    """Total-duration wrapper around :func:`ramp_table` (hbar = 1)."""
 
     tau: float
 
@@ -58,11 +75,7 @@ class Ramp:
         return ramp_eval(t, self.tau)
 
     def table(self, times: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        lams = np.empty(len(times))
-        dots = np.empty(len(times))
-        for i, t in enumerate(times):
-            lams[i], dots[i] = ramp_eval(t, self.tau)
-        return lams, dots
+        return ramp_table(times, self.tau)
 
 
 @dataclass(frozen=True)

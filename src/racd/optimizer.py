@@ -65,7 +65,7 @@ def bfgs_minimize(objective: Callable[[np.ndarray], float], x0: Sequence[float])
     gradient norm below ``BFGS_GTOL``, ``BFGS_MAX_ITER`` iterations, or the
     line search hitting the finite-difference noise floor (treated as
     converged-at-floor).  A non-finite objective value aborts with the best
-    iterate seen so far.
+    iterate seen so far (``x0`` with value inf if it is the first).
     """
     x0 = np.asarray(x0, dtype=float)
     best: Dict[str, object] = {"x": x0.copy(), "f": np.inf}
@@ -79,7 +79,6 @@ def bfgs_minimize(objective: Callable[[np.ndarray], float], x0: Sequence[float])
             best["x"] = x.copy()
         return v
 
-    f0 = guarded(x0)
     try:
         with warnings.catch_warnings():
             # a failing Wolfe search at the finite-difference noise floor is
@@ -97,9 +96,6 @@ def bfgs_minimize(objective: Callable[[np.ndarray], float], x0: Sequence[float])
         f_star = float(res.fun)
         if f_star > best["f"]:
             x_star, f_star = np.asarray(best["x"]), float(best["f"])
-        # guard against pathological line-search exits above the start value
-        if f_star > f0:
-            x_star, f_star = x0, f0
         return BfgsResult(x_star, f_star, int(res.nit), bool(res.success), aborted=False)
     except NonFiniteObjectiveError:
         return BfgsResult(np.asarray(best["x"]), float(best["f"]), 0, False, aborted=True)

@@ -224,10 +224,10 @@ def test_norm_drift_raises():
         evolve([protocol], psi0, steps=100, n_out=51)
 
 
-def test_evaluator_apply_matches_dense_hamiltonian():
+def test_hamiltonians_apply_matches_dense_hamiltonian():
     # the grouped word-application equals explicit dense H(t) action, for
-    # every protocol of one batch
-    from racd.dynamics import _HamiltonianEvaluator
+    # every protocol of one batch, with one substep yielded per time
+    from racd.dynamics import _apply, _hamiltonians
 
     rng = np.random.Generator(np.random.PCG64(13))
     model = ChainModel(5)
@@ -236,11 +236,14 @@ def test_evaluator_apply_matches_dense_hamiltonian():
     kinds = ("ua", "ra", "local-cd")
     protocols = [assemble_protocol(model, traj, kind, ramp) for kind in kinds]
     times = np.linspace(0.0, 1.0, 7)
-    ev = _HamiltonianEvaluator(protocols, times)
+    substeps = list(_hamiltonians(protocols, times))
+    assert len(substeps) == len(times)
     for idx in (0, 3, 6):
         psi = rng.normal(size=(len(kinds), 32)) + 1j * rng.normal(size=(len(kinds), 32))
-        applied = ev.apply(idx, psi)
-        matrices = ev.matrix(idx)
+        applied = _apply(substeps[idx], psi)
+        # column s of each protocol's matrix is H applied to basis state s
+        matrices = np.stack([_apply(substeps[idx], np.tile(e, (len(kinds), 1)))
+                             for e in np.eye(32, dtype=complex)], axis=-1)
         for b, (kind, protocol) in enumerate(zip(kinds, protocols)):
             fields = protocol.field_table(times)
             h = sum(

@@ -1,7 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from racd.models import (
@@ -9,6 +12,7 @@ from racd.models import (
     Model,
     ModelTerm,
     QuboModel,
+    Ramp,
     TwoSpinModel,
     build_hamiltonian,
     lhz_default_constraints,
@@ -52,6 +56,55 @@ def test_ramp_range_error():
         ramp_eval(1.1, 1.0)
     with pytest.raises(ValueError):
         ramp_eval(0.5, 0.0)
+
+
+def scalar_ramp(t, tau):
+    """Reference: the ramp formula evaluated one float at a time."""
+    if tau <= 0:
+        raise ValueError("tau must be positive")
+    t = float(t)
+    if t < -1e-9 * tau or t > tau * (1 + 1e-9):
+        raise ValueError(f"t={t} outside [0, {tau}]")
+    t = min(max(t, 0.0), tau)
+    v = np.pi * t / (2.0 * tau)
+    u = 0.5 * np.pi * np.sin(v) ** 2
+    lam = np.sin(u) ** 2
+    lam_dot = (np.pi**2 / (4.0 * tau)) * np.sin(2.0 * u) * np.sin(2.0 * v)
+    return float(lam), float(lam_dot)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tau=st.floats(0.01, 50.0),
+    fractions=st.lists(st.floats(0.0, 1.0), max_size=50),
+    steps=st.integers(100, 4000),
+)
+def test_ramp_table_bitwise_matches_scalar_formula(tau, fractions, steps):
+    # random times, both ends and the RK4 substep grid of ``steps`` steps
+    sub = np.empty(2 * steps + 1)
+    sub[0::2] = np.linspace(0.0, tau, steps + 1)
+    sub[1::2] = sub[0:-1:2] + 0.5 * tau / steps
+    times = np.concatenate([[0.0, tau], np.asarray(fractions) * tau, sub])
+    lams, dots = Ramp(tau).table(times)
+    want = np.array([scalar_ramp(t, tau) for t in times]).reshape(-1, 2)
+    assert lams.tobytes() == want[:, 0].tobytes()
+    assert dots.tobytes() == want[:, 1].tobytes()
+    for t, (lam, dot) in zip(times[:52], want):
+        assert np.array([ramp_eval(t, tau)]).tobytes() == np.array([(lam, dot)]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(tau=st.floats(0.01, 50.0), t=st.floats(-100.0, 100.0))
+def test_ramp_range_error_matches_scalar_formula(tau, t):
+    try:
+        want = scalar_ramp(t, tau)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            ramp_eval(t, tau)
+        with pytest.raises(ValueError):
+            Ramp(tau).table(np.array([0.0, t]))
+    else:
+        assert np.array(ramp_eval(t, tau)).tobytes() == np.array(want).tobytes()
 
 
 def test_build_hamiltonian_two_spin_manual():

@@ -2,7 +2,7 @@ import gc
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from racd import closed_form as cf
 from racd.agp import action_oracle
@@ -61,6 +61,20 @@ def test_bfgs_nonfinite_abort():
     assert res.aborted
     assert np.isfinite(res.fun)
     assert res.x[0] < 1.5
+
+
+def test_bfgs_nonfinite_start_aborts():
+    # a non-finite value at the start is an abort like any other, not an error
+    res = bfgs_minimize(lambda x: float("nan"), [0.0])
+    assert res.aborted
+    assert res.fun == np.inf
+    assert_array_equal(res.x, [0.0])
+
+
+def test_bfgs_evaluates_start_once():
+    calls = []
+    bfgs_minimize(lambda x: calls.append(x.copy()) or float(np.sum((x - 1.0) ** 2)), [0.5, -0.5])
+    assert sum(np.array_equal(x, [0.5, -0.5]) for x in calls) == 1
 
 
 # -- ParamTrajectory --------------------------------------------------------------
