@@ -190,6 +190,6 @@ class LocalCdSolver:
     def solve_batch(self, lams: np.ndarray) -> np.ndarray:
         """alpha(lambda) for a whole grid at once (rows = grid points)."""
         lams = np.asarray(lams, dtype=float)
-        f = np.array([[t.ua_value(l) for t in self.model.terms] for l in lams])
+        field0 = np.array([t.field0 for t in self.model.terms])
         fp = np.array([t.field1 for t in self.model.terms])
-        return _solve_normal(self._gram, self._rhs, f, fp)
+        return _solve_normal(self._gram, self._rhs, field0 + lams[:, None] * fp, fp)

@@ -444,34 +444,33 @@ def normalization(model: Model) -> float:
     raise ValueError(f"no closed form for model kind {model.kind!r}")
 
 
-def evaluator(model: Model) -> Callable[[FieldDerivs, Sequence[float], dict | None], float]:
-    """:func:`action` of ``model`` as a function of ``(fd, x, cache)``, with
-    the closed form checked (see :func:`normalization`) and chosen once.
-    The ``action_*`` evaluator is looked up in this module when the function
-    is built, so a replacement made before then is the one called."""
+def evaluator(model: Model) -> Callable[[FieldDerivs, Sequence[float]], float]:
+    """:func:`action` of ``model`` as a function of ``(fd, x)``, with the
+    closed form checked (see :func:`normalization`) and chosen once.  The
+    ``action_*`` evaluator is looked up in this module when the function is
+    built, so a replacement made before then is the one called.  The QUBO
+    function keeps its own cache of gamma-only sums (see
+    :func:`action_qubo`), which lives as long as the function."""
     normalization(model)  # rejects models without a closed form
     if model.kind == "two-spin":
         fn = action_two_level
-        return lambda fd, x, cache=None: fn(fd, x[0], x[1])
+        return lambda fd, x: fn(fd, x[0], x[1])
     if model.kind == "chain":
         fn = action_chain
-        return lambda fd, x, cache=None: fn(fd, x[0], x[1], x[2])
+        return lambda fd, x: fn(fd, x[0], x[1], x[2])
     if model.kind == "qubo":
-        fn, couplings = action_qubo, model.couplings
-        return lambda fd, x, cache=None: fn(couplings, fd, x[0], x[1], cache)
+        fn, couplings, cache = action_qubo, model.couplings, {}
+        return lambda fd, x: fn(couplings, fd, x[0], x[1], cache)
     fn, counts, couplings = action_lhz, model.counts, model.couplings
-    return lambda fd, x, cache=None: fn(counts, couplings, fd, x[0], x[1], x[2])
+    return lambda fd, x: fn(counts, couplings, fd, x[0], x[1], x[2])
 
 
-def action(model: Model, fd: FieldDerivs, x: Sequence[float], cache: dict | None = None) -> float:
+def action(model: Model, fd: FieldDerivs, x: Sequence[float]) -> float:
     """Scaled action of ``model`` at the stacked parameters ``x`` (ordered as
     ``model.param_names``), normalized as :func:`normalization` states.
-
-    ``cache`` is an optional dict kept for this one model; the QUBO evaluator
-    memoizes its gamma-only sums in it (see :func:`action_qubo`), the others
-    ignore it.  Repeated evaluations on one model should build
-    :func:`evaluator` once instead."""
-    return evaluator(model)(fd, x, cache)
+    Repeated evaluations on one model should build :func:`evaluator` once
+    instead."""
+    return evaluator(model)(fd, x)
 
 
 # ---------------------------------------------------------------------------

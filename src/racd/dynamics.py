@@ -4,8 +4,9 @@ observables F(t) and F-tilde(t).
 Evolution is fixed-step fourth-order Runge-Kutta on dpsi/dt = -i H(t) psi
 with the Hamiltonian rebuilt from the protocols' control fields at every
 substep.  All protocols of one model and ramp evolve together, as one block
-with a state per protocol; exact-CD forms a batch of its own.  The state
-norm is asserted, never repaired: drift is the integrator-quality signal.
+with a state per protocol; exact-CD adds its dense gauge-potential term to
+its own states only.  The state norm is asserted, never repaired: drift is
+the integrator-quality signal.
 """
 
 from __future__ import annotations
@@ -60,8 +61,11 @@ def ground_space(h: np.ndarray) -> Tuple[float, np.ndarray]:
 
 
 def ground_space_op(op) -> Tuple[float, np.ndarray]:
-    """Ground space of a SpinOperator; iterative matrix-free solve above the
-    dense cap (best-effort degeneracy resolution from the lowest few levels)."""
+    """Ground space of a SpinOperator, as :func:`ground_space`; iterative
+    matrix-free solve above the dense cap.  There the number of levels
+    solved for doubles (up to 2^N - 2) while all of them lie in the ground
+    cluster, and the cluster's vectors are orthonormalized, since ARPACK's
+    complex driver does not orthogonalize within a degenerate cluster."""
     n = op.n_qubits
     if n <= DENSE_MATRIX_MAX_QUBITS:
         return ground_space(op.to_dense())
@@ -71,10 +75,13 @@ def ground_space_op(op) -> Tuple[float, np.ndarray]:
     lin = LinearOperator((dim, dim), matvec=op.apply, dtype=complex)
     k = min(6, dim - 2)
     eps, vec = eigsh(lin, k=k, which="SA")
+    while eps.max() <= eps.min() + DEGENERACY_TOL and k < dim - 2:
+        k = min(2 * k, dim - 2)
+        eps, vec = eigsh(lin, k=k, which="SA")
     order = np.argsort(eps)
     eps, vec = eps[order], vec[:, order]
     mask = eps <= eps[0] + DEGENERACY_TOL
-    return float(eps[0]), vec[:, mask]
+    return float(eps[0]), np.linalg.qr(vec[:, mask])[0]
 
 
 def fidelity(psi: np.ndarray, ground: np.ndarray) -> float:
@@ -119,7 +126,7 @@ class FidelityTrace:
 
 #: substeps whose protocol tables are evaluated in one call
 TABLE_CHUNK = 256
-#: bytes of contracted per-substep vectors (or exact-CD matrices) held at once
+#: bytes of contracted per-substep vectors held at once
 CHUNK_BYTES = 1 << 20
 
 
@@ -137,14 +144,17 @@ def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
     batched product contracts them all.  The protocols' field tables are
     evaluated in chunks of substeps, and contracted into per-substep vectors
     in smaller chunks, so memory does not grow with the step count.  Each
-    substep is then a ``(diagonal, off-diagonal, gather index)`` triple.
-    Exact-CD instead yields a dense matrix per protocol, ``(B, 2^N, 2^N)``,
-    with the spectral gauge potential added.
+    substep is a ``(diagonal, off-diagonal, gather index, exact columns,
+    agp)`` tuple.  Exact-CD columns are contracted at their UA fields like
+    any other; when the batch holds them, ``agp`` is the dense
+    lambda_dot * A(lambda) that they add, with A the spectral gauge
+    potential of H0(lambda) = H_a + lambda * H_b (every schedule is affine
+    in lambda), and None otherwise.
     """
     model = protocols[0].model
     n = model.n_qubits
     n_batch = len(protocols)
-    exact = protocols[0].kind == "exact-cd"
+    exact = [b for b, p in enumerate(protocols) if p.kind == "exact-cd"]
     dim = 1 << n
     ops = [t.operator for t in model.terms]
     if any(p.kind == "local-cd" for p in protocols):
@@ -170,11 +180,9 @@ def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
     # flat gather index into the block: [k, b, s] -> row b, state s ^ x_k
     gather = None if perms is None else np.arange(n_batch)[:, None] * dim + perms[:, None, :]
     if exact:
-        dh_dlam = model.dh0_dlambda(0.0).to_dense()  # schedules are affine
-        per_substep = n_batch * dim * dim * 16
-    else:
-        per_substep = n_batch * (len(masks) + 1) * dim * 16
-    chunk = max(1, min(TABLE_CHUNK, CHUNK_BYTES // per_substep))
+        h_a = model.h0(0.0).to_dense()
+        h_b = model.dh0_dlambda(0.0).to_dense()
+    chunk = max(1, min(TABLE_CHUNK, CHUNK_BYTES // (n_batch * (len(masks) + 1) * dim * 16)))
     table_chunk = chunk * (TABLE_CHUNK // chunk)
 
     for t0 in range(0, len(times), table_chunk):
@@ -187,50 +195,29 @@ def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
             if protocol.kind == "local-cd":
                 coeffs[:, b, len(model.terms):] = protocol.y_table(table_times)
         if exact:
-            _, lam_dots = protocols[0].ramp.table(table_times)
+            lams, lam_dots = protocols[0].ramp.table(table_times)
         for c0 in range(0, len(table_times), chunk):
             part = coeffs[c0 : c0 + chunk]
             # diagonal (C, B, 2^N) and off-diagonal (C, groups, B, 2^N) vectors
             d = None if diag is None else _contract_groups(part, *diag)[:, 0]
             o = None if off is None else _contract_groups(part, *off)
-            if exact:
-                h = _dense(d, o, perms)
-                for j, lam_dot in enumerate(lam_dots[c0 : c0 + chunk]):
-                    for b in range(n_batch):
-                        h[j, b] = h[j, b] + lam_dot * exact_agp(h[j, b], dh_dlam)
-                yield from h
-            else:
-                for j in range(len(part)):
-                    yield None if d is None else d[j], None if o is None else o[j], gather
-
-
-def _dense(d, off, perms) -> np.ndarray:
-    """Dense matrices of diagonal ``(..., B, 2^N)`` and off-diagonal
-    ``(..., groups, B, 2^N)`` vectors, either of them None, whose groups
-    read from ``perms``."""
-    lead = (d if d is not None else off[..., 0, :, :]).shape[:-1]
-    dim = (d if d is not None else off).shape[-1]
-    if dim > (1 << DENSE_MATRIX_MAX_QUBITS):
-        raise CapacityError("dense Hamiltonian requested above the dense cap")
-    h = np.zeros(lead + (dim, dim), dtype=complex)
-    rows = np.arange(dim)
-    if d is not None:
-        h[..., rows, rows] = d
-    if off is not None:
-        h[..., rows, perms] = np.swapaxes(off, -3, -2)
-    return h
+            for j in range(len(part)):
+                i = c0 + j
+                agp = lam_dots[i] * exact_agp(h_a + lams[i] * h_b, h_b) if exact else None
+                yield None if d is None else d[j], None if o is None else o[j], gather, exact, agp
 
 
 def _apply(h, psi: np.ndarray) -> np.ndarray:
     """One substep ``h`` of :func:`_hamiltonians` applied to each row of the
     ``(B, 2^N)`` block ``psi``."""
-    if isinstance(h, np.ndarray):  # exact-CD
-        return np.matmul(h, psi[:, :, None])[:, :, 0]
-    d, off, gather = h
-    # out[b, s] = d[b, s] psi[b, s] + sum_x off_x[b, s] psi[b, s ^ x]
+    d, off, gather, exact, agp = h
+    # out[b, s] = d[b, s] psi[b, s] + sum_x off_x[b, s] psi[b, s ^ x],
+    # plus (agp psi[b])[s] for the exact-CD rows b
     out = d * psi if d is not None else np.zeros_like(psi)
     if off is not None:
         out += (off * np.take(psi, gather)).sum(axis=0)
+    if agp is not None:
+        out[exact] += psi[exact] @ agp.T
     return out
 
 
@@ -291,18 +278,15 @@ def evolve(
     """Fixed-step RK4 propagation over [0, tau] of every protocol from the
     same initial state, as one block.
 
-    The protocols share one model and one ramp; exact-CD forms its own batch
-    (``ValueError`` for a batch that mixes it with other kinds).  Returns
-    (times, states) sampled at ``n_out`` integrator grid points (including
-    both endpoints), ``states`` shaped ``(n_out, 2^N, B)`` with one column
-    per protocol.  Raises :class:`StepSizeError`, naming the protocol, if a
-    state's norm drifts by more than 1e-6 anywhere on the output grid: the
-    first protocol over the tolerance at the earliest such point.
+    The protocols share one model and one ramp.  Returns (times, states)
+    sampled at ``n_out`` integrator grid points (including both endpoints),
+    ``states`` shaped ``(n_out, 2^N, B)`` with one column per protocol.
+    Raises :class:`StepSizeError`, naming the protocol, if a state's norm
+    drifts by more than 1e-6 anywhere on the output grid: the first protocol
+    over the tolerance at the earliest such point.
     """
     protocols = list(protocols)
     _check_batch(protocols)
-    if len({p.kind == "exact-cd" for p in protocols}) > 1:
-        raise ValueError("exact-cd evolves in its own batch")
     out_idx = _output_steps(protocols, steps, n_out)
     tau = protocols[0].ramp.tau
     h = tau / steps
@@ -356,9 +340,8 @@ def run_protocol(
     and record F(t) and F-tilde(t) on the output grid; one trace per
     protocol, in order.  A degenerate start raises.
 
-    The protocols share one model and one ramp.  The ground bases are
-    solved once and shared; exact-CD protocols evolve as one batch, all
-    others as another (see :func:`evolve`).
+    The protocols share one model and one ramp, and evolve as one batch
+    (see :func:`evolve`); the ground bases are solved once and shared.
     """
     protocols = list(protocols)
     _check_batch(protocols)
@@ -368,16 +351,9 @@ def run_protocol(
     ground_bases = ground_trace(model, lams)
     if ground_bases[0].shape[1] != 1:
         raise ValueError("degenerate initial ground state")
-    batches: Dict[bool, List[int]] = {}
-    for i, protocol in enumerate(protocols):
-        batches.setdefault(protocol.kind == "exact-cd", []).append(i)
-    traces: List[FidelityTrace] = [None] * len(protocols)
-    for batch in batches.values():
-        _, states = evolve([protocols[i] for i in batch], ground_bases[0][:, 0], steps=steps, n_out=n_out)
-        for col, i in enumerate(batch):
-            traces[i] = _fidelity_trace(protocols[i], np.ascontiguousarray(states[:, :, col]), times, lams,
-                                        ground_bases)
-    return traces
+    _, states = evolve(protocols, ground_bases[0][:, 0], steps=steps, n_out=n_out)
+    return [_fidelity_trace(protocol, np.ascontiguousarray(states[:, :, col]), times, lams, ground_bases)
+            for col, protocol in enumerate(protocols)]
 
 
 def _fidelity_trace(protocol: Protocol, states: np.ndarray, times: np.ndarray, lams: np.ndarray,

@@ -47,7 +47,10 @@ def ramp_table(times: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
     outside = (t < -1e-9 * tau) | (t > tau * (1 + 1e-9))
     if outside.any():
         raise ValueError(f"t={float(t[outside][0])} outside [0, {tau}]")
-    t = np.minimum(np.maximum(t, 0.0), tau)
+    # clamped as Python's min(max(t, 0.0), tau) does: np.maximum(-0.0, 0.0)
+    # is 0.0, which would flip the sign of a zero lambda_dot at t = -0.0
+    t = np.where(t < 0.0, 0.0, t)
+    t = np.where(t > tau, tau, t)
     v = np.pi * t / (2.0 * tau)
     u = 0.5 * np.pi * _pow2(np.sin(v))
     lam = _pow2(np.sin(u))

@@ -172,8 +172,8 @@ def make_action_objective(
     objective (:func:`racd.closed_form.evaluator`); ``oracle`` uses the dense trace
     (capped by the dense-matrix limit).
     Normalizations differ by constant positive factors only, which is
-    irrelevant to the minimizer.  The closed-form objective keeps its own
-    cache of the evaluator's beta-independent sums (see
+    irrelevant to the minimizer.  The closed-form objective's evaluator
+    keeps its own cache of beta-independent sums (see
     :func:`racd.closed_form.action_qubo`), which lives as long as the
     objective and never changes a value.
     """
@@ -183,8 +183,7 @@ def make_action_objective(
     if backend == "oracle":
         return lambda x: action_oracle(model, fd, x)
     evaluate = closed_form.evaluator(model)  # rejects models without a closed form
-    cache: dict = {}
-    return lambda x: evaluate(fd, x, cache)
+    return lambda x: evaluate(fd, x)
 
 
 def sequential_optimize(

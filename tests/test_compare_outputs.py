@@ -1,0 +1,44 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+_spec = importlib.util.spec_from_file_location("compare_outputs", _SCRIPT)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+
+def _write(root: Path, files: dict) -> Path:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_compare_dirs_verdicts(tmp_path):
+    parent = _write(tmp_path / "parent", {
+        "out/same.csv": "t,F\n0.0,1.0\n",
+        "out/run.json": '{\n  "F": 0.25,\n  "G": 1.5e-3,\n  "n": 8\n}\n',
+        "out/fields.csv": "a,b\n1,2\n",
+        "out/gone.csv": "x\n",
+        "stdout.txt": "ok 1\n",
+    })
+    change = _write(tmp_path / "change", {
+        "out/same.csv": "t,F\n0.0,1.0\n",
+        "out/run.json": '{\n  "F": 0.2500000000000004,\n  "G": 1.4e-3,\n  "n": 8\n}\n',
+        "out/fields.csv": "a,b\n1,2\n3,4\n",
+        "out/new.csv": "y\n",
+        "stdout.txt": "ok 1 2\n",
+    })
+    verdicts = dict(compare_outputs.compare_dirs(parent, change))
+    assert list(verdicts) == sorted(verdicts)
+    assert verdicts["out/same.csv"] == "identical"
+    assert verdicts["out/gone.csv"] == "only in parent"
+    assert verdicts["out/new.csv"] == "only in change"
+    # the largest of |0.25 - 0.2500000000000004| and |1.5e-3 - 1.4e-3|
+    count, largest = verdicts["out/run.json"].split(" lines differ, largest numeric difference ")
+    assert count == "2" and float(largest) == pytest.approx(1e-4)
+    assert verdicts["out/fields.csv"].startswith("1 lines differ")
+    # numbers that cannot be paired leave the difference undefined
+    assert verdicts["stdout.txt"] == "1 lines differ, largest numeric difference nan"

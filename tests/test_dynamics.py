@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from racd.agp import exact_agp
 from racd.dynamics import (
     StepSizeError,
     evolve,
@@ -14,7 +15,7 @@ from racd.dynamics import (
     run_protocol,
 )
 from racd.models import ChainModel, Ramp, TwoSpinModel, random_instance
-from racd.operators import sigma_y, sigma_z
+from racd.operators import sigma_x, sigma_y, sigma_z
 from racd.optimizer import ParamTrajectory, assemble_protocol, sequential_optimize
 
 
@@ -44,6 +45,29 @@ def test_ground_space_projector_idempotent():
 def test_ground_space_requires_hermitian():
     with pytest.raises(ValueError):
         ground_space(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def _iterative_cases():
+    z = [sigma_z(5, j) for j in range(5)]
+    yield -(z[0] @ z[1]) + sigma_x(5, 2) * 0.3 - z[3] * 0.2  # 4-fold
+    yield z[0]  # 16-fold
+    yield ChainModel(6).h0(0.5)
+    yield random_instance("qubo", 6, 0).h0(0.7)
+
+
+@pytest.mark.parametrize("op", list(_iterative_cases()), ids=["4-fold", "16-fold", "chain-6", "qubo-6"])
+def test_ground_space_op_iterative_matches_dense(monkeypatch, op):
+    # above the dense cap, a degenerate ground space comes back complete and
+    # orthonormal: the same projector as the dense solve
+    from racd import dynamics
+
+    energy, basis = ground_space(op.to_dense())
+    monkeypatch.setattr(dynamics, "DENSE_MATRIX_MAX_QUBITS", 3)
+    it_energy, it_basis = ground_space_op(op)
+    assert it_energy == pytest.approx(energy, abs=1e-10)
+    assert it_basis.shape == basis.shape
+    assert_allclose(it_basis.conj().T @ it_basis, np.eye(basis.shape[1]), atol=1e-10)
+    assert_allclose(it_basis @ it_basis.conj().T, basis @ basis.conj().T, atol=1e-10)
 
 
 def test_evolve_zero_hamiltonian():
@@ -272,7 +296,9 @@ def random_trajectory(model, seed, scale=0.1, knots=6):
 
 def dense_rk4(protocol, psi0, steps, n_out):
     """Test-local reference: RK4 on dense H(t) built term by term from the
-    protocol's tables on the same substep grid."""
+    protocol's tables on the same substep grid; exact-CD adds
+    lambda_dot * A(lambda), the spectral gauge potential of that dense H0
+    with dH0/dlambda = sum_t field1_t T_t."""
     model = protocol.model
     n = model.n_qubits
     h = protocol.ramp.tau / steps
@@ -281,11 +307,15 @@ def dense_rk4(protocol, psi0, steps, n_out):
     sub[1::2] = sub[0:-1:2] + 0.5 * h
     fields = protocol.field_table(sub)
     y = protocol.y_table(sub)
+    _, lam_dots = protocol.ramp.table(sub)
     terms = [t.operator.to_dense() for t in model.terms]
     ys = [sigma_y(n, j).to_dense() for j in range(n)]
+    dh0_dlam = sum(t.field1 * m for t, m in zip(model.terms, terms))
 
     def ham(i):
         out = sum(fields[t.name][i] * m for t, m in zip(model.terms, terms))
+        if protocol.kind == "exact-cd":
+            out = out + lam_dots[i] * exact_agp(out, dh0_dlam)
         return out + sum(y[i, j] * ys[j] for j in range(n))
 
     out_idx = np.unique(np.linspace(0, steps, n_out).round().astype(int))
@@ -313,8 +343,8 @@ def dense_rk4(protocol, psi0, steps, n_out):
         st.builds(ChainModel, st.integers(4, 6)),
         st.builds(random_instance, st.just("lhz"), st.just(3), st.integers(0, 2**16)),
     ),
-    order=st.permutations(["ua", "local-cd", "ra"]),
-    size=st.integers(1, 3),
+    order=st.permutations(["ua", "local-cd", "ra", "exact-cd"]),
+    size=st.integers(1, 4),
     traj_seed=st.integers(0, 2**16),
     steps=st.integers(100, 300),
     n_out=st.integers(2, 12),
@@ -356,14 +386,6 @@ def test_drift_error_names_the_drifting_protocol():
     assert err.value.kind == "ra"
 
 
-def test_mixed_exact_cd_batch_refused():
-    model = TwoSpinModel()
-    ramp = Ramp(1.0)
-    protocols = [assemble_protocol(model, None, kind, ramp) for kind in ("ua", "exact-cd")]
-    with pytest.raises(ValueError):
-        evolve(protocols, np.array([1, 0, 0, 0], dtype=complex), steps=100)
-
-
 def test_batch_needs_one_model_and_ramp():
     model = TwoSpinModel()
     psi0 = np.array([1, 0, 0, 0], dtype=complex)
@@ -378,7 +400,7 @@ def test_batch_needs_one_model_and_ramp():
             run_protocol(protocols, steps=100)
 
 
-def test_run_protocol_evolves_exact_cd_in_its_own_batch(monkeypatch):
+def test_run_protocol_evolves_exact_cd_in_the_one_batch(monkeypatch):
     from racd import dynamics
 
     batches = []
@@ -393,7 +415,7 @@ def test_run_protocol_evolves_exact_cd_in_its_own_batch(monkeypatch):
     ramp = Ramp(1.0)
     protocols = [assemble_protocol(model, None, kind, ramp) for kind in ("ua", "exact-cd")]
     traces = run_protocol(protocols, steps=500, n_out=11)
-    assert batches == [["ua"], ["exact-cd"]]
+    assert batches == [["ua", "exact-cd"]]
     (alone,) = run_protocol(protocols[1:], steps=500, n_out=11)
     assert_allclose(traces[1].F, alone.F, rtol=0, atol=1e-12)
 
