@@ -37,7 +37,7 @@ def exact_agp(h0: np.ndarray, dh0_dlambda: np.ndarray) -> np.ndarray:
     A = i * sum_{m != l} <m| dH0/dlambda |l> / (eps_l - eps_m) |m><l|,
     skipping pairs closer than ``GAP_TOL``.  Hermitian for Hermitian inputs.
     """
-    if not np.allclose(h0, h0.conj().T, atol=1e-12):
+    if not np.allclose(h0, h0.conj().T, rtol=0.0, atol=1e-12):
         raise ValueError("H0 must be Hermitian")
     eps, vec = np.linalg.eigh(h0)
     num = vec.conj().T @ dh0_dlambda @ vec

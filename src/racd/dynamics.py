@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg import eigh
 
 from .agp import exact_agp
 from .errors import RacdError
@@ -52,20 +53,28 @@ class StepSizeError(RacdError, RuntimeError):
 
 def ground_space(h: np.ndarray) -> Tuple[float, np.ndarray]:
     """Ground energy and an orthonormal basis of the ground subspace
-    (eigenvectors within ``DEGENERACY_TOL`` of the minimum)."""
-    if not np.allclose(h, h.conj().T, atol=1e-12):
+    (eigenvectors within ``DEGENERACY_TOL`` of the minimum).
+
+    Only the lowest levels are solved for (LAPACK's bisection and inverse
+    iteration driver, ``evx``), in real arithmetic where the imaginary part
+    is exactly zero.  Not ``syevd`` (``np.linalg.eigh``), which fails to
+    converge on some real H0: the 8-site chain's H_a + lambda * H_b at
+    lambda = 3.6e-8 is one."""
+    if not h.imag.any():
+        h = h.real
+    # np.allclose(h, h^dagger, rtol=0, atol=1e-12) at a fifth of its cost,
+    # which on 8 qubits is as much as the solve's; NaN fails it too
+    if not np.abs(h - h.conj().T).max() <= 1e-12:
         raise ValueError("Hamiltonian must be Hermitian")
-    eps, vec = np.linalg.eigh(h)
-    mask = eps <= eps[0] + DEGENERACY_TOL
-    return float(eps[0]), vec[:, mask]
+    dim = h.shape[0]
+    return _ground_cluster(lambda k: eigh(h, subset_by_index=[0, k - 1], driver="evx"), min(2, dim), dim)
 
 
 def ground_space_op(op) -> Tuple[float, np.ndarray]:
     """Ground space of a SpinOperator, as :func:`ground_space`; iterative
-    matrix-free solve above the dense cap.  There the number of levels
-    solved for doubles (up to 2^N - 2) while all of them lie in the ground
-    cluster, and the cluster's vectors are orthonormalized, since ARPACK's
-    complex driver does not orthogonalize within a degenerate cluster."""
+    matrix-free solve above the dense cap, where the cluster's vectors are
+    orthonormalized, since ARPACK's complex driver does not orthogonalize
+    within a degenerate cluster."""
     n = op.n_qubits
     if n <= DENSE_MATRIX_MAX_QUBITS:
         return ground_space(op.to_dense())
@@ -73,15 +82,20 @@ def ground_space_op(op) -> Tuple[float, np.ndarray]:
 
     dim = 1 << n
     lin = LinearOperator((dim, dim), matvec=op.apply, dtype=complex)
-    k = min(6, dim - 2)
-    eps, vec = eigsh(lin, k=k, which="SA")
-    while eps.max() <= eps.min() + DEGENERACY_TOL and k < dim - 2:
-        k = min(2 * k, dim - 2)
-        eps, vec = eigsh(lin, k=k, which="SA")
-    order = np.argsort(eps)
-    eps, vec = eps[order], vec[:, order]
-    mask = eps <= eps[0] + DEGENERACY_TOL
-    return float(eps[0]), np.linalg.qr(vec[:, mask])[0]
+    energy, vec = _ground_cluster(lambda k: eigsh(lin, k=k, which="SA"), min(6, dim - 2), dim - 2)
+    return energy, np.linalg.qr(vec)[0]
+
+
+def _ground_cluster(solve, k: int, k_max: int) -> Tuple[float, np.ndarray]:
+    """Ground energy and the ground cluster's vectors from ``solve(k)``, the
+    k lowest levels as (energies, vectors).  k doubles, up to ``k_max``,
+    while every returned level lies within ``DEGENERACY_TOL`` of the lowest,
+    so a degenerate ground space is never truncated."""
+    eps, vec = solve(k)
+    while eps.max() <= eps.min() + DEGENERACY_TOL and k < k_max:
+        k = min(2 * k, k_max)
+        eps, vec = solve(k)
+    return float(eps.min()), vec[:, eps <= eps.min() + DEGENERACY_TOL]
 
 
 def fidelity(psi: np.ndarray, ground: np.ndarray) -> float:

@@ -77,6 +77,9 @@ def test_exact_agp_hermitian_and_input_check():
     assert_allclose(a, a.conj().T, atol=1e-12)
     with pytest.raises(ValueError):
         exact_agp(h + 1j * np.eye(6), dh)
+    # off by 1e-6, which a relative tolerance would let through
+    with pytest.raises(ValueError):
+        exact_agp(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]), np.eye(2))
 
 
 # -- rotated-ansatz AGP -------------------------------------------------------

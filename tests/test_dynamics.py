@@ -6,11 +6,13 @@ from numpy.testing import assert_allclose
 
 from racd.agp import exact_agp
 from racd.dynamics import (
+    DEGENERACY_TOL,
     StepSizeError,
     evolve,
     fidelity,
     ground_space,
     ground_space_op,
+    ground_trace,
     rotated_fidelity,
     run_protocol,
 )
@@ -45,6 +47,63 @@ def test_ground_space_projector_idempotent():
 def test_ground_space_requires_hermitian():
     with pytest.raises(ValueError):
         ground_space(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # off by 1e-6, which a relative tolerance would let through
+    with pytest.raises(ValueError):
+        ground_space(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]))
+
+
+def _assert_matches_complex_eigh(h, energy, basis):
+    # independent oracle: a full complex eigendecomposition of the same matrix
+    eps, vec = np.linalg.eigh(np.asarray(h, dtype=complex))
+    ref = vec[:, eps <= eps[0] + DEGENERACY_TOL]
+    assert basis.shape == ref.shape
+    assert energy == pytest.approx(eps[0], abs=1e-10)
+    assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    assert_allclose(basis @ basis.conj().T, ref @ ref.conj().T, atol=1e-10)
+
+
+def test_ground_space_chain_eight_near_zero_field():
+    # H_a + lambda * H_b at substep 28 of a 2000-step ramp, as exact-CD
+    # builds it: LAPACK's syevd does not converge on this real matrix
+    model = ChainModel(8)
+    h = model.h0(0.0).to_dense() + 3.606420906372093e-08 * model.dh0_dlambda(0.0).to_dense()
+    _assert_matches_complex_eigh(h, *ground_space(h))
+
+
+@pytest.mark.parametrize("h", [
+    -(sigma_z(5, 0) @ sigma_z(5, 1)).to_dense() + 0.3 * sigma_x(5, 2).to_dense() - 0.2 * sigma_z(5, 3).to_dense(),
+    sigma_z(5, 0).to_dense(),
+    np.zeros((32, 32)),
+    (sigma_y(3, 0) @ sigma_z(3, 1)).to_dense() + 0.5 * sigma_x(3, 2).to_dense(),
+], ids=["4-fold", "16-fold", "zero", "complex-2-fold"])
+def test_ground_space_degenerate_matches_complex_eigh(h):
+    _assert_matches_complex_eigh(h, *ground_space(h))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(2, 64), data=st.data(), seed=st.integers(0, 2**16))
+def test_ground_space_planted_degeneracy_property(dim, data, seed):
+    # random real symmetric matrix whose g lowest levels coincide exactly
+    g = data.draw(st.integers(1, dim), label="g")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    e0 = rng.uniform(-2.0, 2.0)
+    levels = np.concatenate([np.full(g, e0), e0 + rng.uniform(0.1, 4.0, dim - g)])
+    h = (q * levels) @ q.T
+    h = 0.5 * (h + h.T)
+    energy, basis = ground_space(h)
+    assert basis.shape[1] == g
+    _assert_matches_complex_eigh(h, energy, basis)
+
+
+def test_ground_trace_matches_complex_eigh():
+    lams = np.linspace(0.0, 1.0, 11)
+    models = [ChainModel(8), random_instance("lhz", 4, 0)]
+    models += [random_instance("qubo", n, seed) for n in range(3, 9) for seed in range(4)]
+    for model in models:
+        for lam, basis in zip(lams, ground_trace(model, lams)):
+            h = model.h0(lam).to_dense()
+            _assert_matches_complex_eigh(h, np.vdot(basis[:, 0], h @ basis[:, 0]).real, basis)
 
 
 def _iterative_cases():
@@ -68,6 +127,8 @@ def test_ground_space_op_iterative_matches_dense(monkeypatch, op):
     assert it_basis.shape == basis.shape
     assert_allclose(it_basis.conj().T @ it_basis, np.eye(basis.shape[1]), atol=1e-10)
     assert_allclose(it_basis @ it_basis.conj().T, basis @ basis.conj().T, atol=1e-10)
+    _assert_matches_complex_eigh(op.to_dense(), energy, basis)
+    _assert_matches_complex_eigh(op.to_dense(), it_energy, it_basis)
 
 
 def test_evolve_zero_hamiltonian():
