@@ -227,119 +227,166 @@ def _hole_sums(cos_rows: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, n
     return f, e1, cross
 
 
-#: byte budget of one block of pair-product rows in :func:`_pair_products`;
+#: byte budget of one half block of pair-product rows in :class:`QuboKernel`;
 #: bounds the memory of a QUBO action evaluation independently of N
 _PAIR_BLOCK_BYTES = 1 << 20
 
 
-@lru_cache(maxsize=32)
 def _pair_blocks(n: int, diagonal: bool) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Row blocks of the qubit pairs 1 <= j < k <= n (j <= k if ``diagonal``).
+    """Row blocks of the qubit pairs 1 <= j < k <= n (j <= k if ``diagonal``);
+    one empty block if there is no pair.
 
     Each block holds the pair rows ``j`` and ``k`` and the flat positions of
-    the entries m = j and m = k in a C-ordered (len(j), n + 1) array, at most
-    ``_PAIR_BLOCK_BYTES`` of float64 per block.
+    the entries m = j and m = k in a C-ordered (2 len(j), n + 1) array that
+    stacks the block's J_j + J_k rows over its J_j - J_k rows, at most
+    ``_PAIR_BLOCK_BYTES`` of float64 per half.
     """
     j, k = np.triu_indices(n, 0 if diagonal else 1)
     j, k = j + 1, k + 1
     rows = max(1, _PAIR_BLOCK_BYTES // (8 * (n + 1)))
     blocks = []
-    for s in range(0, len(j), rows):
+    for s in range(0, len(j) or 1, rows):
         jb, kb = j[s : s + rows], k[s : s + rows]
-        base = np.arange(len(jb)) * (n + 1)
-        holes = np.concatenate((base + jb, base + kb))
-        for a in (jb, kb, holes):
-            a.setflags(write=False)
+        base = np.arange(2 * len(jb)) * (n + 1)
+        holes = np.concatenate((base + np.tile(jb, 2), base + np.tile(kb, 2)))
         blocks.append((jb, kb, holes))
     return tuple(blocks)
 
 
-def _pair_products(J: np.ndarray, gamma: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Pair products for rows j, k >= 1 of the (N+1)x(N+1) couplings ``J``:
+class QuboKernel:
+    """The angle sums of :func:`action_qubo` for one coupling matrix ``J``,
+    (tau_hp2, N, sum t_row, sum e2, sum e1, sum (1 - f2), sin2_sum,
+    pair_sum), at any gamma; none of them depends on the fields or on beta.
 
-      pp[j,k] = prod_{m not in {j,k}} cos(2 gamma (J[j,m] + J[k,m]))
-      pm[j,k] = prod_{m not in {j,k}} cos(2 gamma (J[j,m] - J[k,m]))
-
-    Both are symmetric in (j, k) bit for bit (addition commutes and cos is
-    even), so only j < k is evaluated and mirrored.  The diagonal is left at
-    0 when J's diagonal is zero: the pair sum weighs it by sin^2(0) = 0, and
-    the full products gave pp + pm >= 0 there, so the sum keeps its value.
-    Every product runs along one contiguous row in m = 0..N, so the values
-    are those of the full (N+1)^3 tensor reduction.
+    Building the kernel checks ``J`` (square and symmetric), copies it, and
+    computes once what does not depend on gamma: the squared sums of J's
+    rows, the pair blocks (:func:`_pair_blocks`) with their positions in the
+    pair matrix, and the work buffers.  A call at gamma then takes one
+    ``sin`` of theta = 2 gamma J, and one ``cos`` and one row product over a
+    single buffer stacking 2 theta_j, theta_j (j >= 1) and the first block's
+    pair angles, which serve the hole sums and both pair products at once.
+    Further blocks (N above about 60) reuse the pair part of that buffer, so
+    memory stays O(N^2) plus a fixed number of ``_PAIR_BLOCK_BYTES``
+    buffers, and nothing O(N^3) is kept.  Every product runs along one
+    contiguous row in m = 0..N and every sum keeps its array layout, so the
+    values are bit-identical to those of the full (N+1)^3 tensor reduction.
+    The buffers are shared by every call: one kernel serves one thread.
     """
-    n = J.shape[0] - 1
-    two_g = 2.0 * gamma
-    pp = np.zeros((n + 1, n + 1))
-    pm = np.zeros((n + 1, n + 1))
-    blocks = _pair_blocks(n, bool(np.diagonal(J)[1:].any()))
-    if blocks:
-        # work buffers of the first (largest) block, reused by every block
-        bufs = np.empty((3, len(blocks[0][0]), n + 1))
-    for j, k, holes in blocks:
-        a, b, c = bufs[:, : len(j)]
-        np.take(J, j, axis=0, out=a)
-        np.take(J, k, axis=0, out=b)
-        for combine, out in ((np.add, pp), (np.subtract, pm)):
-            combine(a, b, out=c)
-            c *= two_g
+
+    def __init__(self, J: np.ndarray):
+        J = np.array(J, dtype=float)
+        if J.ndim != 2 or J.shape[0] != J.shape[1]:
+            raise ValueError("J must be square")
+        # np.allclose(J, J.T, atol=1e-12) without its overhead
+        if not (np.abs(J - J.T) <= 1e-12 + 1e-5 * np.abs(J.T)).all():
+            raise ValueError("J must be symmetric")
+        J.setflags(write=False)
+        n = J.shape[0] - 1
+        self.J, self.n = J, n
+        self._t_row = (J[1:, :] ** 2).sum(axis=1)
+        self._t_sum = float(self._t_row.sum())
+        self._tau_hp2 = 0.5 * float((J[1:, 1:] ** 2).sum()) + float((J[1:, 0] ** 2).sum())
+        # each block with its rows j repeated for the buffer's two halves, its
+        # holes, and the flat positions (j, k) and (k, j) of its pairs in an
+        # (N+1)x(N+1) matrix
+        self._blocks = [
+            (np.tile(j, 2), k, holes, np.concatenate((j * (n + 1) + k, k * (n + 1) + j)))
+            for j, k, holes in _pair_blocks(n, bool(np.diagonal(J)[1:].any()))
+        ]
+        r = len(self._blocks[0][1])
+        # 2 theta_j and theta_j (j >= 1), then the pair angles of a block
+        self._buf = np.empty((2 * n + 2 * r, n + 1))
+        self._rows_k = np.empty((r, n + 1))
+        self._prods = np.empty(len(self._buf))
+        self._w = np.empty((n, n + 1))
+        # e2, e1 and 1 - f2 per row j, summed in one reduction
+        self._row_terms = np.empty((3, n))
+        # sin^2 theta with row 0 left at 0: only rows and columns >= 1 are
+        # summed, so the (N+1)x(N+1) layout of each sum is kept
+        self._sin_sq = np.zeros((n + 1, n + 1))
+        # pp + pm at (j, k) and (k, j) of every pair, 0 elsewhere
+        self._pairs = np.zeros((n + 1, n + 1))
+
+    def _pair_angles(self, two_g: float, jj: np.ndarray, k: np.ndarray, holes: np.ndarray) -> np.ndarray:
+        """The rows 2 gamma (J_j + J_k) over 2 gamma (J_j - J_k) of one
+        block, written after the theta rows of the buffer, with angle 0 (so
+        cosine exactly 1) at the holes m = j and m = k."""
+        m = len(k)
+        c, rows_k = self._buf[2 * self.n : 2 * self.n + 2 * m], self._rows_k[:m]
+        # the indices are in range: "clip" only spares take a buffered copy
+        self.J.take(jj, axis=0, out=c, mode="clip")
+        self.J.take(k, axis=0, out=rows_k, mode="clip")
+        c[:m] += rows_k
+        c[m:] -= rows_k
+        c *= two_g
+        c.put(holes, 0.0)
+        return c
+
+    def __call__(self, gamma: float) -> Tuple[float, ...]:
+        n, buf, sin_sq, pairs, terms = self.n, self._buf, self._sin_sq, self._pairs, self._row_terms
+        two_g = 2.0 * gamma
+        theta = buf[n : 2 * n]
+        np.multiply(self.J[1:], two_g, out=theta)
+        np.multiply(theta, 2.0, out=buf[:n])
+        np.sin(theta, out=sin_sq[1:])
+        w = np.multiply(self.J[1:], sin_sq[1:], out=self._w)
+        np.square(sin_sq, out=sin_sq)
+        (jj, k, holes, dest), *more = self._blocks
+        self._pair_angles(two_g, jj, k, holes)
+        # the first block shares one cos and one row product with the theta rows
+        np.cos(buf, out=buf)
+        prods = buf.prod(axis=1, out=self._prods)
+        m = len(k)
+        pairs.put(dest, prods[2 * n : 2 * n + m] + prods[2 * n + m :])
+        for jj, k, holes, dest in more:
+            c = self._pair_angles(two_g, jj, k, holes)
             np.cos(c, out=c)
-            np.put(c, holes, 1.0)
-            out[j, k] = out[k, j] = c.prod(axis=1)
-    return pp, pm
+            p = c.prod(axis=1)
+            pairs.put(dest, p[: len(k)] + p[len(k) :])
+
+        cos_rows = buf[n : 2 * n]  # rows j = 1..N, columns m = 0..N
+        if buf[: 2 * n].all():  # no exact cosine zero: _hole_sums without its masks
+            f1, f2 = prods[n : 2 * n], prods[:n]
+            q = np.divide(w, cos_rows, out=w)
+            sq = q.sum(axis=1)
+            np.multiply(f1, sq, out=terms[1])
+            cross = f1 * (sq**2 - np.square(q, out=q).sum(axis=1))
+        else:
+            f1, terms[1], cross = _hole_sums(cos_rows, w)
+            f2 = _hole_sums(buf[:n], w)[0]
+        np.multiply(self._t_row, f1, out=terms[0])
+        terms[0] -= cross  # e2 = Re tau(R_j^2 e^{2 i gamma R_j})
+        np.subtract(1.0, f2, out=terms[2])
+        e2_sum, e1_sum, f2_sum = terms.sum(axis=1).tolist()
+
+        sin2_sum = float(sin_sq[1:, 1:].sum())
+        pair_sum = float(np.multiply(sin_sq, pairs, out=sin_sq)[1:, 1:].sum())
+        return self._tau_hp2, n, self._t_sum, e2_sum, e1_sum, f2_sum, sin2_sum, pair_sum
 
 
-def _qubo_angle_sums(J: np.ndarray, gamma: float) -> Tuple[float, ...]:
-    """Everything :func:`action_qubo` needs from ``J`` and ``gamma``:
-    (tau_hp2, N, sum t_row, sum e2, sum e1, sum (1 - f2), sin2_sum, pair_sum).
-    None of it depends on the fields or on beta."""
-    J = np.asarray(J, dtype=float)
-    if J.ndim != 2 or J.shape[0] != J.shape[1]:
-        raise ValueError("J must be square")
-    # np.allclose(J, J.T, atol=1e-12) without its per-call overhead
-    if not (np.abs(J - J.T) <= 1e-12 + 1e-5 * np.abs(J.T)).all():
-        raise ValueError("J must be symmetric")
-    n = J.shape[0] - 1
-
-    theta = 2.0 * gamma * J
-    sin_theta = np.sin(theta)
-    cos_rows = np.cos(theta)[1:, :]  # rows j = 1..N, columns m = 0..N
-    w = J[1:, :] * sin_theta[1:, :]
-    f1, e1, cross = _hole_sums(cos_rows, w)
-    f2, _, _ = _hole_sums(np.cos(2.0 * theta)[1:, :], w)
-
-    t_row = (J[1:, :] ** 2).sum(axis=1)
-    e2 = t_row * f1 - cross  # Re tau(R_j^2 e^{2 i gamma R_j})
-
-    pp, pm = _pair_products(J, gamma)
-    sin_sq = sin_theta**2
-    pair_sum = float((sin_sq * (pp + pm))[1:, 1:].sum())
-    sin2_sum = float(sin_sq[1:, 1:].sum())
-
-    tau_hp2 = 0.5 * float((J[1:, 1:] ** 2).sum()) + float((J[1:, 0] ** 2).sum())
-    return (
-        tau_hp2,
-        n,
-        float(t_row.sum()),
-        float(e2.sum()),
-        float(e1.sum()),
-        float((1.0 - f2).sum()),
-        sin2_sum,
-        pair_sum,
-    )
+def _qubo_angle_sums(J, gamma: float) -> Tuple[float, ...]:
+    """The angle sums of :class:`QuboKernel` at ``gamma``, from a kernel or
+    from a coupling matrix (building a kernel for this one call)."""
+    kernel = J if isinstance(J, QuboKernel) else QuboKernel(J)
+    return kernel(gamma)
 
 
-def action_qubo(J: np.ndarray, fd: FieldDerivs, beta: float, gamma: float, cache: dict | None = None) -> float:
+def action_qubo(J, fd: FieldDerivs, beta: float, gamma: float, cache: dict | None = None) -> float:
     """Scaled QUBO action, normalized as S_bar / 2^N; cost O(N^3) in time and
     O(N^2) in memory.
 
     ``J`` is the symmetric (N+1)x(N+1) coupling matrix with zero diagonal and
-    the local fields in row/column 0.  All trigonometric products are
-    evaluated in hole-product form, so exact cosine zeros are safe.
+    the local fields in row/column 0, or its :class:`QuboKernel` (as
+    :func:`evaluator` passes), which keeps the gamma-independent work and
+    the checks of ``J`` out of every call; a matrix is checked and gets a
+    kernel for the call.  All trigonometric products are evaluated in
+    hole-product form, so exact cosine zeros are safe.
 
     The action depends on ``beta`` only through a final scalar assembly, so
     ``cache``, a dict that the caller keeps for one fixed ``J``, maps each
     exact ``gamma`` to its angle sums and later calls at that ``gamma`` skip
-    the O(N^3) work.  The result is bit-identical with and without it.
+    the O(N^3) work.  The result is bit-identical with and without it, and
+    with a matrix or its kernel.
     """
     # 0.0 and -0.0 share an entry: their sums differ at most in the sign of
     # a zero e1 sum, which leaves the assembled action unchanged
@@ -377,9 +424,18 @@ def action_lhz(
 ) -> float:
     """Scaled LHZ action, normalized as S_bar / 2^N; cost O(N + #pairs).
 
-    Valid for constraint lists whose plaquette words are independent (no
-    nonempty subset multiplies to identity), which holds for the standard
-    triangular layout; the dense oracle test is the arbiter.
+    Not valid for every constraint list, and the exact condition is open.
+    What is known, with the dense oracle as the arbiter:
+
+    - a repeated constraint makes it wrong (41% low on one layout), so
+      :func:`normalization`, and with it :func:`action` and
+      :func:`evaluator`, refuse such a model;
+    - layouts with three pairwise-overlapping constraints can be wrong: 74
+      of 168 such random duplicate-free, independent layouts on 6 qubits
+      were, by 0.1% to 12%, and none without such a triple was;
+    - the default triangular layouts (:func:`racd.models.lhz_default_constraints`)
+      agree with the oracle to rounding for n = 3, 4 and 5; n = 6 has 15
+      qubits, above the oracle's dense cap.
     """
     J = np.asarray(J, dtype=float)
     n = len(J)
@@ -449,8 +505,9 @@ def evaluator(model: Model) -> Callable[[FieldDerivs, Sequence[float]], float]:
     closed form checked (see :func:`normalization`) and chosen once.  The
     ``action_*`` evaluator is looked up in this module when the function is
     built, so a replacement made before then is the one called.  The QUBO
-    function keeps its own cache of gamma-only sums (see
-    :func:`action_qubo`), which lives as long as the function."""
+    function builds its own :class:`QuboKernel` of the model's couplings
+    (which checks them) and its own cache of gamma-only sums (see
+    :func:`action_qubo`); both live as long as the function."""
     normalization(model)  # rejects models without a closed form
     if model.kind == "two-spin":
         fn = action_two_level
@@ -459,8 +516,8 @@ def evaluator(model: Model) -> Callable[[FieldDerivs, Sequence[float]], float]:
         fn = action_chain
         return lambda fd, x: fn(fd, x[0], x[1], x[2])
     if model.kind == "qubo":
-        fn, couplings, cache = action_qubo, model.couplings, {}
-        return lambda fd, x: fn(couplings, fd, x[0], x[1], cache)
+        fn, kernel, cache = action_qubo, QuboKernel(model.couplings), {}
+        return lambda fd, x: fn(kernel, fd, x[0], x[1], cache)
     fn, counts, couplings = action_lhz, model.counts, model.couplings
     return lambda fd, x: fn(counts, couplings, fd, x[0], x[1], x[2])
 

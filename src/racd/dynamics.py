@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh
+from scipy.linalg import LinAlgError, eigh
 
 from .agp import exact_agp
 from .errors import RacdError
@@ -56,10 +56,10 @@ def ground_space(h: np.ndarray) -> Tuple[float, np.ndarray]:
     (eigenvectors within ``DEGENERACY_TOL`` of the minimum).
 
     Only the lowest levels are solved for (LAPACK's bisection and inverse
-    iteration driver, ``evx``), in real arithmetic where the imaginary part
-    is exactly zero.  Not ``syevd`` (``np.linalg.eigh``), which fails to
-    converge on some real H0: the 8-site chain's H_a + lambda * H_b at
-    lambda = 3.6e-8 is one."""
+    iteration driver, ``evx``; see :func:`_lowest_levels`), in real
+    arithmetic where the imaginary part is exactly zero.  Not ``syevd``
+    (``np.linalg.eigh``), which fails to converge on some real H0: the
+    8-site chain's H_a + lambda * H_b at lambda = 3.6e-8 is one."""
     if not h.imag.any():
         h = h.real
     # np.allclose(h, h^dagger, rtol=0, atol=1e-12) at a fifth of its cost,
@@ -67,7 +67,19 @@ def ground_space(h: np.ndarray) -> Tuple[float, np.ndarray]:
     if not np.abs(h - h.conj().T).max() <= 1e-12:
         raise ValueError("Hamiltonian must be Hermitian")
     dim = h.shape[0]
-    return _ground_cluster(lambda k: eigh(h, subset_by_index=[0, k - 1], driver="evx"), min(2, dim), dim)
+    return _ground_cluster(lambda k: _lowest_levels(h, k), min(2, dim), dim)
+
+
+def _lowest_levels(h: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``k`` lowest levels of the Hermitian ``h`` by ``evx``; where its
+    inverse iteration fails to converge, as it can inside a tight cluster
+    (the 16th-32nd vectors of a 46-fold degenerate level), from a full
+    QR-iteration solve (``ev``)."""
+    try:
+        return eigh(h, subset_by_index=[0, k - 1], driver="evx")
+    except LinAlgError:
+        eps, vec = eigh(h, driver="ev")
+        return eps[:k], vec[:, :k]
 
 
 def ground_space_op(op) -> Tuple[float, np.ndarray]:
@@ -157,7 +169,9 @@ def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
     and padded with zero weights to one component count, so that one
     batched product contracts them all.  The protocols' field tables are
     evaluated in chunks of substeps, and contracted into per-substep vectors
-    in smaller chunks, so memory does not grow with the step count.  Each
+    in smaller chunks, so memory does not grow with the step count; the ramp
+    is evaluated once per table chunk for the whole batch and handed to
+    each protocol's :meth:`~racd.optimizer.Protocol.tables`.  Each
     substep is a ``(diagonal, off-diagonal, gather index, exact columns,
     agp)`` tuple.  Exact-CD columns are contracted at their UA fields like
     any other; when the batch holds them, ``agp`` is the dense
@@ -201,15 +215,14 @@ def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
 
     for t0 in range(0, len(times), table_chunk):
         table_times = times[t0 : t0 + table_chunk]
+        lams, lam_dots = protocols[0].ramp.table(table_times)
         coeffs = np.zeros((len(table_times), n_batch, len(ops)))
         for b, protocol in enumerate(protocols):
-            fields = protocol.field_table(table_times)
+            fields, y = protocol.tables(table_times, lams, lam_dots)
             for c, term in enumerate(model.terms):
                 coeffs[:, b, c] = fields[term.name]
-            if protocol.kind == "local-cd":
-                coeffs[:, b, len(model.terms):] = protocol.y_table(table_times)
-        if exact:
-            lams, lam_dots = protocols[0].ramp.table(table_times)
+            if y is not None:
+                coeffs[:, b, len(model.terms):] = y
         for c0 in range(0, len(table_times), chunk):
             part = coeffs[c0 : c0 + chunk]
             # diagonal (C, B, 2^N) and off-diagonal (C, groups, B, 2^N) vectors

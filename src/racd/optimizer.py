@@ -172,10 +172,11 @@ def make_action_objective(
     objective (:func:`racd.closed_form.evaluator`); ``oracle`` uses the dense trace
     (capped by the dense-matrix limit).
     Normalizations differ by constant positive factors only, which is
-    irrelevant to the minimizer.  The closed-form objective's evaluator
-    keeps its own cache of beta-independent sums (see
-    :func:`racd.closed_form.action_qubo`), which lives as long as the
-    objective and never changes a value.
+    irrelevant to the minimizer.  For QUBO, the closed-form objective
+    builds a :class:`racd.closed_form.QuboKernel` of the couplings (checking
+    them) when it is made, and keeps its own cache of beta-independent sums
+    (see :func:`racd.closed_form.action_qubo`); both live as long as the
+    objective, and neither changes a value.
     """
     if backend not in ("closed-form", "oracle"):
         raise ValueError(f"unknown action backend {backend!r}")
@@ -242,7 +243,9 @@ class Protocol:
     RA kind these are UA fields plus the K-parameter value or Q-parameter
     spline rate.  ``q_table`` exposes the rotation-generator coefficients
     (zero unless RA), and ``y_table`` the per-site sigma-y fields of the
-    local-CD drive.
+    local-CD drive.  ``tables`` gives the field and sigma-y tables from ramp
+    values the caller has already evaluated; it is the one table method
+    that :func:`racd.dynamics.evolve` calls.
     """
 
     model: Model
@@ -265,14 +268,7 @@ class Protocol:
     def field_table(self, times: np.ndarray) -> Dict[str, np.ndarray]:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         lams, _ = self.ramp.table(times)
-        out = {t.name: t.field0 + t.field1 * lams for t in self.model.terms}
-        if self.kind == "ra":
-            for term in self.model.terms:
-                if term.param == "beta":
-                    out[term.name] = out[term.name] + self.trajectory.value("beta", times)
-                elif term.param in ("gamma", "phi"):
-                    out[term.name] = out[term.name] + self.trajectory.derivative(term.param, times)
-        return out
+        return self.tables(times, lams)[0]
 
     def q_table(self, times: np.ndarray) -> Dict[str, np.ndarray]:
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -289,8 +285,25 @@ class Protocol:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if self.kind != "local-cd":
             return np.zeros((len(times), self.model.n_qubits))
-        lams, lam_dots = self.ramp.table(times)
-        return lam_dots[:, None] * self._local_solver.solve_batch(lams)
+        return self.tables(times, *self.ramp.table(times))[1]
+
+    def tables(
+        self, times: np.ndarray, lams: np.ndarray, lam_dots: np.ndarray | None = None
+    ) -> Tuple[Dict[str, np.ndarray], np.ndarray | None]:
+        """:meth:`field_table` and, for local CD when ``lam_dots`` is given,
+        :meth:`y_table` (else None) at the 1-D array ``times``, from the
+        ramp's values there (``lams, lam_dots = self.ramp.table(times)``),
+        so that one :meth:`Ramp.table` serves a batch of protocols."""
+        out = {t.name: t.field0 + t.field1 * lams for t in self.model.terms}
+        if self.kind == "ra":
+            for term in self.model.terms:
+                if term.param == "beta":
+                    out[term.name] = out[term.name] + self.trajectory.value("beta", times)
+                elif term.param in ("gamma", "phi"):
+                    out[term.name] = out[term.name] + self.trajectory.derivative(term.param, times)
+        if self.kind != "local-cd" or lam_dots is None:
+            return out, None
+        return out, lam_dots[:, None] * self._local_solver.solve_batch(lams)
 
 
 def assemble_protocol(model: Model, trajectory: ParamTrajectory | None, kind: str, ramp: Ramp) -> Protocol:

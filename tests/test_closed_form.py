@@ -174,6 +174,14 @@ def test_qubo_asymmetric_raises():
     J[1, 2] = 1.0
     with pytest.raises(ValueError):
         cf.action_qubo(J, {"A": (1, 0), "B": (1, 0)}, 0.0, 0.0)
+    with pytest.raises(ValueError):
+        cf.action_qubo(J, {"A": (1, 0), "B": (1, 0)}, 0.0, 0.3, {})
+    # the objective's kernel, and with it the check of J, is built with the
+    # objective, before anything is evaluated
+    model = random_instance("qubo", 3, 0)
+    model.couplings = J
+    with pytest.raises(ValueError, match="symmetric"):
+        make_action_objective(model, 0.5, 1.0)
 
 
 def _qubo_sums_tensor(J, gamma):
@@ -265,6 +273,37 @@ def test_qubo_objective_bit_identical_to_tensor_form(n, seed, lam, lam_dot, beta
     for beta in betas + betas:
         want = _bits(_action_qubo_tensor(model.couplings, fd, beta, gamma))
         assert _bits(objective(np.array([beta, gamma]))) == want
+
+
+def test_qubo_kernel_multi_block_bit_identical_to_tensor_form():
+    # at N=70 the pairs span two _pair_blocks blocks, the second one built
+    # per call in the first one's buffer
+    J = random_instance("qubo", 70, 5).couplings
+    kernel = cf.QuboKernel(J)
+    assert len(cf._pair_blocks(70, False)) == 2
+    for gamma in (0.0, -0.0, 0.013, -0.41, 1.7):
+        assert _bits(kernel(gamma)) == _bits(_qubo_sums_tensor(J, gamma))
+
+
+def test_qubo_kernel_reuse_bit_identical_to_fresh():
+    # one kernel at interleaved gammas, and two models' kernels in turn:
+    # buffers reused across calls and across kernels change no bit
+    models = [random_instance("qubo", 7, 11), random_instance("qubo", 4, 12)]
+    gammas = (0.3, -0.2, 0.3, 1.1, -0.0, 0.0, -0.2, 0.7)
+    fresh = {(i, g): _bits(cf.QuboKernel(m.couplings)(g)) for i, m in enumerate(models) for g in gammas}
+    kernels = [cf.QuboKernel(m.couplings) for m in models]
+    for g in gammas:
+        for i, kernel in enumerate(kernels):
+            assert _bits(kernel(g)) == fresh[i, g]
+    for g in gammas + gammas[::-1]:
+        assert _bits(kernels[0](g)) == fresh[0, g]
+    # and each objective, evaluated through its own kernel at many gammas
+    ramp = Ramp(1.0)
+    for t in (0.2, 0.5):
+        objective = make_action_objective(models[0], *ramp(t))
+        for g in gammas:
+            want = _action_qubo_tensor(models[0].couplings, models[0].ua_fields(*ramp(t)), 0.4, g)
+            assert _bits(objective(np.array([0.4, g]))) == _bits(want)
 
 
 def test_qubo_nonzero_diagonal_bit_identical_to_tensor_form():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -83,16 +84,44 @@ def test_ground_space_degenerate_matches_complex_eigh(h):
 @settings(max_examples=60, deadline=None)
 @given(dim=st.integers(2, 64), data=st.data(), seed=st.integers(0, 2**16))
 def test_ground_space_planted_degeneracy_property(dim, data, seed):
-    # random real symmetric matrix whose g lowest levels coincide exactly
     g = data.draw(st.integers(1, dim), label="g")
+    h = _planted_degeneracy(dim, g, seed)
+    energy, basis = ground_space(h)
+    assert basis.shape[1] == g
+    _assert_matches_complex_eigh(h, energy, basis)
+
+
+def _planted_degeneracy(dim, g, seed):
+    """Random real symmetric matrix whose g lowest levels coincide exactly."""
     rng = np.random.Generator(np.random.PCG64(seed))
     q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
     e0 = rng.uniform(-2.0, 2.0)
     levels = np.concatenate([np.full(g, e0), e0 + rng.uniform(0.1, 4.0, dim - g)])
     h = (q * levels) @ q.T
-    h = 0.5 * (h + h.T)
+    return 0.5 * (h + h.T)
+
+
+def test_ground_space_survives_evx_nonconvergence(monkeypatch):
+    from racd import dynamics
+
+    # with the bundled LAPACK, evx's inverse iteration fails on the 32 lowest
+    # levels of this 46-fold degenerate matrix ("1 eigenvectors failed to
+    # converge")
+    h = _planted_degeneracy(46, 46, 46)
     energy, basis = ground_space(h)
-    assert basis.shape[1] == g
+    assert basis.shape[1] == 46
+    _assert_matches_complex_eigh(h, energy, basis)
+
+    # and wherever evx raises, the full solve answers
+    def evx_fails(a, **kwargs):
+        if kwargs.get("driver") == "evx":
+            raise np.linalg.LinAlgError("forced")
+        return scipy.linalg.eigh(a, **kwargs)
+
+    monkeypatch.setattr(dynamics, "eigh", evx_fails)
+    h = _planted_degeneracy(12, 3, 5)
+    energy, basis = ground_space(h)
+    assert basis.shape[1] == 3
     _assert_matches_complex_eigh(h, energy, basis)
 
 
@@ -201,15 +230,13 @@ def test_time_reversal_round_trip():
         kind = "ua"
         ramp = forward.ramp
 
-        def field_table(self, times):
+        # evolve reads a batch's field and y tables through Protocol.tables
+        def tables(self, times, lams, lam_dots):
             tables = forward.field_table(self.ramp.tau - np.asarray(times))
-            return {k: -v for k, v in tables.items()}
+            return {k: -v for k, v in tables.items()}, None
 
         def q_table(self, times):
             return {}
-
-        def y_table(self, times):
-            return np.zeros((len(np.atleast_1d(times)), 2))
 
     _, back = evolve([ReversedProtocol()], psi_tau, steps=2000, n_out=2)
     assert abs(np.vdot(psi0, back[-1, :, 0])) ** 2 >= 1.0 - 1e-5
