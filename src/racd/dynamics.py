@@ -5,8 +5,10 @@ Evolution is fixed-step fourth-order Runge-Kutta on dpsi/dt = -i H(t) psi
 with the Hamiltonian rebuilt from the protocols' control fields at every
 substep.  All protocols of one model and ramp evolve together, as one block
 with a state per protocol; exact-CD adds its dense gauge-potential term to
-its own states only.  The state norm is asserted, never repaired: drift is
-the integrator-quality signal.
+its own states only.  A model that declares a symmetry sector (the periodic
+chain's translation-invariant one) is evolved and ground-solved in it, and
+its states and ground bases are embedded back in the full space.  The state
+norm is asserted, never repaired: drift is the integrator-quality signal.
 """
 
 from __future__ import annotations
@@ -86,7 +88,10 @@ def ground_space_op(op) -> Tuple[float, np.ndarray]:
     """Ground space of a SpinOperator, as :func:`ground_space`; iterative
     matrix-free solve above the dense cap, where the cluster's vectors are
     orthonormalized, since ARPACK's complex driver does not orthogonalize
-    within a degenerate cluster."""
+    within a degenerate cluster.  A dense matrix (a sector's H0, see
+    :func:`ground_trace`) goes to :func:`ground_space` as it is."""
+    if isinstance(op, np.ndarray):
+        return ground_space(op)
     n = op.n_qubits
     if n <= DENSE_MATRIX_MAX_QUBITS:
         return ground_space(op.to_dense())
@@ -154,43 +159,63 @@ class FidelityTrace:
 TABLE_CHUNK = 256
 #: bytes of contracted per-substep vectors held at once
 CHUNK_BYTES = 1 << 20
+#: largest distance of an initial state from the model's sector for the
+#: evolution to run in it
+SECTOR_TOL = 1e-12
 
 
-def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
-    """H(t) at each of ``times``, in order, for a batch of protocols of one
-    model and ramp; :func:`_apply` applies each to a ``(B, 2^N)`` block
-    holding one state per protocol.
+@dataclass(frozen=True)
+class _WordTables:
+    """The components O_c of a batch's Hamiltonians (model terms, then one
+    sigma-y per site) in slot form on a basis of ``dim`` states: the full
+    2^N computational basis, or a sector's.
 
-    The components (model terms, plus one sigma-y per site when the batch
-    holds local CD) are grouped by the x-mask of their Pauli words; each
-    group carries a per-component diagonal sign vector.  The diagonal group
-    (x-mask 0) is kept apart.  The off-diagonal groups are stacked, their
-    weights stored at the destination state s (which receives from s ^ x)
-    and padded with zero weights to one component count, so that one
-    batched product contracts them all.  The protocols' field tables are
-    evaluated in chunks of substeps, and contracted into per-substep vectors
-    in smaller chunks, so memory does not grow with the step count; the ramp
-    is evaluated once per table chunk for the whole batch and handed to
-    each protocol's :meth:`~racd.optimizer.Protocol.tables`.  Each
-    substep is a ``(diagonal, off-diagonal, gather index, exact columns,
-    agp)`` tuple.  Exact-CD columns are contracted at their UA fields like
-    any other; when the batch holds them, ``agp`` is the dense
-    lambda_dot * A(lambda) that they add, with A the spectral gauge
-    potential of H0(lambda) = H_a + lambda * H_b (every schedule is affine
-    in lambda), and None otherwise.
+    Row r of sum_c coeff_c O_c, over ``n_comps`` components, holds the
+    diagonal entry sum_c coeff_c diag_c[r] and, in each slot k, the entry
+    sum_c coeff_c off_{k,c}[r] at column ``cols[k, r]``.  ``diag`` and
+    ``off`` are stacked as :func:`_stack_slots` makes them (None where no
+    component has such an entry).  In the full space slot k is the k-th nonzero x-mask of the
+    Pauli words, gathering from s ^ x; in a sector a row holds as many
+    slots as it has distinct neighbouring orbits, and a row with fewer
+    pads with zero weights on its own column.
     """
-    model = protocols[0].model
-    n = model.n_qubits
-    n_batch = len(protocols)
-    exact = [b for b, p in enumerate(protocols) if p.kind == "exact-cd"]
-    dim = 1 << n
-    ops = [t.operator for t in model.terms]
-    if any(p.kind == "local-cd" for p in protocols):
-        ops += [sigma_y(n, j) for j in range(n)]
 
-    # word groups: x_mask -> per-component z-sign vectors (only components
+    dim: int
+    n_comps: int
+    diag: Tuple[np.ndarray, np.ndarray] | None
+    off: Tuple[np.ndarray, np.ndarray] | None
+    cols: np.ndarray | None
+
+    def matrix(self, coeffs: Sequence[float]) -> np.ndarray:
+        """Dense complex matrix sum_c coeffs[c] O_c."""
+        h = np.zeros((self.dim, self.dim), dtype=complex)
+        rows = np.arange(self.dim)
+        c = np.asarray(coeffs, dtype=float)[None, None, :]
+        if self.diag is not None:
+            h[rows, rows] = _contract_groups(c, *self.diag)[0, 0, 0]
+        if self.off is not None:
+            np.add.at(h, (np.broadcast_to(rows, self.cols.shape), self.cols), _contract_groups(c, *self.off)[0, :, 0])
+        return h
+
+
+def _word_tables(ops, sector=None) -> _WordTables:
+    """Slot tables of the component operators ``ops`` on the full space or,
+    given a :class:`~racd.models.TranslationSector`, on its basis, where
+    each component is P^T O_c P:
+
+        M_c[orbit(s), orbit(s ^ x)] += amp(s) * w_{x,c}(s ^ x) * amp(s ^ x)
+
+    over every destination state s and x-mask x of the component's words,
+    with w_{x,c} the summed weights of its words of that mask at their
+    source state.  The full space is the case orbit(s) = s, amp = 1, where
+    every entry is a single weight, copied exactly.  A row's off-diagonal
+    columns take slots in the order of the smallest x-mask reaching them
+    (then by column).
+    """
+    n = ops[0].n_qubits
+    states = np.arange(1 << n)
+    # x_mask -> per-component weights at the source state (only components
     # that actually contribute to the mask are stored)
-    states = np.arange(dim)
     groups: Dict[int, Dict[int, np.ndarray]] = {}
     for comp_idx, op in enumerate(ops):
         for (x, z), w in op:
@@ -200,17 +225,119 @@ def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
                 rows[comp_idx] = rows[comp_idx] + w * signs
             else:
                 rows[comp_idx] = w * signs
-    diag = groups.pop(0, None)
-    diag = None if diag is None else _stack_groups([diag], [states])
-    masks = sorted(groups)
-    perms = np.stack([states ^ x for x in masks]) if masks else None
-    off = _stack_groups([groups[x] for x in masks], perms) if masks else None
-    # flat gather index into the block: [k, b, s] -> row b, state s ^ x_k
-    gather = None if perms is None else np.arange(n_batch)[:, None] * dim + perms[:, None, :]
-    if exact:
-        h_a = model.h0(0.0).to_dense()
-        h_b = model.dh0_dlambda(0.0).to_dense()
-    chunk = max(1, min(TABLE_CHUNK, CHUNK_BYTES // (n_batch * (len(masks) + 1) * dim * 16)))
+    orbit, dim = (states, len(states)) if sector is None else (sector.orbit, sector.dim)
+    row, col, key, comp, val = [], [], [], [], []
+    for k, x in enumerate(sorted(groups)):
+        source = states ^ x
+        for c in sorted(groups[x]):
+            weight = groups[x][c][source]
+            row.append(orbit)
+            col.append(orbit[source])
+            key.append(np.full(len(states), k))
+            comp.append(np.full(len(states), c))
+            val.append(weight if sector is None else sector.amp * weight * sector.amp[source])
+    if not val:
+        return _WordTables(dim, len(ops), None, None, None)
+    row, col, key, comp, val = map(np.concatenate, (row, col, key, comp, val))
+
+    on_diag = row == col
+    diag = None
+    if on_diag.any():
+        diag = _stack_slots(np.zeros(on_diag.sum(), dtype=int), comp[on_diag], row[on_diag], val[on_diag], 1, dim)
+    off, cols = None, None
+    if not on_diag.all():
+        row, col, key, comp, val = (a[~on_diag] for a in (row, col, key, comp, val))
+        pairs, pair_of = np.unique(row * dim + col, return_inverse=True)
+        first_key = np.full(len(pairs), len(groups))
+        np.minimum.at(first_key, pair_of, key)
+        pair_row, pair_col = pairs // dim, pairs % dim
+        order = np.lexsort((pair_col, first_key, pair_row))
+        # rank of each pair within its row, in slot order
+        rank = np.arange(len(pairs)) - np.searchsorted(pair_row[order], pair_row[order])
+        slot = np.empty(len(pairs), dtype=int)
+        slot[order] = rank
+        n_slots = int(rank.max()) + 1
+        cols = np.tile(np.arange(dim), (n_slots, 1))
+        cols[slot, pair_row] = pair_col
+        off = _stack_slots(slot[pair_of], comp, row, val, n_slots, dim)
+    return _WordTables(dim, len(ops), diag, off, cols)
+
+
+def _h0_pair(model: Model, tables: _WordTables) -> Tuple[np.ndarray, np.ndarray]:
+    """H_a = H0(0) and H_b = dH0/dlambda, so that H0(lambda) = H_a +
+    lambda * H_b, as dense matrices from slot tables whose first components
+    are the model's terms."""
+    fields = np.zeros((2, tables.n_comps))
+    fields[:, : len(model.terms)] = [[t.field0 for t in model.terms], [t.field1 for t in model.terms]]
+    return tables.matrix(fields[0]), tables.matrix(fields[1])
+
+
+def _stack_slots(slot, comp, row, val, n_slots: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Components ``(slots, m)`` and weights ``(slots, m, dim)`` of the
+    entries ``val`` at (``slot``, ``comp``, ``row``), summed where several
+    land on one place (a lone entry is copied exactly).  Each slot lists the
+    components it holds in increasing order, padded with zero weights on
+    component 0 to the largest count m.  The weights are real where every
+    imaginary part is exactly zero, which changes no value."""
+    n_comps = int(comp.max()) + 1
+    held, place = np.unique(slot * n_comps + comp, return_inverse=True)
+    held_slot = held // n_comps
+    position = np.arange(len(held)) - np.searchsorted(held_slot, held_slot)
+    width = int(position.max()) + 1
+    comp_idx = np.zeros((n_slots, width), dtype=int)
+    comp_idx[held_slot, position] = held % n_comps
+    target = (slot * width + position[place]) * dim + row
+    order = np.argsort(target, kind="stable")
+    target = target[order]
+    starts = np.flatnonzero(np.r_[True, target[1:] != target[:-1]])
+    vecs = np.zeros(n_slots * width * dim, dtype=complex)
+    vecs[target[starts]] = np.add.reduceat(val[order], starts)
+    vecs = vecs.reshape(n_slots, width, dim)
+    return comp_idx, (vecs if vecs.imag.any() else vecs.real.copy())
+
+
+def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray, sector=None) -> Iterator:
+    """H(t) at each of ``times``, in order, for a batch of protocols of one
+    model and ramp; :func:`_apply` applies each to a ``(B, dim)`` block
+    holding one state per protocol, in the full space (dim = 2^N) or, given
+    the model's ``sector``, in that sector (dim = its size).
+
+    The components (model terms, plus one sigma-y per site when the batch
+    holds local CD) are held as slot tables (:func:`_word_tables`): a
+    diagonal, and off-diagonal slots with a gather index and per-component
+    weights, so that one batched product contracts them all.  The
+    protocols' field tables are evaluated in chunks of substeps, and
+    contracted into per-substep vectors in smaller chunks, so memory does
+    not grow with the step count; the ramp is evaluated once per table
+    chunk for the whole batch and handed to each protocol's
+    :meth:`~racd.optimizer.Protocol.tables`.  Each substep is a
+    ``(diagonal, off-diagonal, gather index, exact columns, agp)`` tuple.
+    Exact-CD columns are contracted at their UA fields like any other; when
+    the batch holds them, ``agp`` is the dense lambda_dot * A(lambda) that
+    they add, with A the spectral gauge potential of H0(lambda) = H_a +
+    lambda * H_b (every schedule is affine in lambda) on the same basis,
+    and None otherwise.
+    """
+    model = protocols[0].model
+    n = model.n_qubits
+    n_batch = len(protocols)
+    exact = [b for b, p in enumerate(protocols) if p.kind == "exact-cd"]
+    ops = [t.operator for t in model.terms]
+    if any(p.kind == "local-cd" for p in protocols):
+        ops += [sigma_y(n, j) for j in range(n)]
+    tables = _word_tables(ops, sector)
+    dim, diag, off = tables.dim, tables.diag, tables.off
+    # flat gather index into the block: [k, b, r] -> row b, state cols[k, r]
+    gather = None if off is None else np.arange(n_batch)[:, None] * dim + tables.cols[:, None, :]
+    # the full space keeps the operators' own dense form: the gauge potential
+    # is ill-conditioned near level crossings, and the tables' rounding of H0
+    # would move it (by 2.5e-8 on LHZ n=4)
+    if exact and sector is None:
+        h_a, h_b = model.h0(0.0).to_dense(), model.dh0_dlambda(0.0).to_dense()
+    elif exact:
+        h_a, h_b = _h0_pair(model, tables)
+    n_slots = 0 if off is None else len(off[0])
+    chunk = max(1, min(TABLE_CHUNK, CHUNK_BYTES // (n_batch * (n_slots + 1) * dim * 16)))
     table_chunk = chunk * (TABLE_CHUNK // chunk)
 
     for t0 in range(0, len(times), table_chunk):
@@ -225,7 +352,7 @@ def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
                 coeffs[:, b, len(model.terms):] = y
         for c0 in range(0, len(table_times), chunk):
             part = coeffs[c0 : c0 + chunk]
-            # diagonal (C, B, 2^N) and off-diagonal (C, groups, B, 2^N) vectors
+            # diagonal (C, B, dim) and off-diagonal (C, slots, B, dim) vectors
             d = None if diag is None else _contract_groups(part, *diag)[:, 0]
             o = None if off is None else _contract_groups(part, *off)
             for j in range(len(part)):
@@ -236,10 +363,10 @@ def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray) -> Iterator:
 
 def _apply(h, psi: np.ndarray) -> np.ndarray:
     """One substep ``h`` of :func:`_hamiltonians` applied to each row of the
-    ``(B, 2^N)`` block ``psi``."""
+    ``(B, dim)`` block ``psi``."""
     d, off, gather, exact, agp = h
-    # out[b, s] = d[b, s] psi[b, s] + sum_x off_x[b, s] psi[b, s ^ x],
-    # plus (agp psi[b])[s] for the exact-CD rows b
+    # out[b, r] = d[b, r] psi[b, r] + sum_k off_k[b, r] psi[b, cols[k, r]],
+    # plus (agp psi[b])[r] for the exact-CD rows b
     out = d * psi if d is not None else np.zeros_like(psi)
     if off is not None:
         out += (off * np.take(psi, gather)).sum(axis=0)
@@ -248,24 +375,9 @@ def _apply(h, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _stack_groups(groups: List[Dict[int, np.ndarray]], sources) -> Tuple[np.ndarray, np.ndarray]:
-    """Components ``(groups, m)`` and weights ``(groups, m, 2^N)`` read at
-    each group's ``sources``, padded with zero weights on component 0 to the
-    largest component count m.  The weights are real where every imaginary
-    part is exactly zero, which changes no value."""
-    width = max(len(rows) for rows in groups)
-    comp_idx = np.zeros((len(groups), width), dtype=int)
-    vecs = np.zeros((len(groups), width, len(sources[0])), dtype=complex)
-    for k, (rows, source) in enumerate(zip(groups, sources)):
-        for i, c in enumerate(sorted(rows)):
-            comp_idx[k, i] = c
-            vecs[k, i] = rows[c][source]
-    return comp_idx, (vecs if vecs.imag.any() else vecs.real.copy())
-
-
 def _contract_groups(coeffs: np.ndarray, comp_idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``(C, groups, B, 2^N)`` vectors of stacked word groups (see
-    :func:`_stack_groups`) at the coefficients ``(C, B, components)``, each
+    """``(C, slots, B, dim)`` vectors of stacked slots (see
+    :func:`_stack_slots`) at the coefficients ``(C, B, components)``, each
     substep's block contiguous."""
     n_groups, width = comp_idx.shape
     n_sub, n_batch, _ = coeffs.shape
@@ -311,6 +423,11 @@ def evolve(
     Raises :class:`StepSizeError`, naming the protocol, if a state's norm
     drifts by more than 1e-6 anywhere on the output grid: the first protocol
     over the tolerance at the earliest such point.
+
+    Where the model declares a sector (:attr:`racd.models.Model.sector`)
+    and ``psi0`` lies in it (within ``SECTOR_TOL`` of its projection), the
+    block evolves in the sector and is embedded in the full space at the
+    output points only; otherwise it evolves in the full space.
     """
     protocols = list(protocols)
     _check_batch(protocols)
@@ -321,21 +438,28 @@ def evolve(
     sub = np.empty(2 * steps + 1)
     sub[0::2] = np.linspace(0.0, tau, steps + 1)
     sub[1::2] = sub[0:-1:2] + 0.5 * h
-    hamiltonians = _hamiltonians(protocols, sub)
+    psi0 = np.asarray(psi0, dtype=complex)
+    sector = protocols[0].model.sector
+    if sector is not None:
+        inside = sector.project(psi0)
+        if np.linalg.norm(psi0 - sector.embed(inside)) > SECTOR_TOL:
+            sector = None
+    hamiltonians = _hamiltonians(protocols, sub, sector)
     end = next(hamiltonians)
 
     out_times = sub[2 * out_idx]
-    psi = np.tile(np.asarray(psi0, dtype=complex), (len(protocols), 1))
-    states = np.empty((len(out_idx), psi.shape[1], len(protocols)), dtype=complex)
+    psi = np.tile(psi0 if sector is None else inside, (len(protocols), 1))
+    states = np.empty((len(out_idx), len(psi0), len(protocols)), dtype=complex)
     pointer = 0
 
     for k in range(steps + 1):
         if pointer < len(out_idx) and k == out_idx[pointer]:
+            # the sector's basis is orthonormal, so its norms are the full space's
             drift = np.abs(np.linalg.norm(psi, axis=1) - 1.0)
             over = np.flatnonzero(drift > NORM_DRIFT_TOL)
             if over.size:
                 raise StepSizeError(float(drift[over[0]]), steps, kind=protocols[over[0]].kind)
-            states[pointer] = psi.T
+            states[pointer] = (psi if sector is None else sector.embed(psi)).T
             pointer += 1
         if k == steps:
             break
@@ -350,12 +474,42 @@ def evolve(
 
 
 def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
-    """Instantaneous ground-subspace bases of H0(lambda) along a grid."""
+    """Instantaneous ground-subspace bases of H0(lambda) along a grid, in
+    the full 2^N space.
+
+    Where the model declares a sector, each lambda is first solved there,
+    on H0 = H_a + lambda * H_b with H_a and H_b built once from the sector's
+    slot tables (:func:`_word_tables`).  That answer is taken only with a
+    certificate: the sector's ground cluster is one vector, and every one of
+    its amplitudes is nonzero and of one sign.  Its embedding (P has positive
+    entries) is then an eigenvector of H0 with one sign, which for a
+    stoquastic H0 with an irreducible off-diagonal part (the chain's, while
+    its X field 1 - lambda/2 is nonzero) only the unique ground state is
+    (Perron-Frobenius).
+    A lambda without the certificate is solved in the full space.  Every
+    solve goes through :func:`ground_space_op`.
+    """
+    sector = model.sector
+    if sector is not None:
+        h_a, h_b = _h0_pair(model, _word_tables([t.operator for t in model.terms], sector))
     bases = []
     for lam in lambdas:
+        if sector is not None:
+            _, vec = ground_space_op(h_a + lam * h_b)
+            if _one_signed(vec):
+                bases.append(sector.embed(vec.T).T)
+                continue
         _, basis = ground_space_op(model.h0(lam))
         bases.append(basis)
     return bases
+
+
+def _one_signed(basis: np.ndarray) -> bool:
+    """Whether ``basis`` is a single real vector whose amplitudes are all
+    nonzero and of one sign."""
+    if basis.shape[1] != 1 or np.iscomplexobj(basis):
+        return False
+    return bool((basis > 0).all() or (basis < 0).all())
 
 
 def run_protocol(

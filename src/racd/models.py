@@ -12,13 +12,15 @@ potential K = beta * (beta-term op), so every RA control field is always
 Instances are drawn with numpy's PCG64 generator; identical (kind, size,
 seed) triples reproduce identical coupling arrays.  The LHZ layout
 combinatorics (:class:`LhzCounts`) live here too; each ``LhzModel`` computes
-its own once.
+its own once, as each ``ChainModel`` does its translation sector
+(:class:`TranslationSector`).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -107,10 +109,53 @@ class ModelTerm:
 PARAM_ORDER = ("beta", "gamma", "phi")
 
 
+class TranslationSector:
+    """The translation-invariant (k = 0) sector of N qubits on a ring.
+
+    The cyclic shift T rotates the bits of a basis state; its orbits (the
+    binary necklaces of length N) label the sector's orthonormal basis
+    |r> = sum_{s in r} |s> / sqrt(|r|).  ``orbit[s]`` is the orbit of basis
+    state s, ``sizes[r]`` the size of orbit r, and ``amp[s] =
+    1 / sqrt(sizes[orbit[s]])`` the one nonzero of row s of the real
+    isometry P (2^N x ``dim``), which is never formed densely.  ``dim`` is
+    6 / 36 / 352 / 1182 at N = 4 / 8 / 12 / 14.
+    """
+
+    def __init__(self, n_qubits: int):
+        n = n_qubits
+        states = np.arange(1 << n)
+        rep = rotated = states
+        for _ in range(n - 1):
+            rotated = ((rotated << 1) | (rotated >> (n - 1))) & ((1 << n) - 1)
+            rep = np.minimum(rep, rotated)
+        self.orbit = np.unique(rep, return_inverse=True)[1]
+        self.sizes = np.bincount(self.orbit)
+        self.dim = len(self.sizes)
+        self.amp = 1.0 / np.sqrt(self.sizes)[self.orbit]
+
+    def project(self, psi: np.ndarray) -> np.ndarray:
+        """P^T psi of one 2^N state vector."""
+        out = np.zeros(self.dim, dtype=np.result_type(psi, float))
+        np.add.at(out, self.orbit, self.amp * psi)
+        return out
+
+    def embed(self, phi: np.ndarray) -> np.ndarray:
+        """P phi along the last axis of ``phi``: sector states back in the
+        full 2^N space."""
+        return self.amp * phi[..., self.orbit]
+
+
 class Model:
-    """Base class: a parametric Hamiltonian H0 = sum_t field_t(lambda) * op_t."""
+    """Base class: a parametric Hamiltonian H0 = sum_t field_t(lambda) * op_t.
+
+    ``sector`` is a symmetry sector that every drive of the model leaves
+    invariant, in which :mod:`racd.dynamics` evolves and looks for ground
+    states first, or None (the full space); only :class:`ChainModel`
+    declares one.
+    """
 
     kind: str = ""
+    sector: TranslationSector | None = None
 
     def __init__(self, n_qubits: int, terms: Sequence[ModelTerm], seed: int | None = None):
         self.n_qubits = n_qubits
@@ -248,6 +293,16 @@ class ChainModel(Model):
                 ModelTerm("b", h_c, 0.0, 0.2, "phi"),
             ],
         )
+
+    @cached_property
+    def sector(self) -> TranslationSector:
+        """The k = 0 translation sector, built on first use.  Every term is
+        a translation-invariant sum over sites, and so are the drives built
+        from them: UA and RA fields ride on whole terms, local CD's sigma-y
+        coefficient is the same on every site (by the same symmetry), and
+        the exact gauge potential of a translation-invariant H0 is
+        translation-invariant."""
+        return TranslationSector(self.n_qubits)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "N": self.n_qubits}

@@ -66,12 +66,21 @@ def bfgs_minimize(objective: Callable[[np.ndarray], float], x0: Sequence[float])
     line search hitting the finite-difference noise floor (treated as
     converged-at-floor).  A non-finite objective value aborts with the best
     iterate seen so far (``x0`` with value inf if it is the first).
+
+    BFGS and its line searches ask again for points they have already
+    evaluated, so the objective's values are kept by the exact bytes of
+    ``x`` for the call; every visit, repeated or not, still updates the best
+    iterate and checks finiteness in the order it happens.
     """
     x0 = np.asarray(x0, dtype=float)
     best: Dict[str, object] = {"x": x0.copy(), "f": np.inf}
+    values: Dict[bytes, float] = {}
 
     def guarded(x: np.ndarray) -> float:
-        v = float(objective(x))
+        key = x.tobytes()
+        v = values.get(key)
+        if v is None:
+            v = values[key] = float(objective(x))
         if not np.isfinite(v):
             raise NonFiniteObjectiveError
         if v < best["f"]:

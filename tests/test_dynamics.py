@@ -536,3 +536,104 @@ def test_evolve_without_diagonal_or_off_diagonal_group():
     _, states = evolve(protocols, psi0, steps=400, n_out=3)
     want = np.array([np.exp(-1j * tau), np.exp(1j * tau)]) * psi0
     assert_allclose(states[-1], np.column_stack([want, want]), atol=1e-8)
+
+
+def _sector_spy(monkeypatch):
+    """Record the sector argument of every _hamiltonians call."""
+    from racd import dynamics
+
+    seen = []
+    inner = dynamics._hamiltonians
+
+    def spy(protocols, times, sector=None):
+        seen.append(sector)
+        return inner(protocols, times, sector)
+
+    monkeypatch.setattr(dynamics, "_hamiltonians", spy)
+    return seen
+
+
+def test_chain_state_outside_the_sector_evolves_in_the_full_space(monkeypatch):
+    # not exact-CD: outside k = 0, levels of other momenta cross, so the
+    # spectral gauge potential there changes with the rounding of H0
+    # (8e-7 between evolve and dense_rk4 on this state)
+    model = ChainModel(5)
+    ramp = Ramp(1.0)
+    protocols = [assemble_protocol(model, random_trajectory(model, 3), kind, ramp) for kind in ("ua", "local-cd", "ra")]
+    rng = np.random.Generator(np.random.PCG64(5))
+    psi0 = rng.normal(size=32) + 1j * rng.normal(size=32)
+    psi0 /= np.linalg.norm(psi0)
+    seen = _sector_spy(monkeypatch)
+    _, states = evolve(protocols, psi0, steps=150, n_out=4)
+    assert seen == [None]
+    for b, protocol in enumerate(protocols):
+        assert_allclose(states[:, :, b], dense_rk4(protocol, psi0, 150, 4), rtol=0, atol=1e-12)
+    # the ground state lies in the sector, and evolves there to the same states
+    protocols.append(assemble_protocol(model, None, "exact-cd", ramp))
+    _, basis = ground_space_op(model.h0(0.0))
+    _, states = evolve(protocols, basis[:, 0], steps=150, n_out=4)
+    assert seen[-1] is model.sector
+    for b, protocol in enumerate(protocols):
+        assert_allclose(states[:, :, b], dense_rk4(protocol, basis[:, 0], 150, 4), rtol=0, atol=1e-12)
+
+
+def _solve_spy(monkeypatch):
+    """Record, per ground_space_op call, whether it solved a sector matrix."""
+    from racd import dynamics
+
+    calls = []
+    inner = dynamics.ground_space_op
+
+    def spy(op):
+        calls.append("sector" if isinstance(op, np.ndarray) else "full")
+        return inner(op)
+
+    monkeypatch.setattr(dynamics, "ground_space_op", spy)
+    return calls
+
+
+def test_ground_trace_without_certificate_solves_the_full_space(monkeypatch):
+    from racd import dynamics
+
+    model = ChainModel(6)
+    lams = np.linspace(0.0, 1.0, 5)
+    calls = _solve_spy(monkeypatch)
+    certified = ground_trace(model, lams)
+    assert calls == ["sector"] * len(lams)
+    monkeypatch.setattr(dynamics, "_one_signed", lambda basis: False)
+    calls.clear()
+    refused = ground_trace(model, lams)
+    assert calls == ["sector", "full"] * len(lams)
+    for lam, a, b in zip(lams, certified, refused):
+        assert a.shape == b.shape == (64, 1)
+        assert_allclose(a @ a.T, b @ b.conj().T, rtol=0, atol=1e-12)
+        _assert_matches_complex_eigh(model.h0(lam).to_dense(), np.vdot(b[:, 0], model.h0(lam).to_dense() @ b[:, 0]).real, b)
+
+
+def test_ground_trace_where_the_x_field_vanishes_solves_the_full_space(monkeypatch):
+    # at lambda = 2 the chain's X field 1 - lambda/2 is 0: H0 is diagonal and
+    # its sector ground vector has zeros, so no certificate
+    model = ChainModel(5)
+    calls = _solve_spy(monkeypatch)
+    (basis,) = ground_trace(model, [2.0])
+    assert calls == ["sector", "full"]
+    _assert_matches_complex_eigh(model.h0(2.0).to_dense(), -2.0 * 5 - 0.4 * 5, basis)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_chain_sector_run_matches_the_full_space_run(n):
+    # a Model with the chain's terms declares no sector, so it runs the
+    # full-space path on the same physics
+    from racd.models import Model
+
+    model = ChainModel(n)
+    full = Model(n, model.terms)
+    ramp = Ramp(1.0)
+    traj = random_trajectory(model, n)
+    traces = {}
+    for m in (model, full):
+        protocols = [assemble_protocol(m, traj, kind, ramp) for kind in ("ua", "local-cd", "ra", "exact-cd")]
+        traces[m] = run_protocol(protocols, steps=120, n_out=13)
+    for a, b in zip(traces[model], traces[full]):
+        assert_allclose(a.F, b.F, rtol=0, atol=1e-10)
+        assert_allclose(a.F_tilde, b.F_tilde, rtol=0, atol=1e-10)
