@@ -18,7 +18,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import LinAlgError, eigh
+from scipy.sparse.linalg import eigsh
 
 from .agp import exact_agp
 from .errors import RacdError
@@ -62,14 +64,19 @@ def ground_space(h: np.ndarray) -> Tuple[float, np.ndarray]:
     arithmetic where the imaginary part is exactly zero.  Not ``syevd``
     (``np.linalg.eigh``), which fails to converge on some real H0: the
     8-site chain's H_a + lambda * H_b at lambda = 3.6e-8 is one."""
-    if not h.imag.any():
+    if np.iscomplexobj(h) and not h.imag.any():
         h = h.real
-    # np.allclose(h, h^dagger, rtol=0, atol=1e-12) at a fifth of its cost,
-    # which on 8 qubits is as much as the solve's; NaN fails it too
-    if not np.abs(h - h.conj().T).max() <= 1e-12:
-        raise ValueError("Hamiltonian must be Hermitian")
+    _require_hermitian(h)
     dim = h.shape[0]
     return _ground_cluster(lambda k: _lowest_levels(h, k), min(2, dim), dim)
+
+
+def _require_hermitian(h) -> None:
+    """np.allclose(h, h^dagger, rtol=0, atol=1e-12), NaN failing, for a dense
+    ``h`` at a fifth of its cost (on 8 qubits as much as the solve's), or a
+    sparse one."""
+    if not abs(h - h.conj().T).max() <= 1e-12:
+        raise ValueError("Hamiltonian must be Hermitian")
 
 
 def _lowest_levels(h: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -85,21 +92,19 @@ def _lowest_levels(h: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def ground_space_op(op) -> Tuple[float, np.ndarray]:
-    """Ground space of a SpinOperator, as :func:`ground_space`; iterative
-    matrix-free solve above the dense cap, where the cluster's vectors are
-    orthonormalized, since ARPACK's complex driver does not orthogonalize
-    within a degenerate cluster.  A dense matrix (a sector's H0, see
-    :func:`ground_trace`) goes to :func:`ground_space` as it is."""
-    if isinstance(op, np.ndarray):
-        return ground_space(op)
-    n = op.n_qubits
-    if n <= DENSE_MATRIX_MAX_QUBITS:
-        return ground_space(op.to_dense())
-    from scipy.sparse.linalg import LinearOperator, eigsh
-
-    dim = 1 << n
-    lin = LinearOperator((dim, dim), matvec=op.apply, dtype=complex)
-    energy, vec = _ground_cluster(lambda k: eigsh(lin, k=k, which="SA"), min(6, dim - 2), dim - 2)
+    """Ground space, as :func:`ground_space`, of a sparse matrix or of a
+    SpinOperator, taken in that form from its slot tables.  Up to the
+    dimension of ``DENSE_MATRIX_MAX_QUBITS`` qubits it is solved densely;
+    above, by ``eigsh`` (real for a real matrix) from a fixed start vector,
+    so that no solve depends on earlier ones, and the cluster's vectors are
+    orthonormalized, which Lanczos does not do within a degenerate level."""
+    h = op if sparse.issparse(op) else _word_tables([op]).matrix([1.0])
+    dim = h.shape[0]
+    if dim <= 1 << DENSE_MATRIX_MAX_QUBITS:
+        return ground_space(h.toarray())
+    _require_hermitian(h)
+    v0 = np.random.Generator(np.random.PCG64(0)).normal(size=dim)
+    energy, vec = _ground_cluster(lambda k: eigsh(h, k=k, which="SA", v0=v0), min(6, dim - 2), dim - 2)
     return energy, np.linalg.qr(vec)[0]
 
 
@@ -170,31 +175,32 @@ class _WordTables:
     sigma-y per site) in slot form on a basis of ``dim`` states: the full
     2^N computational basis, or a sector's.
 
-    Row r of sum_c coeff_c O_c, over ``n_comps`` components, holds the
-    diagonal entry sum_c coeff_c diag_c[r] and, in each slot k, the entry
-    sum_c coeff_c off_{k,c}[r] at column ``cols[k, r]``.  ``diag`` and
-    ``off`` are stacked as :func:`_stack_slots` makes them (None where no
-    component has such an entry).  In the full space slot k is the k-th nonzero x-mask of the
+    Row r of sum_c coeff_c O_c holds the diagonal entry sum_c coeff_c
+    diag_c[r] and, in each slot k, the entry sum_c coeff_c off_{k,c}[r] at
+    column ``cols[k, r]``.  ``diag`` and ``off`` are stacked as
+    :func:`_stack_slots` makes them (None where no component has such an
+    entry).  In the full space slot k is the k-th nonzero x-mask of the
     Pauli words, gathering from s ^ x; in a sector a row holds as many
     slots as it has distinct neighbouring orbits, and a row with fewer
     pads with zero weights on its own column.
     """
 
     dim: int
-    n_comps: int
     diag: Tuple[np.ndarray, np.ndarray] | None
     off: Tuple[np.ndarray, np.ndarray] | None
     cols: np.ndarray | None
 
-    def matrix(self, coeffs: Sequence[float]) -> np.ndarray:
-        """Dense complex matrix sum_c coeffs[c] O_c."""
-        h = np.zeros((self.dim, self.dim), dtype=complex)
-        rows = np.arange(self.dim)
+    def matrix(self, coeffs: Sequence[float]) -> sparse.csr_array:
+        """Sparse matrix sum_c coeffs[c] O_c, real where every weight is."""
         c = np.asarray(coeffs, dtype=float)[None, None, :]
+        h = sparse.csr_array((self.dim, self.dim))
         if self.diag is not None:
-            h[rows, rows] = _contract_groups(c, *self.diag)[0, 0, 0]
+            h = h + sparse.diags_array(_contract_groups(c, *self.diag)[0, 0, 0])
         if self.off is not None:
-            np.add.at(h, (np.broadcast_to(rows, self.cols.shape), self.cols), _contract_groups(c, *self.off)[0, :, 0])
+            # a row's padding slots add zeros to its diagonal
+            off = _contract_groups(c, *self.off)[0, :, 0]
+            h = h + sparse.csr_array((off.ravel(), (np.tile(np.arange(self.dim), len(off)), self.cols.ravel())),
+                                     shape=h.shape)
         return h
 
 
@@ -237,7 +243,7 @@ def _word_tables(ops, sector=None) -> _WordTables:
             comp.append(np.full(len(states), c))
             val.append(weight if sector is None else sector.amp * weight * sector.amp[source])
     if not val:
-        return _WordTables(dim, len(ops), None, None, None)
+        return _WordTables(dim, None, None, None)
     row, col, key, comp, val = map(np.concatenate, (row, col, key, comp, val))
 
     on_diag = row == col
@@ -260,16 +266,15 @@ def _word_tables(ops, sector=None) -> _WordTables:
         cols = np.tile(np.arange(dim), (n_slots, 1))
         cols[slot, pair_row] = pair_col
         off = _stack_slots(slot[pair_of], comp, row, val, n_slots, dim)
-    return _WordTables(dim, len(ops), diag, off, cols)
+    return _WordTables(dim, diag, off, cols)
 
 
-def _h0_pair(model: Model, tables: _WordTables) -> Tuple[np.ndarray, np.ndarray]:
+def _h0_pair(model: Model, sector=None) -> Tuple[sparse.csr_array, sparse.csr_array]:
     """H_a = H0(0) and H_b = dH0/dlambda, so that H0(lambda) = H_a +
-    lambda * H_b, as dense matrices from slot tables whose first components
-    are the model's terms."""
-    fields = np.zeros((2, tables.n_comps))
-    fields[:, : len(model.terms)] = [[t.field0 for t in model.terms], [t.field1 for t in model.terms]]
-    return tables.matrix(fields[0]), tables.matrix(fields[1])
+    lambda * H_b, as sparse matrices from the slot tables of the model's
+    terms, in the full space or in ``sector``."""
+    tables = _word_tables([t.operator for t in model.terms], sector)
+    return tables.matrix([t.field0 for t in model.terms]), tables.matrix([t.field1 for t in model.terms])
 
 
 def _stack_slots(slot, comp, row, val, n_slots: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -335,7 +340,8 @@ def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray, sector=None)
     if exact and sector is None:
         h_a, h_b = model.h0(0.0).to_dense(), model.dh0_dlambda(0.0).to_dense()
     elif exact:
-        h_a, h_b = _h0_pair(model, tables)
+        # complex, as before: exact_agp's syevd fails on some real H0 (see ground_space)
+        h_a, h_b = (m.toarray().astype(complex) for m in _h0_pair(model, sector))
     n_slots = 0 if off is None else len(off[0])
     chunk = max(1, min(TABLE_CHUNK, CHUNK_BYTES // (n_batch * (n_slots + 1) * dim * 16)))
     table_chunk = chunk * (TABLE_CHUNK // chunk)
@@ -477,29 +483,30 @@ def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
     """Instantaneous ground-subspace bases of H0(lambda) along a grid, in
     the full 2^N space.
 
-    Where the model declares a sector, each lambda is first solved there,
-    on H0 = H_a + lambda * H_b with H_a and H_b built once from the sector's
-    slot tables (:func:`_word_tables`).  That answer is taken only with a
-    certificate: the sector's ground cluster is one vector, and every one of
-    its amplitudes is nonzero and of one sign.  Its embedding (P has positive
-    entries) is then an eigenvector of H0 with one sign, which for a
-    stoquastic H0 with an irreducible off-diagonal part (the chain's, while
-    its X field 1 - lambda/2 is nonzero) only the unique ground state is
-    (Perron-Frobenius).
-    A lambda without the certificate is solved in the full space.  Every
-    solve goes through :func:`ground_space_op`.
+    Each solve is of H0 = H_a + lambda * H_b, by :func:`ground_space_op`,
+    with H_a and H_b built once from slot tables (:func:`_h0_pair`).  Where
+    the model declares a sector, each lambda is first solved there.  That
+    answer is taken only with a certificate: the sector's ground cluster is
+    one vector, and every one of its amplitudes is nonzero and of one sign.
+    Its embedding (P has positive entries) is then an eigenvector of H0
+    with one sign, which for a stoquastic H0 with an irreducible
+    off-diagonal part (the chain's, while its X field 1 - lambda/2 is
+    nonzero) only the unique ground state is (Perron-Frobenius).  Any other
+    lambda is solved in the full space, built at the first such lambda.
     """
     sector = model.sector
     if sector is not None:
-        h_a, h_b = _h0_pair(model, _word_tables([t.operator for t in model.terms], sector))
+        sec_a, sec_b = _h0_pair(model, sector)
+    full = None
     bases = []
     for lam in lambdas:
         if sector is not None:
-            _, vec = ground_space_op(h_a + lam * h_b)
+            _, vec = ground_space_op(sec_a + lam * sec_b)
             if _one_signed(vec):
                 bases.append(sector.embed(vec.T).T)
                 continue
-        _, basis = ground_space_op(model.h0(lam))
+        full = full or _h0_pair(model)
+        _, basis = ground_space_op(full[0] + lam * full[1])
         bases.append(basis)
     return bases
 

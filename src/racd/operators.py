@@ -177,18 +177,6 @@ class SpinOperator:
             out += w * (1.0 - 2.0 * (np.bitwise_count(states & z) & 1))
         return out
 
-    def apply(self, psi: np.ndarray) -> np.ndarray:
-        """Matrix-free action on a state vector (for sizes above the dense cap)."""
-        dim = 1 << self.n_qubits
-        if psi.shape[0] != dim:
-            raise DimensionMismatchError("state dimension mismatch")
-        states = np.arange(dim)
-        out = np.zeros(dim, dtype=complex)
-        for (x, z), w in self._terms.items():
-            signs = 1.0 - 2.0 * (np.bitwise_count(states & z) & 1)
-            out[states ^ x] += w * signs * psi
-        return out
-
 
 # -- site operators ---------------------------------------------------------
 

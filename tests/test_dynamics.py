@@ -53,6 +53,26 @@ def test_ground_space_requires_hermitian():
         ground_space(np.array([[0.0, 1.0], [1.0 + 1e-6, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", ["asymmetric", "off-by-1e-6", "nan"])
+def test_ground_space_op_iterative_requires_hermitian(monkeypatch, bad):
+    # above the dense cap the guard is the same: an entry without its mirror,
+    # one off from it by 1e-6, or a NaN raises before the iterative solve
+    import scipy.sparse
+    from racd import dynamics
+
+    h = ChainModel(5).h0(0.5).to_dense().real
+    col = np.flatnonzero(h[0, 1:])[0] + 1
+    if bad == "asymmetric":
+        h[col, 0] = 0.0
+    elif bad == "off-by-1e-6":
+        h[0, col] += 1e-6
+    else:
+        h[3, 3] = np.nan
+    monkeypatch.setattr(dynamics, "DENSE_MATRIX_MAX_QUBITS", 3)
+    with pytest.raises(ValueError):
+        ground_space_op(scipy.sparse.csr_array(h))
+
+
 def _assert_matches_complex_eigh(h, energy, basis):
     # independent oracle: a full complex eigendecomposition of the same matrix
     eps, vec = np.linalg.eigh(np.asarray(h, dtype=complex))
@@ -133,6 +153,38 @@ def test_ground_trace_matches_complex_eigh():
         for lam, basis in zip(lams, ground_trace(model, lams)):
             h = model.h0(lam).to_dense()
             _assert_matches_complex_eigh(h, np.vdot(basis[:, 0], h @ basis[:, 0]).real, basis)
+
+
+def test_ground_trace_iterative_matches_complex_eigh(monkeypatch):
+    # the same models, every solve (sector or full space) forced above the
+    # dense cap
+    from racd import dynamics
+
+    monkeypatch.setattr(dynamics, "DENSE_MATRIX_MAX_QUBITS", 2)
+    test_ground_trace_matches_complex_eigh()
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_ground_trace_property(data):
+    # random QUBO instances (N = 3..7, any seed) and the chain (N = 4..8) at
+    # any lambda in [0, 1], on the default path and forced above the dense
+    # cap: the projector of the dense complex eigh of H0
+    from racd import dynamics
+
+    if data.draw(st.booleans(), label="chain"):
+        model = ChainModel(data.draw(st.integers(4, 8), label="n"))
+    else:
+        model = random_instance("qubo", data.draw(st.integers(3, 7), label="n"),
+                                data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    lam = data.draw(st.floats(0.0, 1.0), label="lambda")
+    h = model.h0(lam).to_dense()
+    (basis,) = ground_trace(model, [lam])
+    _assert_matches_complex_eigh(h, np.vdot(basis[:, 0], h @ basis[:, 0]).real, basis)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "DENSE_MATRIX_MAX_QUBITS", 2)
+        (basis,) = ground_trace(model, [lam])
+    _assert_matches_complex_eigh(h, np.vdot(basis[:, 0], h @ basis[:, 0]).real, basis)
 
 
 def _iterative_cases():
@@ -577,15 +629,16 @@ def test_chain_state_outside_the_sector_evolves_in_the_full_space(monkeypatch):
         assert_allclose(states[:, :, b], dense_rk4(protocol, basis[:, 0], 150, 4), rtol=0, atol=1e-12)
 
 
-def _solve_spy(monkeypatch):
-    """Record, per ground_space_op call, whether it solved a sector matrix."""
+def _solve_spy(monkeypatch, model):
+    """Record, per ground_space_op call, whether it solved a sector matrix
+    (one smaller than the model's full space)."""
     from racd import dynamics
 
     calls = []
     inner = dynamics.ground_space_op
 
     def spy(op):
-        calls.append("sector" if isinstance(op, np.ndarray) else "full")
+        calls.append("full" if op.shape[0] == 1 << model.n_qubits else "sector")
         return inner(op)
 
     monkeypatch.setattr(dynamics, "ground_space_op", spy)
@@ -597,7 +650,7 @@ def test_ground_trace_without_certificate_solves_the_full_space(monkeypatch):
 
     model = ChainModel(6)
     lams = np.linspace(0.0, 1.0, 5)
-    calls = _solve_spy(monkeypatch)
+    calls = _solve_spy(monkeypatch, model)
     certified = ground_trace(model, lams)
     assert calls == ["sector"] * len(lams)
     monkeypatch.setattr(dynamics, "_one_signed", lambda basis: False)
@@ -614,7 +667,7 @@ def test_ground_trace_where_the_x_field_vanishes_solves_the_full_space(monkeypat
     # at lambda = 2 the chain's X field 1 - lambda/2 is 0: H0 is diagonal and
     # its sector ground vector has zeros, so no certificate
     model = ChainModel(5)
-    calls = _solve_spy(monkeypatch)
+    calls = _solve_spy(monkeypatch, model)
     (basis,) = ground_trace(model, [2.0])
     assert calls == ["sector", "full"]
     _assert_matches_complex_eigh(model.h0(2.0).to_dense(), -2.0 * 5 - 0.4 * 5, basis)

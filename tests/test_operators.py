@@ -232,10 +232,14 @@ def test_diag_vector_matches_dense():
 
 
 def test_matrix_free_apply_matches_dense():
+    # the sparse form of the operator's slot tables, which ground solves
+    # above the dense cap apply
+    from racd.dynamics import _word_tables
+
     rng = np.random.Generator(np.random.PCG64(31))
     op = random_operator(4, rng)
     psi = rng.normal(size=16) + 1j * rng.normal(size=16)
-    assert_allclose(op.apply(psi), op.to_dense() @ psi, atol=1e-12)
+    assert_allclose(_word_tables([op]).matrix([1.0]) @ psi, op.to_dense() @ psi, atol=1e-12)
 
 
 def test_zero_pruning():
