@@ -34,6 +34,7 @@ COMMANDS = (
     ("run", "--model", "two-spin", "--protocols", "ua,exact-cd"),
     ("run", "--model", "chain", "--n", "4", "--protocols", "ua,local-cd,ra,exact-cd"),
     ("scaling", "--model", "qubo", "--instances", "2", "--steps", "4000"),
+    ("scaling", "--model", "lhz", "--instances", "2"),
     ("validate",),
 )
 

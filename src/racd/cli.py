@@ -24,7 +24,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from .dynamics import EXACT_CD_MAX_QUBITS, NORM_DRIFT_TOL, StepSizeError, run_protocol
+from .dynamics import EXACT_CD_MAX_QUBITS, NORM_DRIFT_TOL, StepSizeError, run_groups, run_protocol
 from .errors import RacdError
 from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, random_instance
 from .optimizer import BFGS_GTOL, PROTOCOL_KINDS, assemble_protocol, sequential_optimize
@@ -105,15 +105,7 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
         protocols = [assemble_protocol(model, trajectory, kind, ramp) for kind in config.protocols]
         traces = run_protocol(protocols, steps=config.steps, n_out=n_out) if protocols else []
     except RacdError as exc:
-        if isinstance(exc, StepSizeError) and exc.kind is not None:
-            stage = f"{exc.kind} evolution"
-        where = f"the {model.kind} model with {model.n_qubits} qubits"
-        if model.seed is not None:
-            where += f", instance seed {model.seed}"
-        msg = f"{stage} failed for {where}: {exc}"
-        if isinstance(exc, StepSizeError):
-            msg += f"; --steps {exc.steps_needed()} or more should keep it within {exc.tol}"
-        exc.args = (msg,)
+        _annotate(exc, model, stage)
         raise
     finals = {p.kind: float(t.F[-1]) for p, t in zip(protocols, traces)}
     if out_dir is not None:
@@ -123,6 +115,20 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
         if trajectory is not None:
             trajectory.to_csv(out_dir / "params_ra.csv")
     return finals
+
+
+def _annotate(exc: RacdError, model: Model, stage: str) -> None:
+    """Prefix the stage, the model size and the instance seed to the
+    message of ``exc``; a drift names the protocol that drifted."""
+    if isinstance(exc, StepSizeError) and exc.kind is not None:
+        stage = f"{exc.kind} evolution"
+    where = f"the {model.kind} model with {model.n_qubits} qubits"
+    if model.seed is not None:
+        where += f", instance seed {model.seed}"
+    msg = f"{stage} failed for {where}: {exc}"
+    if isinstance(exc, StepSizeError):
+        msg += f"; --steps {exc.steps_needed()} or more should keep it within {exc.tol}"
+    exc.args = (msg,)
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -157,19 +163,50 @@ def cmd_run(config: RunConfig) -> int:
 
 def scaling_study(config: RunConfig, sizes: Sequence[int]) -> List[dict]:
     """Per-size instance sweep over ``SCALING_PROTOCOLS``; returns one
-    record per (size, protocol)."""
+    record per (size, protocol).
+
+    Every (size, instance) is synthesized first, size by size, and then all
+    of them evolve in one call (:func:`racd.dynamics.run_groups`).  Errors
+    are reported as a run of one instance after another would meet them:
+    an instance whose synthesis fails ends the synthesis, and its error is
+    raised only if no earlier instance's evolution failed.
+    """
+    ramp = Ramp(config.tau)
+    evolution = f"{','.join(SCALING_PROTOCOLS)} evolution"
+    units, failure = [], None
+    try:
+        for pos, size in enumerate(sizes):
+            run_cfg = replace(config, n=size, n_logical=size, protocols=SCALING_PROTOCOLS)
+            for idx in range(config.instances):
+                model = _build_model(run_cfg, config.seed + idx)
+                stage = "ra synthesis"
+                try:
+                    trajectory = sequential_optimize(model, ramp, M=config.m_points, backend=config.backend)
+                    stage = evolution
+                    protocols = [assemble_protocol(model, trajectory, kind, ramp) for kind in SCALING_PROTOCOLS]
+                except RacdError as exc:
+                    _annotate(exc, model, stage)
+                    raise
+                units.append((pos, model, protocols))
+    except Exception as exc:
+        failure = exc
+    # scaling only consumes final fidelities: a sparse output grid keeps
+    # the norm-drift checkpoints without per-point eigensolves
+    outcomes = run_groups([protocols for *_, protocols in units], steps=config.steps, n_out=11)
+    finals: List[List[Dict[str, float]]] = [[] for _ in sizes]
+    for (pos, model, protocols), outcome in zip(units, outcomes):
+        if isinstance(outcome, Exception):
+            if isinstance(outcome, RacdError):
+                _annotate(outcome, model, evolution)
+            raise outcome
+        finals[pos].append({p.kind: float(t.F[-1]) for p, t in zip(protocols, outcome)})
+    if failure is not None:
+        raise failure
     rows: List[dict] = []
-    for size in sizes:
-        run_cfg = replace(config, n=size, n_logical=size, protocols=SCALING_PROTOCOLS)
-        # scaling only consumes final fidelities: a sparse output grid keeps
-        # the norm-drift checkpoints without per-point eigensolves
-        finals = [
-            _single_run(_build_model(run_cfg, config.seed + idx), run_cfg, None, n_out=11)
-            for idx in range(config.instances)
-        ]
+    for size, size_finals in zip(sizes, finals):
         for kind in SCALING_PROTOCOLS:
-            f_vals = np.array([f[kind] for f in finals])
-            f_ua = np.array([f["ua"] for f in finals])
+            f_vals = np.array([f[kind] for f in size_finals])
+            f_ua = np.array([f["ua"] for f in size_finals])
             rel = f_vals / f_ua
             rows.append(
                 {

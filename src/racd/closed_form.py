@@ -261,10 +261,12 @@ class QuboKernel:
     Building the kernel checks ``J`` (square and symmetric), copies it, and
     computes once what does not depend on gamma: the squared sums of J's
     rows, the pair blocks (:func:`_pair_blocks`) with their positions in the
-    pair matrix, and the work buffers.  A call at gamma then takes one
-    ``sin`` of theta = 2 gamma J, and one ``cos`` and one row product over a
-    single buffer stacking 2 theta_j, theta_j (j >= 1) and the first block's
-    pair angles, which serve the hole sums and both pair products at once.
+    pair matrix, the rows J_j and the first block's J_j +- J_k (0 at its
+    holes), and the work buffers.  A call at gamma then takes one multiply
+    of those rows by 2 gamma, one ``sin`` of theta = 2 gamma J, and one
+    ``cos`` and one row product over a single buffer stacking 2 theta_j (as
+    theta_j * 2), theta_j (j >= 1) and the first block's pair angles, which
+    serve the hole sums and both pair products at once.
     Further blocks (N above about 60) reuse the pair part of that buffer, so
     memory stays O(N^2) plus a fixed number of ``_PAIR_BLOCK_BYTES``
     buffers, and nothing O(N^3) is kept.  Every product runs along one
@@ -297,6 +299,9 @@ class QuboKernel:
         # 2 theta_j and theta_j (j >= 1), then the pair angles of a block
         self._buf = np.empty((2 * n + 2 * r, n + 1))
         self._rows_k = np.empty((r, n + 1))
+        # theta_j and the first block's pair angles over 2 gamma: one
+        # multiply makes them
+        self._coef = np.concatenate((J[1:], self._pair_coefs(*self._blocks[0][:3])))
         self._prods = np.empty(len(self._buf))
         self._w = np.empty((n, n + 1))
         # e2, e1 and 1 - f2 per row j, summed in one reduction
@@ -307,10 +312,10 @@ class QuboKernel:
         # pp + pm at (j, k) and (k, j) of every pair, 0 elsewhere
         self._pairs = np.zeros((n + 1, n + 1))
 
-    def _pair_angles(self, two_g: float, jj: np.ndarray, k: np.ndarray, holes: np.ndarray) -> np.ndarray:
-        """The rows 2 gamma (J_j + J_k) over 2 gamma (J_j - J_k) of one
-        block, written after the theta rows of the buffer, with angle 0 (so
-        cosine exactly 1) at the holes m = j and m = k."""
+    def _pair_coefs(self, jj: np.ndarray, k: np.ndarray, holes: np.ndarray) -> np.ndarray:
+        """The rows J_j + J_k over J_j - J_k of one block, written after the
+        theta rows of the buffer, with 0 at the holes m = j and m = k (so
+        that the angle there is 0, and its cosine exactly 1)."""
         m = len(k)
         c, rows_k = self._buf[2 * self.n : 2 * self.n + 2 * m], self._rows_k[:m]
         # the indices are in range: "clip" only spares take a buffered copy
@@ -318,7 +323,6 @@ class QuboKernel:
         self.J.take(k, axis=0, out=rows_k, mode="clip")
         c[:m] += rows_k
         c[m:] -= rows_k
-        c *= two_g
         c.put(holes, 0.0)
         return c
 
@@ -326,20 +330,20 @@ class QuboKernel:
         n, buf, sin_sq, pairs, terms = self.n, self._buf, self._sin_sq, self._pairs, self._row_terms
         two_g = 2.0 * gamma
         theta = buf[n : 2 * n]
-        np.multiply(self.J[1:], two_g, out=theta)
+        np.multiply(self._coef, two_g, out=buf[n:])
         np.multiply(theta, 2.0, out=buf[:n])
         np.sin(theta, out=sin_sq[1:])
         w = np.multiply(self.J[1:], sin_sq[1:], out=self._w)
         np.square(sin_sq, out=sin_sq)
         (jj, k, holes, dest), *more = self._blocks
-        self._pair_angles(two_g, jj, k, holes)
         # the first block shares one cos and one row product with the theta rows
         np.cos(buf, out=buf)
         prods = buf.prod(axis=1, out=self._prods)
         m = len(k)
         pairs.put(dest, prods[2 * n : 2 * n + m] + prods[2 * n + m :])
         for jj, k, holes, dest in more:
-            c = self._pair_angles(two_g, jj, k, holes)
+            c = self._pair_coefs(jj, k, holes)
+            c *= two_g
             np.cos(c, out=c)
             p = c.prod(axis=1)
             pairs.put(dest, p[: len(k)] + p[len(k) :])

@@ -3,11 +3,13 @@ observables F(t) and F-tilde(t).
 
 Evolution is fixed-step fourth-order Runge-Kutta on dpsi/dt = -i H(t) psi
 with the Hamiltonian rebuilt from the protocols' control fields at every
-substep.  All protocols of one model and ramp evolve together, as one block
-with a state per protocol; exact-CD adds its dense gauge-potential term to
-its own states only.  A model that declares a symmetry sector (the periodic
-chain's translation-invariant one) is evolved and ground-solved in it, and
-its states and ground bases are embedded back in the full space.  The state
+substep.  All protocols of one model and ramp evolve together, as one group
+with a state per protocol, and the groups of several models on one ramp
+evolve together in one loop, each in its own segment of one state vector;
+exact-CD adds its dense gauge-potential term to its own states only.  A
+model that declares a symmetry sector (the periodic chain's
+translation-invariant one) is evolved and ground-solved in it, and its
+states and ground bases are embedded back in the full space.  The state
 norm is asserted, never repaired: drift is the integrator-quality signal.
 """
 
@@ -92,16 +94,16 @@ def _lowest_levels(h: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def ground_space_op(op) -> Tuple[float, np.ndarray]:
-    """Ground space, as :func:`ground_space`, of a sparse matrix or of a
-    SpinOperator, taken in that form from its slot tables.  Up to the
+    """Ground space, as :func:`ground_space`, of a dense or sparse matrix or
+    of a SpinOperator, taken in that form from its slot tables.  Up to the
     dimension of ``DENSE_MATRIX_MAX_QUBITS`` qubits it is solved densely;
     above, by ``eigsh`` (real for a real matrix) from a fixed start vector,
     so that no solve depends on earlier ones, and the cluster's vectors are
     orthonormalized, which Lanczos does not do within a degenerate level."""
-    h = op if sparse.issparse(op) else _word_tables([op]).matrix([1.0])
+    h = op if sparse.issparse(op) or isinstance(op, np.ndarray) else _word_tables([op]).matrix([1.0])
     dim = h.shape[0]
     if dim <= 1 << DENSE_MATRIX_MAX_QUBITS:
-        return ground_space(h.toarray())
+        return ground_space(h if isinstance(h, np.ndarray) else h.toarray())
     _require_hermitian(h)
     v0 = np.random.Generator(np.random.PCG64(0)).normal(size=dim)
     energy, vec = _ground_cluster(lambda k: eigsh(h, k=k, which="SA", v0=v0), min(6, dim - 2), dim - 2)
@@ -162,8 +164,12 @@ class FidelityTrace:
 
 #: substeps whose protocol tables are evaluated in one call
 TABLE_CHUNK = 256
-#: bytes of contracted per-substep vectors held at once
-CHUNK_BYTES = 1 << 20
+#: bytes of one substep's weights of a block of groups evolved together (a
+#: larger group is a block of its own)
+BLOCK_BYTES = 1 << 18
+#: bytes of a block's weights made at once: a chunk of substeps, at least
+#: those of one step
+CHUNK_BYTES = 1 << 21
 #: largest distance of an initial state from the model's sector for the
 #: evolution to run in it
 SECTOR_TOL = 1e-12
@@ -202,6 +208,20 @@ class _WordTables:
             h = h + sparse.csr_array((off.ravel(), (np.tile(np.arange(self.dim), len(off)), self.cols.ravel())),
                                      shape=h.shape)
         return h
+
+    def slots(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every entry in one stack of slots, the off-diagonal ones first and
+        the diagonal last (zero where there is none), each slot's components
+        padded to one width: ``(comp_idx, vecs, cols)`` as :func:`_stack_slots`
+        makes them, with the gather columns of each slot."""
+        diag = self.diag or (np.zeros((1, 1), dtype=int), np.zeros((1, 1, self.dim)))
+        parts = [diag] if self.off is None else [self.off, diag]
+        width = max(p[0].shape[1] for p in parts)
+        comp_idx = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c, _ in parts])
+        vecs = np.concatenate([np.pad(v, ((0, 0), (0, width - v.shape[1]), (0, 0))) for _, v in parts])
+        own = np.arange(self.dim)[None, :]
+        cols = own if self.cols is None else np.concatenate([self.cols, own])
+        return comp_idx, vecs, cols
 
 
 def _word_tables(ops, sector=None) -> _WordTables:
@@ -301,84 +321,117 @@ def _stack_slots(slot, comp, row, val, n_slots: int, dim: int) -> Tuple[np.ndarr
     return comp_idx, (vecs if vecs.imag.any() else vecs.real.copy())
 
 
-def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray, sector=None) -> Iterator:
-    """H(t) at each of ``times``, in order, for a batch of protocols of one
-    model and ramp; :func:`_apply` applies each to a ``(B, dim)`` block
-    holding one state per protocol, in the full space (dim = 2^N) or, given
-    the model's ``sector``, in that sector (dim = its size).
+def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray, sector=None) -> "_Substeps":
+    """-i H(t) at each of ``times`` for a group of protocols of one model
+    and ramp, on a ``(B, dim)`` block holding one state per protocol, in the
+    full space (dim = 2^N) or, given the model's ``sector``, in that sector
+    (dim = its size); see :class:`_Substeps`."""
+    return _Substeps(protocols, times, sector)
 
-    The components (model terms, plus one sigma-y per site when the batch
-    holds local CD) are held as slot tables (:func:`_word_tables`): a
-    diagonal, and off-diagonal slots with a gather index and per-component
-    weights, so that one batched product contracts them all.  The
-    protocols' field tables are evaluated in chunks of substeps, and
-    contracted into per-substep vectors in smaller chunks, so memory does
-    not grow with the step count; the ramp is evaluated once per table
-    chunk for the whole batch and handed to each protocol's
-    :meth:`~racd.optimizer.Protocol.tables`.  Each substep is a
-    ``(diagonal, off-diagonal, gather index, exact columns, agp)`` tuple.
-    Exact-CD columns are contracted at their UA fields like any other; when
-    the batch holds them, ``agp`` is the dense lambda_dot * A(lambda) that
-    they add, with A the spectral gauge potential of H0(lambda) = H_a +
-    lambda * H_b (every schedule is affine in lambda) on the same basis,
-    and None otherwise.
+
+class _Substeps:
+    """-i H(t) of one group at each of ``times``.
+
+    The components (model terms, plus one sigma-y per site when the group
+    holds local CD) are held as one stack of slots (:meth:`_WordTables.slots`,
+    the diagonal last) with -i folded into their weights, so that one
+    batched product contracts them all.  :meth:`write` contracts the weights
+    of a run of substeps into a caller's array; the protocols' field tables
+    behind them are evaluated ``TABLE_CHUNK`` substeps at a time, with the
+    ramp evaluated once per table chunk for the whole group and handed to
+    each protocol's :meth:`~racd.optimizer.Protocol.tables`.  Iterating
+    yields each substep in time order as a ``(weights, gather, exact
+    columns, agp)`` tuple, which :func:`_apply` applies: the ``(slots, B *
+    dim)`` weights and the flat gather index into the block that they
+    multiply.  Exact-CD columns are contracted at their UA fields like any
+    other; when the group holds them, ``agp`` is -i times the dense
+    lambda_dot * A(lambda) that they add, with A the spectral gauge
+    potential of H0(lambda) = H_a + lambda * H_b (every schedule is affine
+    in lambda) on the same basis, and None otherwise.
     """
-    model = protocols[0].model
-    n = model.n_qubits
-    n_batch = len(protocols)
-    exact = [b for b, p in enumerate(protocols) if p.kind == "exact-cd"]
-    ops = [t.operator for t in model.terms]
-    if any(p.kind == "local-cd" for p in protocols):
-        ops += [sigma_y(n, j) for j in range(n)]
-    tables = _word_tables(ops, sector)
-    dim, diag, off = tables.dim, tables.diag, tables.off
-    # flat gather index into the block: [k, b, r] -> row b, state cols[k, r]
-    gather = None if off is None else np.arange(n_batch)[:, None] * dim + tables.cols[:, None, :]
-    # the full space keeps the operators' own dense form: the gauge potential
-    # is ill-conditioned near level crossings, and the tables' rounding of H0
-    # would move it (by 2.5e-8 on LHZ n=4)
-    if exact and sector is None:
-        h_a, h_b = model.h0(0.0).to_dense(), model.dh0_dlambda(0.0).to_dense()
-    elif exact:
-        # complex, as before: exact_agp's syevd fails on some real H0 (see ground_space)
-        h_a, h_b = (m.toarray().astype(complex) for m in _h0_pair(model, sector))
-    n_slots = 0 if off is None else len(off[0])
-    chunk = max(1, min(TABLE_CHUNK, CHUNK_BYTES // (n_batch * (n_slots + 1) * dim * 16)))
-    table_chunk = chunk * (TABLE_CHUNK // chunk)
 
-    for t0 in range(0, len(times), table_chunk):
-        table_times = times[t0 : t0 + table_chunk]
-        lams, lam_dots = protocols[0].ramp.table(table_times)
-        coeffs = np.zeros((len(table_times), n_batch, len(ops)))
-        for b, protocol in enumerate(protocols):
-            fields, y = protocol.tables(table_times, lams, lam_dots)
-            for c, term in enumerate(model.terms):
-                coeffs[:, b, c] = fields[term.name]
-            if y is not None:
-                coeffs[:, b, len(model.terms):] = y
-        for c0 in range(0, len(table_times), chunk):
-            part = coeffs[c0 : c0 + chunk]
-            # diagonal (C, B, dim) and off-diagonal (C, slots, B, dim) vectors
-            d = None if diag is None else _contract_groups(part, *diag)[:, 0]
-            o = None if off is None else _contract_groups(part, *off)
-            for j in range(len(part)):
-                i = c0 + j
-                agp = lam_dots[i] * exact_agp(h_a + lams[i] * h_b, h_b) if exact else None
-                yield None if d is None else d[j], None if o is None else o[j], gather, exact, agp
+    def __init__(self, protocols: Sequence[Protocol], times: np.ndarray, sector=None):
+        model = protocols[0].model
+        n = model.n_qubits
+        self.protocols, self.times = list(protocols), times
+        self.exact = [b for b, p in enumerate(protocols) if p.kind == "exact-cd"]
+        self._ops = [t.operator for t in model.terms]
+        if any(p.kind == "local-cd" for p in protocols):
+            self._ops += [sigma_y(n, j) for j in range(n)]
+        self._comp_idx, vecs, cols = _word_tables(self._ops, sector).slots()
+        # real coefficients act on interleaved (re, im) pairs: half a complex product
+        self._vecs = np.ascontiguousarray(-1j * vecs).view(float)[:, None]
+        self.slots, dim = cols.shape
+        self.size = len(protocols) * dim
+        #: bytes of one substep's dense exact-CD term (0 without one)
+        self.agp_bytes = 16 * dim * dim if self.exact else 0
+        # flat gather index into the block: [k, b * dim + r] -> row b, state cols[k, r]
+        self.gather = (np.arange(len(protocols))[:, None] * dim + cols[:, None, :]).reshape(self.slots, -1)
+        # the full space keeps the operators' own dense form: the gauge potential
+        # is ill-conditioned near level crossings, and the tables' rounding of H0
+        # would move it (by 2.5e-8 on LHZ n=4)
+        if self.exact and sector is None:
+            self._h_ab = model.h0(0.0).to_dense(), model.dh0_dlambda(0.0).to_dense()
+        elif self.exact:
+            # complex, as before: exact_agp's syevd fails on some real H0 (see ground_space)
+            self._h_ab = tuple(m.toarray().astype(complex) for m in _h0_pair(model, sector))
+        self._table = (-1, None)
+
+    def _coeffs(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficients ``(substeps, B, components)``, lambdas and lambda_dots
+        of the substeps ``start`` to ``stop - 1``, from the table chunks that
+        hold them (the last one kept for the next call)."""
+        parts = []
+        for k in range(start // TABLE_CHUNK, (stop - 1) // TABLE_CHUNK + 1):
+            if self._table[0] != k:
+                times = self.times[k * TABLE_CHUNK : (k + 1) * TABLE_CHUNK]
+                lams, lam_dots = self.protocols[0].ramp.table(times)
+                coeffs = np.zeros((len(times), len(self.protocols), len(self._ops)))
+                for b, protocol in enumerate(self.protocols):
+                    fields, y = protocol.tables(times, lams, lam_dots)
+                    for c, term in enumerate(protocol.model.terms):
+                        coeffs[:, b, c] = fields[term.name]
+                    if y is not None:
+                        coeffs[:, b, len(protocol.model.terms):] = y
+                self._table = (k, (coeffs, lams, lam_dots))
+            rows = slice(max(start - k * TABLE_CHUNK, 0), stop - k * TABLE_CHUNK)
+            parts.append([a[rows] for a in self._table[1]])
+        return tuple(np.concatenate(p) for p in zip(*parts)) if len(parts) > 1 else tuple(parts[0])
+
+    def write(self, out: np.ndarray, start: int, stop: int) -> list:
+        """Weights of the substeps ``start`` to ``stop - 1`` into ``out``,
+        shaped ``(stop - start, slots, B * dim)`` with each row contiguous;
+        returns their ``agp`` terms."""
+        coeffs, lams, lam_dots = self._coeffs(start, stop)
+        n = stop - start
+        g = coeffs[..., self._comp_idx].transpose(2, 0, 1, 3)
+        target = out.reshape(n, self.slots, len(self.protocols), -1).transpose(1, 0, 2, 3).view(float)
+        np.matmul(g, self._vecs, out=target)
+        if not self.exact:
+            return [None] * n
+        h_a, h_b = self._h_ab
+        return [(-1j * lam_dot) * exact_agp(h_a + lam * h_b, h_b) for lam, lam_dot in zip(lams, lam_dots)]
+
+    def __iter__(self) -> Iterator:
+        chunk = max(1, min(TABLE_CHUNK, CHUNK_BYTES // (16 * self.slots * self.size + self.agp_bytes)))
+        for start in range(0, len(self.times), chunk):
+            stop = min(start + chunk, len(self.times))
+            weights = np.empty((stop - start, self.slots, self.size), dtype=complex)
+            agps = self.write(weights, start, stop)
+            for w, agp in zip(weights, agps):
+                yield w, self.gather, self.exact, agp
 
 
 def _apply(h, psi: np.ndarray) -> np.ndarray:
-    """One substep ``h`` of :func:`_hamiltonians` applied to each row of the
-    ``(B, dim)`` block ``psi``."""
-    d, off, gather, exact, agp = h
-    # out[b, r] = d[b, r] psi[b, r] + sum_k off_k[b, r] psi[b, cols[k, r]],
-    # plus (agp psi[b])[r] for the exact-CD rows b
-    out = d * psi if d is not None else np.zeros_like(psi)
-    if off is not None:
-        out += (off * np.take(psi, gather)).sum(axis=0)
+    """H of one substep ``h`` of :func:`_hamiltonians` applied to each row
+    of the ``(B, dim)`` block ``psi``."""
+    weights, gather, exact, agp = h
+    # out[b, r] = sum_k w_k[b, r] psi[b, cols[k, r]], plus (agp psi[b])[r]
+    # for the exact-CD rows b: -i H psi
+    out = (weights * np.take(psi, gather)).sum(axis=0).reshape(psi.shape)
     if agp is not None:
         out[exact] += psi[exact] @ agp.T
-    return out
+    return 1j * out
 
 
 def _contract_groups(coeffs: np.ndarray, comp_idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -406,12 +459,17 @@ def _output_steps(protocols: Sequence[Protocol], steps: int, n_out: int) -> np.n
     return np.unique(np.linspace(0, steps, n_out).round().astype(int))
 
 
-def _check_batch(protocols: Sequence[Protocol]) -> None:
-    if not protocols:
-        raise ValueError("no protocols to evolve")
-    first = protocols[0]
-    if any(p.model is not first.model or p.ramp != first.ramp for p in protocols):
-        raise ValueError("a batch must share one model and one ramp")
+def _check_groups(groups: Sequence[List[Protocol]]) -> None:
+    """Each group holds protocols of one model and one ramp, and every group
+    has the same ramp."""
+    for protocols in groups:
+        if not protocols:
+            raise ValueError("no protocols to evolve")
+        first = protocols[0]
+        if any(p.model is not first.model or p.ramp != first.ramp for p in protocols):
+            raise ValueError("a batch must share one model and one ramp")
+        if first.ramp != groups[0][0].ramp:
+            raise ValueError("groups must share one ramp")
 
 
 def evolve(
@@ -421,7 +479,8 @@ def evolve(
     n_out: int = 101,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fixed-step RK4 propagation over [0, tau] of every protocol from the
-    same initial state, as one block.
+    same initial state, as one block: the one-group case of the block loop
+    (:func:`_evolve_groups`).
 
     The protocols share one model and one ramp.  Returns (times, states)
     sampled at ``n_out`` integrator grid points (including both endpoints),
@@ -435,48 +494,176 @@ def evolve(
     block evolves in the sector and is embedded in the full space at the
     output points only; otherwise it evolves in the full space.
     """
-    protocols = list(protocols)
-    _check_batch(protocols)
-    out_idx = _output_steps(protocols, steps, n_out)
-    tau = protocols[0].ramp.tau
+    times, (states,) = _evolve_groups([(list(protocols), psi0)], steps, n_out)
+    if isinstance(states, Exception):
+        raise states
+    return times, states
+
+
+def _evolve_groups(groups, steps: int, n_out: int) -> Tuple[np.ndarray, list]:
+    """:func:`evolve` of several groups ``(protocols, psi0)`` at once, each
+    group one model's protocols from that model's initial state, every group
+    on one ramp: (times, one entry per group), each entry the group's
+    states as :func:`evolve` returns them, or the exception that its
+    evolution raised.
+
+    Each group evolves in its model's sector where :func:`evolve` would.
+    Consecutive groups are evolved as one block (:func:`_evolve_block`)
+    while one substep's weights of the block stay within ``BLOCK_BYTES``; a
+    group above that is a block of its own.
+    """
+    groups = [(list(protocols), np.asarray(psi0, dtype=complex)) for protocols, psi0 in groups]
+    _check_groups([protocols for protocols, _ in groups])
+    out_idx = _output_steps([p for protocols, _ in groups for p in protocols], steps, n_out)
+    tau = groups[0][0][0].ramp.tau
     h = tau / steps
     # substep times: t_k, t_k + h/2 interleaved, plus the final endpoint
     sub = np.empty(2 * steps + 1)
     sub[0::2] = np.linspace(0.0, tau, steps + 1)
     sub[1::2] = sub[0:-1:2] + 0.5 * h
-    psi0 = np.asarray(psi0, dtype=complex)
-    sector = protocols[0].model.sector
-    if sector is not None:
-        inside = sector.project(psi0)
-        if np.linalg.norm(psi0 - sector.embed(inside)) > SECTOR_TOL:
-            sector = None
-    hamiltonians = _hamiltonians(protocols, sub, sector)
-    end = next(hamiltonians)
+    results, block = [], []
+    for protocols, psi0 in groups:
+        member = _Member(protocols, psi0, sub)
+        grown = block + [member]
+        if block and 16 * max(m.slots for m in grown) * sum(m.size for m in grown) > BLOCK_BYTES:
+            results += _evolve_block(block, h, out_idx, steps)
+            block = []
+        block.append(member)
+    results += _evolve_block(block, h, out_idx, steps)
+    return sub[2 * out_idx], results
 
-    out_times = sub[2 * out_idx]
-    psi = np.tile(psi0 if sector is None else inside, (len(protocols), 1))
-    states = np.empty((len(out_idx), len(psi0), len(protocols)), dtype=complex)
+
+class _Member:
+    """One group of a block: its protocols, the sector it evolves in (None
+    for the full space), its ``(B, dim)`` start block there, and its
+    substeps (:func:`_hamiltonians`), or the exception that making them
+    raised."""
+
+    def __init__(self, protocols: List[Protocol], psi0: np.ndarray, sub: np.ndarray):
+        self.protocols = protocols
+        self.sector = protocols[0].model.sector
+        if self.sector is not None:
+            inside = self.sector.project(psi0)
+            if np.linalg.norm(psi0 - self.sector.embed(inside)) > SECTOR_TOL:
+                self.sector = None
+        self.start = np.tile(psi0 if self.sector is None else inside, (len(protocols), 1))
+        self.size, self.slots, self.error = self.start.size, 1, None
+        try:
+            self.substeps = _hamiltonians(protocols, sub, self.sector)
+            self.slots = self.substeps.slots
+        except Exception as exc:
+            self.error = exc
+
+
+def _evolve_block(members: List[_Member], h: float, out_idx: np.ndarray, steps: int) -> list:
+    """The RK4 loop, with step ``h``: every group of ``members`` evolved as
+    one flat, ragged state vector, each group's ``(B, dim)`` block one
+    contiguous segment; one entry per group, its states on the output steps
+    ``out_idx`` or the exception its evolution raised.
+
+    The weights of a chunk of substeps are written by every group into one
+    ``(substeps, slots, amplitudes)`` array, as many as ``CHUNK_BYTES``
+    holds; a flat gather index carries each segment's offset, and a group
+    with fewer slots is padded with zero weights on its own index.  So -i H
+    psi of the whole block is one ``take``, ``multiply`` and ``add.reduce``
+    into preallocated buffers, plus each exact-CD group's dense term, and
+    the RK4 combination runs in place.  A group that fails (its norm
+    drifts, or making its weights raises, which happens a chunk ahead) stops
+    there: its segment is zeroed, and the others go on.
+    """
+    results: list = [m.error for m in members]
+    live = [g for g, m in enumerate(members) if m.error is None]
+    bounds = np.cumsum([0] + [m.size for m in members])
+    segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+    index = np.tile(np.arange(bounds[-1]), (max(m.slots for m in members), 1))
+    for g in live:
+        index[: members[g].slots, segments[g]] = members[g].substeps.gather + bounds[g]
+    # a chunk holds 2 * per + 1 substeps: the last one of the previous chunk,
+    # then those of ``per`` steps
+    substep = 16 * index.size + sum(members[g].substeps.agp_bytes for g in live)
+    per = max(1, min(TABLE_CHUNK // 2, (CHUNK_BYTES // substep - 1) // 2))
+    weights = np.zeros((2 * per + 1,) + index.shape, dtype=complex)
+    agps: List[dict] = [{} for _ in range(2 * per + 1)]
+    buf = np.empty(index.shape, dtype=complex)
+    psi = np.concatenate([m.start.ravel() for m in members])
+    k1, k2, k3, k4, arg = (np.empty_like(psi) for _ in range(5))
+
+    def fail(g: int, exc: Exception) -> None:
+        results[g] = exc
+        live.remove(g)
+        psi[segments[g]] = 0.0
+        weights[:, :, segments[g]] = 0.0
+        for terms in agps:
+            terms.pop(g, None)
+
+    def make(first: int, start: int, stop: int) -> None:
+        """Substeps ``start`` to ``stop - 1`` into the chunk from its row ``first``."""
+        for terms in agps[first:]:
+            terms.clear()
+        for g in list(live):
+            member = members[g]
+            try:
+                made = member.substeps.write(weights[first : first + stop - start, : member.slots, segments[g]],
+                                             start, stop)
+            except Exception as exc:
+                fail(g, exc)
+                continue
+            for terms, agp in zip(agps[first:], made):
+                if agp is not None:
+                    terms[g] = agp
+
+    def apply(row: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        np.take(x, index, out=buf, mode="clip")
+        np.multiply(buf, weights[row], out=buf)
+        np.add.reduce(buf, axis=0, out=out)
+        for g, agp in agps[row].items():
+            shape, exact = members[g].start.shape, members[g].substeps.exact
+            rows = x[segments[g]].reshape(shape)[exact]
+            into = out[segments[g]].reshape(shape)
+            into[exact] = into[exact] + rows @ agp.T
+        return out
+
+    states = {g: np.empty((len(out_idx), 1 << members[g].protocols[0].model.n_qubits, len(members[g].protocols)),
+                          dtype=complex) for g in live}
+    make(0, 0, min(2 * per + 1, 2 * steps + 1))
     pointer = 0
-
     for k in range(steps + 1):
         if pointer < len(out_idx) and k == out_idx[pointer]:
-            # the sector's basis is orthonormal, so its norms are the full space's
-            drift = np.abs(np.linalg.norm(psi, axis=1) - 1.0)
-            over = np.flatnonzero(drift > NORM_DRIFT_TOL)
-            if over.size:
-                raise StepSizeError(float(drift[over[0]]), steps, kind=protocols[over[0]].kind)
-            states[pointer] = (psi if sector is None else sector.embed(psi)).T
+            for g in list(live):
+                member = members[g]
+                block = psi[segments[g]].reshape(member.start.shape)
+                # the sector's basis is orthonormal, so its norms are the full space's
+                drift = np.abs(np.linalg.norm(block, axis=1) - 1.0)
+                over = np.flatnonzero(drift > NORM_DRIFT_TOL)
+                if over.size:
+                    fail(g, StepSizeError(float(drift[over[0]]), steps, kind=member.protocols[over[0]].kind))
+                    continue
+                states[g][pointer] = (block if member.sector is None else member.sector.embed(block)).T
             pointer += 1
-        if k == steps:
+        if k == steps or not live:
             break
-        # substeps 2k, 2k+1 and 2k+2; the end one starts the next step
-        start, mid, end = end, next(hamiltonians), next(hamiltonians)
-        k1 = -1j * _apply(start, psi)
-        k2 = -1j * _apply(mid, psi + 0.5 * h * k1)
-        k3 = -1j * _apply(mid, psi + 0.5 * h * k2)
-        k4 = -1j * _apply(end, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return out_times, states
+        j = k % per
+        if j == 0 and k > 0:
+            # the last substep made starts this chunk
+            weights[0] = weights[2 * per]
+            agps[0], agps[2 * per] = agps[2 * per], agps[0]
+            make(1, 2 * k + 1, min(2 * (k + per) + 1, 2 * steps + 1))
+        # substeps 2k, 2k+1 and 2k+2 are rows 2j, 2j+1 and 2j+2
+        apply(2 * j, psi, k1)
+        np.multiply(k1, 0.5 * h, out=arg)
+        apply(2 * j + 1, np.add(psi, arg, out=arg), k2)
+        np.multiply(k2, 0.5 * h, out=arg)
+        apply(2 * j + 1, np.add(psi, arg, out=arg), k3)
+        np.multiply(k3, h, out=arg)
+        apply(2 * j + 2, np.add(psi, arg, out=arg), k4)
+        # psi + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
+        k1 += np.multiply(k2, 2.0, out=k2)
+        k1 += np.multiply(k3, 2.0, out=k3)
+        k1 += k4
+        psi += np.multiply(k1, h / 6.0, out=k1)
+    for g in live:
+        results[g] = states[g]
+    return results
 
 
 def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
@@ -492,11 +679,15 @@ def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
     with one sign, which for a stoquastic H0 with an irreducible
     off-diagonal part (the chain's, while its X field 1 - lambda/2 is
     nonzero) only the unique ground state is (Perron-Frobenius).  Any other
-    lambda is solved in the full space, built at the first such lambda.
+    lambda is solved in the full space, built at the first such lambda.  A
+    sector within the dense cap keeps its pair dense, so that each lambda
+    adds two dense matrices.
     """
     sector = model.sector
     if sector is not None:
         sec_a, sec_b = _h0_pair(model, sector)
+        if sector.dim <= 1 << DENSE_MATRIX_MAX_QUBITS:
+            sec_a, sec_b = sec_a.toarray(), sec_b.toarray()
     full = None
     bases = []
     for lam in lambdas:
@@ -528,18 +719,72 @@ def run_protocol(
     and record F(t) and F-tilde(t) on the output grid; one trace per
     protocol, in order.  A degenerate start raises.
 
-    The protocols share one model and one ramp, and evolve as one batch
+    The protocols share one model and one ramp, and evolve as one group
     (see :func:`evolve`); the ground bases are solved once and shared.
+    :func:`run_groups` is the same for several models at once.
     """
     protocols = list(protocols)
-    _check_batch(protocols)
-    model, ramp = protocols[0].model, protocols[0].ramp
+    _check_groups([protocols])
+    times, lams, ground_bases = _ground_grid(protocols, steps, n_out)
+    _, states = evolve(protocols, ground_bases[0][:, 0], steps=steps, n_out=n_out)
+    return _fidelity_traces(protocols, states, times, lams, ground_bases)
+
+
+def run_groups(
+    groups: Sequence[Sequence[Protocol]],
+    steps: int = 2000,
+    n_out: int = 101,
+) -> List[List[FidelityTrace] | Exception]:
+    """:func:`run_protocol` of several groups of protocols, each group one
+    model's, all on one ramp, with every group evolved in one RK4 loop
+    (:func:`_evolve_groups`).  One outcome per group, in order: its traces,
+    or the exception that its run raised.
+
+    The outcomes are those of running the groups one at a time, in order,
+    up to the first failure.  A group whose evolution fails does not
+    disturb the others.  A group that fails before its evolution (capacity,
+    ground solves, a degenerate start) is the last outcome: the groups
+    after it are not run, and those before it still evolve.
+    """
+    groups = [list(protocols) for protocols in groups]
+    if not groups:
+        return []
+    _check_groups(groups)
+    ready, failure = [], None
+    for protocols in groups:
+        try:
+            ready.append((protocols, *_ground_grid(protocols, steps, n_out)))
+        except Exception as exc:
+            failure = exc
+            break
+    outcomes: list = []
+    if ready:
+        _, evolved = _evolve_groups([(p, bases[0][:, 0]) for p, _, _, bases in ready], steps, n_out)
+        for (protocols, times, lams, bases), states in zip(ready, evolved):
+            if not isinstance(states, Exception):
+                try:
+                    states = _fidelity_traces(protocols, states, times, lams, bases)
+                except Exception as exc:
+                    states = exc
+            outcomes.append(states)
+    return outcomes if failure is None else outcomes + [failure]
+
+
+def _ground_grid(protocols: List[Protocol], steps: int, n_out: int) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
+    """The output times of a group, their lambdas and ground bases, once the
+    group is known to fit the propagator; a degenerate start raises."""
+    ramp = protocols[0].ramp
     times = np.linspace(0.0, ramp.tau, steps + 1)[_output_steps(protocols, steps, n_out)]
     lams, _ = ramp.table(times)
-    ground_bases = ground_trace(model, lams)
+    ground_bases = ground_trace(protocols[0].model, lams)
     if ground_bases[0].shape[1] != 1:
         raise ValueError("degenerate initial ground state")
-    _, states = evolve(protocols, ground_bases[0][:, 0], steps=steps, n_out=n_out)
+    return times, lams, ground_bases
+
+
+def _fidelity_traces(protocols: List[Protocol], states: np.ndarray, times: np.ndarray, lams: np.ndarray,
+                     ground_bases: List[np.ndarray]) -> List[FidelityTrace]:
+    """One :func:`_fidelity_trace` per column of ``states``."""
     return [_fidelity_trace(protocol, np.ascontiguousarray(states[:, :, col]), times, lams, ground_bases)
             for col, protocol in enumerate(protocols)]
 

@@ -187,12 +187,23 @@ def make_action_objective(
     (see :func:`racd.closed_form.action_qubo`); both live as long as the
     objective, and neither changes a value.
     """
+    return _objective(model, lam, lam_dot, _evaluator(model, backend))
+
+
+def _evaluator(model: Model, backend: str) -> Callable | None:
+    """The closed-form evaluator of ``model`` (:func:`racd.closed_form.evaluator`)
+    for the ``closed-form`` backend, None for the oracle."""
     if backend not in ("closed-form", "oracle"):
         raise ValueError(f"unknown action backend {backend!r}")
+    return closed_form.evaluator(model) if backend == "closed-form" else None
+
+
+def _objective(model: Model, lam: float, lam_dot: float, evaluate: Callable | None) -> Callable[[np.ndarray], float]:
+    """The objective of :func:`make_action_objective` on an evaluator made
+    by :func:`_evaluator`."""
     fd = model.ua_fields(lam, lam_dot)
-    if backend == "oracle":
+    if evaluate is None:
         return lambda x: action_oracle(model, fd, x)
-    evaluate = closed_form.evaluator(model)  # rejects models without a closed form
     return lambda x: evaluate(fd, x)
 
 
@@ -207,6 +218,9 @@ def sequential_optimize(
     Starts from zero parameters at t = 0 (where lambda_dot = 0 makes the
     trivial ansatz optimal) and uses each optimum as the next initial guess,
     tracking one smooth solution branch.  Deterministic for fixed inputs.
+    Every grid point's objective is that of :func:`make_action_objective`;
+    one closed-form evaluator (and so one QUBO kernel and gamma cache,
+    whose sums depend on neither the fields nor beta) serves them all.
     """
     if M < 10:
         raise ValueError("M must be >= 10")
@@ -215,9 +229,10 @@ def sequential_optimize(
     times = np.array([m * ramp.tau / M for m in range(M + 1)])
     values = np.zeros((M + 1, len(names)))
     x = np.zeros(len(names))
+    evaluate = _evaluator(model, backend)
     for m, t in enumerate(times):
         lam, lam_dot = ramp(t)
-        objective = make_action_objective(model, lam, lam_dot, backend)
+        objective = _objective(model, lam, lam_dot, evaluate)
         res = bfgs_minimize(objective, x)
         if res.aborted:
             raise SequentialOptimizeError(f"BFGS aborted at grid index {m} (t={t:.6g})")

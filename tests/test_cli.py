@@ -1,5 +1,7 @@
 import json
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from racd import cli
@@ -239,3 +241,58 @@ def test_validate_reports_max_deviation_format():
 
     line = SuiteResult("demo", True, 1.2e-9, 1e-8).line()
     assert line.startswith("PASS") and "max deviation" in line
+
+
+@pytest.mark.parametrize("model, sizes", [("qubo", (2, 3, 4)), ("lhz", (3,))])
+def test_scaling_rows_match_the_per_model_path(model, sizes):
+    # every (size, instance) evolved in one block gives the rows of one
+    # _single_run after another
+    config = cli.RunConfig(model=model, tau=1.0, m_points=10, steps=200, seed=3, instances=2)
+    rows = cli.scaling_study(config, sizes)
+    want = []
+    for size in sizes:
+        run_cfg = replace(config, n=size, n_logical=size, protocols=cli.SCALING_PROTOCOLS)
+        finals = [cli._single_run(cli._build_model(run_cfg, config.seed + idx), run_cfg, None, n_out=11)
+                  for idx in range(config.instances)]
+        for kind in cli.SCALING_PROTOCOLS:
+            f_vals = np.array([f[kind] for f in finals])
+            want.append((size, kind, f_vals.mean(), np.percentile(f_vals, 25), np.percentile(f_vals, 75),
+                         (f_vals / np.array([f["ua"] for f in finals])).mean()))
+    assert [(r["size"], r["protocol"]) for r in rows] == [w[:2] for w in want]
+    for r, w in zip(rows, want):
+        got = (r["mean_F"], r["p25_F"], r["p75_F"], r["mean_rel_improvement"])
+        np.testing.assert_allclose(got, w[2:], rtol=0, atol=1e-12)
+
+
+def test_scaling_reports_an_earlier_evolution_failure_before_a_later_synthesis_failure(monkeypatch):
+    from racd.dynamics import StepSizeError
+    from racd.optimizer import SequentialOptimizeError
+
+    synthesize = cli.sequential_optimize
+    synthesized, evolved = [], []
+
+    def failing_third(model, *args, **kwargs):
+        synthesized.append(model.n_qubits)
+        if len(synthesized) == 3:
+            raise SequentialOptimizeError("BFGS aborted")
+        return synthesize(model, *args, **kwargs)
+
+    def drift_first(groups, *args, **kwargs):
+        evolved.append([p[0].model.n_qubits for p in groups])
+        return [StepSizeError(2e-6, 200, kind="ra")] + [[] for _ in groups[1:]]
+
+    monkeypatch.setattr(cli, "sequential_optimize", failing_third)
+    config = cli.RunConfig(model="qubo", m_points=10, steps=200, seed=3, instances=1)
+    monkeypatch.setattr(cli, "run_groups", drift_first)
+    with pytest.raises(StepSizeError) as drift:
+        cli.scaling_study(config, (2, 3, 4, 5))
+    # the synthesis stopped at the failing instance; the ones before it evolved
+    assert synthesized == [2, 3, 4] and evolved == [[2, 3]]
+    assert str(drift.value).startswith("ra evolution failed for the qubo model with 2 qubits, instance seed 3")
+    # with no evolution failure the synthesis error is the one reported
+    synthesized.clear()
+    monkeypatch.setattr(cli, "run_groups", lambda groups, *a, **k: [
+        [type("T", (), {"F": np.ones(2)})() for _ in p] for p in groups])
+    with pytest.raises(SequentialOptimizeError) as synth:
+        cli.scaling_study(config, (2, 3, 4, 5))
+    assert str(synth.value).startswith("ra synthesis failed for the qubo model with 4 qubits, instance seed 3")

@@ -690,3 +690,94 @@ def test_chain_sector_run_matches_the_full_space_run(n):
     for a, b in zip(traces[model], traces[full]):
         assert_allclose(a.F, b.F, rtol=0, atol=1e-10)
         assert_allclose(a.F_tilde, b.F_tilde, rtol=0, atol=1e-10)
+
+
+def _group_start(model):
+    return ground_space_op(model.h0(0.0))[1][:, 0]
+
+
+@st.composite
+def _groups(draw):
+    """One model's protocols: QUBO N=2..6, the chain at N=4..8 (in its
+    sector), two-spin with exact-CD, or LHZ n=3, each with its own slot
+    count."""
+    family = draw(st.sampled_from(["qubo", "chain", "two-spin", "lhz"]))
+    if family == "qubo":
+        model = random_instance("qubo", draw(st.integers(2, 6)), draw(st.integers(0, 2**16)))
+    elif family == "chain":
+        model = ChainModel(draw(st.integers(4, 8)))
+    elif family == "lhz":
+        model = random_instance("lhz", 3, draw(st.integers(0, 2**16)))
+    else:
+        model = TwoSpinModel()
+    kinds = ["ua", "local-cd", "ra"] + (["exact-cd"] if family == "two-spin" else [])
+    order = draw(st.permutations(kinds))
+    traj = random_trajectory(model, draw(st.integers(0, 2**16)))
+    ramp = Ramp(1.0)
+    return [assemble_protocol(model, traj, kind, ramp) for kind in order[: draw(st.integers(1, len(order)))]]
+
+
+@settings(max_examples=30, deadline=None)
+@given(groups=st.lists(_groups(), min_size=2, max_size=4), steps=st.integers(100, 160), n_out=st.integers(2, 12))
+def test_group_block_matches_each_group_alone(groups, steps, n_out):
+    from racd.dynamics import _evolve_groups
+
+    starts = [_group_start(protocols[0].model) for protocols in groups]
+    times, results = _evolve_groups(list(zip(groups, starts)), steps, n_out)
+    assert len(results) == len(groups)
+    for protocols, psi0, result in zip(groups, starts, results):
+        if isinstance(result, StepSizeError):
+            with pytest.raises(StepSizeError) as alone:
+                evolve(protocols, psi0, steps=steps, n_out=n_out)
+            assert (alone.value.kind, alone.value.drift) == (result.kind, result.drift)
+            continue
+        alone_times, alone = evolve(protocols, psi0, steps=steps, n_out=n_out)
+        assert_allclose(times, alone_times, rtol=0, atol=0)
+        assert result.shape == alone.shape
+        assert_allclose(result, alone, rtol=0, atol=1e-12)
+
+
+def _stiff_protocol(field):
+    from racd.models import Model, ModelTerm
+    from racd.operators import SpinOperator
+
+    class StiffModel(Model):
+        kind = "chain"
+
+        def __init__(self):
+            super().__init__(1, [ModelTerm("x", SpinOperator(1, {(1, 0): 1.0}), field, 0.0, None)])
+
+    return assemble_protocol(StiffModel(), None, "ua", Ramp(1.0))
+
+
+def test_drifted_groups_keep_their_own_errors_and_spare_the_others():
+    import warnings
+
+    from racd.dynamics import _evolve_groups
+
+    psi0 = np.array([1.0, 0.0], dtype=complex)
+    # the first group drifts at a later output point than the third
+    late, early = [_stiff_protocol(20.0)], [_stiff_protocol(30.0)]
+    model = TwoSpinModel()
+    fine = [assemble_protocol(model, None, kind, Ramp(1.0)) for kind in ("ua", "exact-cd")]
+    alone = {}
+    for name, protocols, start in (("late", late, psi0), ("early", early, psi0)):
+        with pytest.raises(StepSizeError) as err:
+            evolve(protocols, start, steps=100, n_out=51)
+        alone[name] = err.value
+    assert alone["early"].drift != alone["late"].drift
+    _, fine_alone = evolve(fine, _group_start(model), steps=100, n_out=51)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, results = _evolve_groups([(late, psi0), (fine, _group_start(model)), (early, psi0)], 100, 51)
+    for result, want in ((results[0], alone["late"]), (results[2], alone["early"])):
+        assert isinstance(result, StepSizeError)
+        assert (result.kind, result.drift, result.steps) == (want.kind, want.drift, want.steps)
+    assert np.array_equal(results[1], fine_alone)
+    # run_groups: the same per-group outcomes, traces where a group ran through
+    from racd.dynamics import run_groups
+
+    outcomes = run_groups([late, fine, early], steps=100, n_out=51)
+    assert isinstance(outcomes[0], StepSizeError) and isinstance(outcomes[2], StepSizeError)
+    for got, want in zip(outcomes[1], run_protocol(fine, steps=100, n_out=51)):
+        assert np.array_equal(got.F, want.F) and np.array_equal(got.F_tilde, want.F_tilde)

@@ -338,3 +338,26 @@ def test_q_table_zero_except_ra():
     qt = ra.q_table(times)
     assert set(qt) == {"gamma", "phi"}
     assert_allclose(qt["gamma"], traj.value("gamma", times), atol=1e-12)
+
+
+@pytest.mark.parametrize("kind, size", [("qubo", 4), ("qubo", 7), ("lhz", 3)])
+def test_sequential_shares_one_evaluator_bit_identically(monkeypatch, kind, size):
+    # one closed-form evaluator (for QUBO one kernel and one gamma cache)
+    # serves every grid point, and the knots are those of one fresh
+    # make_action_objective per grid point
+    from racd import optimizer
+
+    model = random_instance(kind, size, 9)
+    ramp = Ramp(1.0)
+    built = []
+    evaluator = cf.evaluator
+    monkeypatch.setattr(cf, "evaluator", lambda m: built.append(m) or evaluator(m))
+    shared = sequential_optimize(model, ramp, M=20)
+    assert built == [model]
+    # what make_action_objective does at each grid point: a fresh evaluator
+    objective = optimizer._objective
+    monkeypatch.setattr(optimizer, "_objective",
+                        lambda m, lam, lam_dot, evaluate: objective(m, lam, lam_dot, cf.evaluator(m)))
+    fresh = sequential_optimize(model, ramp, M=20)
+    assert len(built) == 1 + 1 + 21  # its own evaluator goes unused
+    assert_array_equal(shared.values, fresh.values)
