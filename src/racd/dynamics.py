@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -321,14 +321,6 @@ def _stack_slots(slot, comp, row, val, n_slots: int, dim: int) -> Tuple[np.ndarr
     return comp_idx, (vecs if vecs.imag.any() else vecs.real.copy())
 
 
-def _hamiltonians(protocols: Sequence[Protocol], times: np.ndarray, sector=None) -> "_Substeps":
-    """-i H(t) at each of ``times`` for a group of protocols of one model
-    and ramp, on a ``(B, dim)`` block holding one state per protocol, in the
-    full space (dim = 2^N) or, given the model's ``sector``, in that sector
-    (dim = its size); see :class:`_Substeps`."""
-    return _Substeps(protocols, times, sector)
-
-
 class _Substeps:
     """-i H(t) of one group at each of ``times``.
 
@@ -336,18 +328,17 @@ class _Substeps:
     holds local CD) are held as one stack of slots (:meth:`_WordTables.slots`,
     the diagonal last) with -i folded into their weights, so that one
     batched product contracts them all.  :meth:`write` contracts the weights
-    of a run of substeps into a caller's array; the protocols' field tables
-    behind them are evaluated ``TABLE_CHUNK`` substeps at a time, with the
-    ramp evaluated once per table chunk for the whole group and handed to
-    each protocol's :meth:`~racd.optimizer.Protocol.tables`.  Iterating
-    yields each substep in time order as a ``(weights, gather, exact
-    columns, agp)`` tuple, which :func:`_apply` applies: the ``(slots, B *
-    dim)`` weights and the flat gather index into the block that they
-    multiply.  Exact-CD columns are contracted at their UA fields like any
-    other; when the group holds them, ``agp`` is -i times the dense
+    of a run of substeps into a caller's array, ``(slots, B * dim)`` per
+    substep, which multiply the ``(B, dim)`` block at the flat gather index
+    ``gather``; the protocols' field tables behind them are evaluated
+    ``TABLE_CHUNK`` substeps at a time, with the ramp evaluated once per
+    table chunk for the whole group and handed to each protocol's
+    :meth:`~racd.optimizer.Protocol.tables`.  Exact-CD columns are
+    contracted at their UA fields like any other; when the group holds
+    them, :meth:`write` also returns, per substep, -i times the dense
     lambda_dot * A(lambda) that they add, with A the spectral gauge
     potential of H0(lambda) = H_a + lambda * H_b (every schedule is affine
-    in lambda) on the same basis, and None otherwise.
+    in lambda) on the same basis (None without exact CD).
     """
 
     def __init__(self, protocols: Sequence[Protocol], times: np.ndarray, sector=None):
@@ -412,27 +403,6 @@ class _Substeps:
         h_a, h_b = self._h_ab
         return [(-1j * lam_dot) * exact_agp(h_a + lam * h_b, h_b) for lam, lam_dot in zip(lams, lam_dots)]
 
-    def __iter__(self) -> Iterator:
-        chunk = max(1, min(TABLE_CHUNK, CHUNK_BYTES // (16 * self.slots * self.size + self.agp_bytes)))
-        for start in range(0, len(self.times), chunk):
-            stop = min(start + chunk, len(self.times))
-            weights = np.empty((stop - start, self.slots, self.size), dtype=complex)
-            agps = self.write(weights, start, stop)
-            for w, agp in zip(weights, agps):
-                yield w, self.gather, self.exact, agp
-
-
-def _apply(h, psi: np.ndarray) -> np.ndarray:
-    """H of one substep ``h`` of :func:`_hamiltonians` applied to each row
-    of the ``(B, dim)`` block ``psi``."""
-    weights, gather, exact, agp = h
-    # out[b, r] = sum_k w_k[b, r] psi[b, cols[k, r]], plus (agp psi[b])[r]
-    # for the exact-CD rows b: -i H psi
-    out = (weights * np.take(psi, gather)).sum(axis=0).reshape(psi.shape)
-    if agp is not None:
-        out[exact] += psi[exact] @ agp.T
-    return 1j * out
-
 
 def _contract_groups(coeffs: np.ndarray, comp_idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
     """``(C, slots, B, dim)`` vectors of stacked slots (see
@@ -472,6 +442,12 @@ def _check_groups(groups: Sequence[List[Protocol]]) -> None:
             raise ValueError("groups must share one ramp")
 
 
+def _output_times(protocols: Sequence[Protocol], steps: int, n_out: int) -> np.ndarray:
+    """Times of the output steps (:func:`_output_steps`) on the protocols'
+    RK4 grid."""
+    return np.linspace(0.0, protocols[0].ramp.tau, steps + 1)[_output_steps(protocols, steps, n_out)]
+
+
 def evolve(
     protocols: Sequence[Protocol],
     psi0: np.ndarray,
@@ -494,52 +470,55 @@ def evolve(
     block evolves in the sector and is embedded in the full space at the
     output points only; otherwise it evolves in the full space.
     """
-    times, (states,) = _evolve_groups([(list(protocols), psi0)], steps, n_out)
+    protocols = list(protocols)
+    _check_groups([protocols])
+    times = _output_times(protocols, steps, n_out)
+    (states,) = _evolve_groups([(protocols, psi0)], steps, n_out)
     if isinstance(states, Exception):
         raise states
     return times, states
 
 
-def _evolve_groups(groups, steps: int, n_out: int) -> Tuple[np.ndarray, list]:
-    """:func:`evolve` of several groups ``(protocols, psi0)`` at once, each
-    group one model's protocols from that model's initial state, every group
-    on one ramp: (times, one entry per group), each entry the group's
-    states as :func:`evolve` returns them, or the exception that its
-    evolution raised.
+def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], steps: int,
+                   n_out: int) -> Iterator[np.ndarray | Exception]:
+    """:func:`evolve` of several groups ``(protocols, psi0)``, each group one
+    model's protocols from that model's initial state, every group on one
+    ramp: one entry per group, in order, the group's states as
+    :func:`evolve` returns them, or the exception that its evolution raised.
 
     Each group evolves in its model's sector where :func:`evolve` would.
     Consecutive groups are evolved as one block (:func:`_evolve_block`)
     while one substep's weights of the block stay within ``BLOCK_BYTES``; a
-    group above that is a block of its own.
+    group above that is a block of its own.  ``groups`` is read at most one
+    group past the block being gathered, and a block's entries are yielded
+    before it is read further, so that one block's states are held at a
+    time.
     """
-    groups = [(list(protocols), np.asarray(psi0, dtype=complex)) for protocols, psi0 in groups]
-    _check_groups([protocols for protocols, _ in groups])
-    out_idx = _output_steps([p for protocols, _ in groups for p in protocols], steps, n_out)
-    tau = groups[0][0][0].ramp.tau
-    h = tau / steps
-    # substep times: t_k, t_k + h/2 interleaved, plus the final endpoint
-    sub = np.empty(2 * steps + 1)
-    sub[0::2] = np.linspace(0.0, tau, steps + 1)
-    sub[1::2] = sub[0:-1:2] + 0.5 * h
-    results, block = [], []
+    block: List[_Member] = []
     for protocols, psi0 in groups:
-        member = _Member(protocols, psi0, sub)
+        out_idx = _output_steps(protocols, steps, n_out)
+        tau = protocols[0].ramp.tau
+        # substep times: t_k, t_k + h/2 interleaved, plus the final endpoint
+        sub = np.empty(2 * steps + 1)
+        sub[0::2] = np.linspace(0.0, tau, steps + 1)
+        sub[1::2] = sub[0:-1:2] + 0.5 * (tau / steps)
+        member = _Member(list(protocols), np.asarray(psi0, dtype=complex), sub)
         grown = block + [member]
         if block and 16 * max(m.slots for m in grown) * sum(m.size for m in grown) > BLOCK_BYTES:
-            results += _evolve_block(block, h, out_idx, steps)
+            yield from _evolve_block(block, out_idx, steps)
             block = []
         block.append(member)
-    results += _evolve_block(block, h, out_idx, steps)
-    return sub[2 * out_idx], results
+    if block:
+        yield from _evolve_block(block, out_idx, steps)
 
 
 class _Member:
     """One group of a block: its protocols, the sector it evolves in (None
     for the full space), its ``(B, dim)`` start block there, and its
-    substeps (:func:`_hamiltonians`), or the exception that making them
-    raised."""
+    substeps (:class:`_Substeps`) at ``times``, or the exception that
+    making them raised."""
 
-    def __init__(self, protocols: List[Protocol], psi0: np.ndarray, sub: np.ndarray):
+    def __init__(self, protocols: List[Protocol], psi0: np.ndarray, times: np.ndarray):
         self.protocols = protocols
         self.sector = protocols[0].model.sector
         if self.sector is not None:
@@ -549,121 +528,146 @@ class _Member:
         self.start = np.tile(psi0 if self.sector is None else inside, (len(protocols), 1))
         self.size, self.slots, self.error = self.start.size, 1, None
         try:
-            self.substeps = _hamiltonians(protocols, sub, self.sector)
+            self.substeps = _Substeps(protocols, times, self.sector)
             self.slots = self.substeps.slots
         except Exception as exc:
             self.error = exc
 
 
-def _evolve_block(members: List[_Member], h: float, out_idx: np.ndarray, steps: int) -> list:
-    """The RK4 loop, with step ``h``: every group of ``members`` evolved as
-    one flat, ragged state vector, each group's ``(B, dim)`` block one
-    contiguous segment; one entry per group, its states on the output steps
-    ``out_idx`` or the exception its evolution raised.
+class _Block:
+    """Groups (:class:`_Member`) held as one flat, ragged state vector
+    ``psi``, each group's ``(B, dim)`` block one contiguous segment, with
+    the weights of a chunk of ``2 * per + 1`` substeps, ``per`` as many
+    steps as ``CHUNK_BYTES`` holds.
 
-    The weights of a chunk of substeps are written by every group into one
-    ``(substeps, slots, amplitudes)`` array, as many as ``CHUNK_BYTES``
-    holds; a flat gather index carries each segment's offset, and a group
-    with fewer slots is padded with zero weights on its own index.  So -i H
-    psi of the whole block is one ``take``, ``multiply`` and ``add.reduce``
-    into preallocated buffers, plus each exact-CD group's dense term, and
-    the RK4 combination runs in place.  A group that fails (its norm
-    drifts, or making its weights raises, which happens a chunk ahead) stops
-    there: its segment is zeroed, and the others go on.
+    Every group writes its weights of a chunk (:meth:`make`) into one
+    ``(substeps, slots, amplitudes)`` array; a flat gather index carries
+    each segment's offset, and a group with fewer slots is padded with zero
+    weights on its own index.  So -i H psi of the whole block at one
+    substep (:meth:`apply`) is one ``take``, ``multiply`` and ``add.reduce``
+    into preallocated buffers, plus each exact-CD group's dense term.
+    ``results`` holds, per group, the exception that stopped it, if any: a
+    group that fails (:meth:`fail`) is zeroed and drops out of ``live``.
     """
-    results: list = [m.error for m in members]
-    live = [g for g, m in enumerate(members) if m.error is None]
-    bounds = np.cumsum([0] + [m.size for m in members])
-    segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
-    index = np.tile(np.arange(bounds[-1]), (max(m.slots for m in members), 1))
-    for g in live:
-        index[: members[g].slots, segments[g]] = members[g].substeps.gather + bounds[g]
-    # a chunk holds 2 * per + 1 substeps: the last one of the previous chunk,
-    # then those of ``per`` steps
-    substep = 16 * index.size + sum(members[g].substeps.agp_bytes for g in live)
-    per = max(1, min(TABLE_CHUNK // 2, (CHUNK_BYTES // substep - 1) // 2))
-    weights = np.zeros((2 * per + 1,) + index.shape, dtype=complex)
-    agps: List[dict] = [{} for _ in range(2 * per + 1)]
-    buf = np.empty(index.shape, dtype=complex)
-    psi = np.concatenate([m.start.ravel() for m in members])
-    k1, k2, k3, k4, arg = (np.empty_like(psi) for _ in range(5))
 
-    def fail(g: int, exc: Exception) -> None:
-        results[g] = exc
-        live.remove(g)
-        psi[segments[g]] = 0.0
-        weights[:, :, segments[g]] = 0.0
-        for terms in agps:
+    def __init__(self, members: List[_Member]):
+        self.members = members
+        self.results: list = [m.error for m in members]
+        self.live = [g for g, m in enumerate(members) if m.error is None]
+        bounds = np.cumsum([0] + [m.size for m in members])
+        self.segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
+        self.index = np.tile(np.arange(bounds[-1]), (max(m.slots for m in members), 1))
+        for g in self.live:
+            self.index[: members[g].slots, self.segments[g]] = members[g].substeps.gather + bounds[g]
+        # a chunk holds 2 * per + 1 substeps: the last one of the previous
+        # chunk, then those of ``per`` steps
+        substep = 16 * self.index.size + sum(members[g].substeps.agp_bytes for g in self.live)
+        self.per = max(1, min(TABLE_CHUNK // 2, (CHUNK_BYTES // substep - 1) // 2))
+        self.weights = np.zeros((2 * self.per + 1,) + self.index.shape, dtype=complex)
+        self.agps: List[dict] = [{} for _ in range(2 * self.per + 1)]
+        self.psi = np.concatenate([m.start.ravel() for m in members])
+        self._buf = np.empty(self.index.shape, dtype=complex)
+
+    def fail(self, g: int, exc: Exception) -> None:
+        """Stop group ``g`` with ``exc``."""
+        self.results[g] = exc
+        self.live.remove(g)
+        self.psi[self.segments[g]] = 0.0
+        self.weights[:, :, self.segments[g]] = 0.0
+        for terms in self.agps:
             terms.pop(g, None)
 
-    def make(first: int, start: int, stop: int) -> None:
-        """Substeps ``start`` to ``stop - 1`` into the chunk from its row ``first``."""
-        for terms in agps[first:]:
+    def make(self, first: int, start: int, stop: int) -> None:
+        """Substeps ``start`` to ``stop - 1`` into the chunk from its row
+        ``first``; a group whose weights raise fails."""
+        for terms in self.agps[first:]:
             terms.clear()
-        for g in list(live):
-            member = members[g]
+        for g in list(self.live):
+            member = self.members[g]
             try:
-                made = member.substeps.write(weights[first : first + stop - start, : member.slots, segments[g]],
-                                             start, stop)
+                made = member.substeps.write(
+                    self.weights[first : first + stop - start, : member.slots, self.segments[g]], start, stop)
             except Exception as exc:
-                fail(g, exc)
+                self.fail(g, exc)
                 continue
-            for terms, agp in zip(agps[first:], made):
+            for terms, agp in zip(self.agps[first:], made):
                 if agp is not None:
                     terms[g] = agp
 
-    def apply(row: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        np.take(x, index, out=buf, mode="clip")
-        np.multiply(buf, weights[row], out=buf)
-        np.add.reduce(buf, axis=0, out=out)
-        for g, agp in agps[row].items():
-            shape, exact = members[g].start.shape, members[g].substeps.exact
-            rows = x[segments[g]].reshape(shape)[exact]
-            into = out[segments[g]].reshape(shape)
+    def next_chunk(self, start: int, stop: int) -> None:
+        """The chunk's last substep as its first row, then substeps
+        ``start`` to ``stop - 1``."""
+        self.weights[0] = self.weights[-1]
+        self.agps[0], self.agps[-1] = self.agps[-1], self.agps[0]
+        self.make(1, start, stop)
+
+    def apply(self, row: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """-i H psi into ``out`` of the flat block ``x``, at the substep in
+        the chunk's ``row``."""
+        # out[r] = sum_k w_k[r] x[index[k, r]], plus (agp x_g[b])[r] for the
+        # exact-CD rows b of each group g
+        np.take(x, self.index, out=self._buf, mode="clip")
+        np.multiply(self._buf, self.weights[row], out=self._buf)
+        np.add.reduce(self._buf, axis=0, out=out)
+        for g, agp in self.agps[row].items():
+            shape, exact = self.members[g].start.shape, self.members[g].substeps.exact
+            rows = x[self.segments[g]].reshape(shape)[exact]
+            into = out[self.segments[g]].reshape(shape)
             into[exact] = into[exact] + rows @ agp.T
         return out
 
+
+def _evolve_block(members: List[_Member], out_idx: np.ndarray, steps: int) -> list:
+    """The RK4 loop: every group of ``members`` evolved as one
+    :class:`_Block`; one entry per group, its states on the output steps
+    ``out_idx`` or the exception its evolution raised.
+
+    The RK4 combination runs in place.  A group that fails (its norm
+    drifts, or making its weights raises, which happens a chunk ahead)
+    stops there, and the others go on.
+    """
+    block = _Block(members)
+    psi, per = block.psi, block.per
+    h = members[0].protocols[0].ramp.tau / steps
+    k1, k2, k3, k4, arg = (np.empty_like(psi) for _ in range(5))
     states = {g: np.empty((len(out_idx), 1 << members[g].protocols[0].model.n_qubits, len(members[g].protocols)),
-                          dtype=complex) for g in live}
-    make(0, 0, min(2 * per + 1, 2 * steps + 1))
+                          dtype=complex) for g in block.live}
+    block.make(0, 0, min(2 * per + 1, 2 * steps + 1))
     pointer = 0
     for k in range(steps + 1):
         if pointer < len(out_idx) and k == out_idx[pointer]:
-            for g in list(live):
+            for g in list(block.live):
                 member = members[g]
-                block = psi[segments[g]].reshape(member.start.shape)
+                rows = psi[block.segments[g]].reshape(member.start.shape)
                 # the sector's basis is orthonormal, so its norms are the full space's
-                drift = np.abs(np.linalg.norm(block, axis=1) - 1.0)
+                drift = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
                 over = np.flatnonzero(drift > NORM_DRIFT_TOL)
                 if over.size:
-                    fail(g, StepSizeError(float(drift[over[0]]), steps, kind=member.protocols[over[0]].kind))
+                    block.fail(g, StepSizeError(float(drift[over[0]]), steps, kind=member.protocols[over[0]].kind))
                     continue
-                states[g][pointer] = (block if member.sector is None else member.sector.embed(block)).T
+                states[g][pointer] = (rows if member.sector is None else member.sector.embed(rows)).T
             pointer += 1
-        if k == steps or not live:
+        if k == steps or not block.live:
             break
         j = k % per
         if j == 0 and k > 0:
-            # the last substep made starts this chunk
-            weights[0] = weights[2 * per]
-            agps[0], agps[2 * per] = agps[2 * per], agps[0]
-            make(1, 2 * k + 1, min(2 * (k + per) + 1, 2 * steps + 1))
+            block.next_chunk(2 * k + 1, min(2 * (k + per) + 1, 2 * steps + 1))
         # substeps 2k, 2k+1 and 2k+2 are rows 2j, 2j+1 and 2j+2
-        apply(2 * j, psi, k1)
+        block.apply(2 * j, psi, k1)
         np.multiply(k1, 0.5 * h, out=arg)
-        apply(2 * j + 1, np.add(psi, arg, out=arg), k2)
+        block.apply(2 * j + 1, np.add(psi, arg, out=arg), k2)
         np.multiply(k2, 0.5 * h, out=arg)
-        apply(2 * j + 1, np.add(psi, arg, out=arg), k3)
+        block.apply(2 * j + 1, np.add(psi, arg, out=arg), k3)
         np.multiply(k3, h, out=arg)
-        apply(2 * j + 2, np.add(psi, arg, out=arg), k4)
+        block.apply(2 * j + 2, np.add(psi, arg, out=arg), k4)
         # psi + h/6 (k1 + 2 k2 + 2 k3 + k4), summed in that order
         k1 += np.multiply(k2, 2.0, out=k2)
         k1 += np.multiply(k3, 2.0, out=k3)
         k1 += k4
         psi += np.multiply(k1, h / 6.0, out=k1)
-    for g in live:
-        results[g] = states[g]
-    return results
+    for g in block.live:
+        block.results[g] = states[g]
+    return block.results
 
 
 def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
@@ -736,9 +740,12 @@ def run_groups(
     n_out: int = 101,
 ) -> List[List[FidelityTrace] | Exception]:
     """:func:`run_protocol` of several groups of protocols, each group one
-    model's, all on one ramp, with every group evolved in one RK4 loop
-    (:func:`_evolve_groups`).  One outcome per group, in order: its traces,
-    or the exception that its run raised.
+    model's, all on one ramp, with consecutive groups evolved together in
+    blocks (:func:`_evolve_groups`).  One outcome per group, in order: its
+    traces, or the exception that its run raised.  A group's ground bases
+    are solved when its block is gathered, and its states become traces
+    once its block has run, so one block's bases and states are held at a
+    time.
 
     The outcomes are those of running the groups one at a time, in order,
     up to the first failure.  A group whose evolution fails does not
@@ -747,35 +754,38 @@ def run_groups(
     after it are not run, and those before it still evolve.
     """
     groups = [list(protocols) for protocols in groups]
-    if not groups:
-        return []
     _check_groups(groups)
-    ready, failure = [], None
-    for protocols in groups:
-        try:
-            ready.append((protocols, *_ground_grid(protocols, steps, n_out)))
-        except Exception as exc:
-            failure = exc
-            break
+    # each group's output grid and ground bases, from just before its block
+    # gathers it until its traces are made
+    grids: list = []
+    failure: list = []
+
+    def starts():
+        for protocols in groups:
+            try:
+                grids.append(_ground_grid(protocols, steps, n_out))
+            except Exception as exc:
+                failure.append(exc)
+                return
+            yield protocols, grids[-1][2][0][:, 0]
+
     outcomes: list = []
-    if ready:
-        _, evolved = _evolve_groups([(p, bases[0][:, 0]) for p, _, _, bases in ready], steps, n_out)
-        for (protocols, times, lams, bases), states in zip(ready, evolved):
-            if not isinstance(states, Exception):
-                try:
-                    states = _fidelity_traces(protocols, states, times, lams, bases)
-                except Exception as exc:
-                    states = exc
-            outcomes.append(states)
-    return outcomes if failure is None else outcomes + [failure]
+    for g, states in enumerate(_evolve_groups(starts(), steps, n_out)):
+        (times, lams, bases), grids[g] = grids[g], None
+        if not isinstance(states, Exception):
+            try:
+                states = _fidelity_traces(groups[g], states, times, lams, bases)
+            except Exception as exc:
+                states = exc
+        outcomes.append(states)
+    return outcomes + failure
 
 
 def _ground_grid(protocols: List[Protocol], steps: int, n_out: int) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:
     """The output times of a group, their lambdas and ground bases, once the
     group is known to fit the propagator; a degenerate start raises."""
-    ramp = protocols[0].ramp
-    times = np.linspace(0.0, ramp.tau, steps + 1)[_output_steps(protocols, steps, n_out)]
-    lams, _ = ramp.table(times)
+    times = _output_times(protocols, steps, n_out)
+    lams, _ = protocols[0].ramp.table(times)
     ground_bases = ground_trace(protocols[0].model, lams)
     if ground_bases[0].shape[1] != 1:
         raise ValueError("degenerate initial ground state")

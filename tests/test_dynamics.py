@@ -388,11 +388,9 @@ def test_norm_drift_raises():
         evolve([protocol], psi0, steps=100, n_out=51)
 
 
-def test_hamiltonians_apply_matches_dense_hamiltonian():
+def test_hamiltonians_apply_matches_dense_hamiltonian(block_applies):
     # the grouped word-application equals explicit dense H(t) action, for
-    # every protocol of one batch, with one substep yielded per time
-    from racd.dynamics import _apply, _hamiltonians
-
+    # every protocol of one batch, with one substep made per time
     rng = np.random.Generator(np.random.PCG64(13))
     model = ChainModel(5)
     ramp = Ramp(1.0)
@@ -400,13 +398,14 @@ def test_hamiltonians_apply_matches_dense_hamiltonian():
     kinds = ("ua", "ra", "local-cd")
     protocols = [assemble_protocol(model, traj, kind, ramp) for kind in kinds]
     times = np.linspace(0.0, 1.0, 7)
-    substeps = list(_hamiltonians(protocols, times))
+    # a start outside the chain's sector: the full space
+    substeps = block_applies(protocols, times, np.eye(32, dtype=complex)[1])
     assert len(substeps) == len(times)
     for idx in (0, 3, 6):
         psi = rng.normal(size=(len(kinds), 32)) + 1j * rng.normal(size=(len(kinds), 32))
-        applied = _apply(substeps[idx], psi)
+        applied = substeps[idx](psi)
         # column s of each protocol's matrix is H applied to basis state s
-        matrices = np.stack([_apply(substeps[idx], np.tile(e, (len(kinds), 1)))
+        matrices = np.stack([substeps[idx](np.tile(e, (len(kinds), 1)))
                              for e in np.eye(32, dtype=complex)], axis=-1)
         for b, (kind, protocol) in enumerate(zip(kinds, protocols)):
             fields = protocol.field_table(times)
@@ -591,17 +590,17 @@ def test_evolve_without_diagonal_or_off_diagonal_group():
 
 
 def _sector_spy(monkeypatch):
-    """Record the sector argument of every _hamiltonians call."""
+    """Record the sector argument of every _Substeps made."""
     from racd import dynamics
 
     seen = []
-    inner = dynamics._hamiltonians
+    inner = dynamics._Substeps
 
     def spy(protocols, times, sector=None):
         seen.append(sector)
         return inner(protocols, times, sector)
 
-    monkeypatch.setattr(dynamics, "_hamiltonians", spy)
+    monkeypatch.setattr(dynamics, "_Substeps", spy)
     return seen
 
 
@@ -723,7 +722,7 @@ def test_group_block_matches_each_group_alone(groups, steps, n_out):
     from racd.dynamics import _evolve_groups
 
     starts = [_group_start(protocols[0].model) for protocols in groups]
-    times, results = _evolve_groups(list(zip(groups, starts)), steps, n_out)
+    results = list(_evolve_groups(zip(groups, starts), steps, n_out))
     assert len(results) == len(groups)
     for protocols, psi0, result in zip(groups, starts, results):
         if isinstance(result, StepSizeError):
@@ -731,8 +730,7 @@ def test_group_block_matches_each_group_alone(groups, steps, n_out):
                 evolve(protocols, psi0, steps=steps, n_out=n_out)
             assert (alone.value.kind, alone.value.drift) == (result.kind, result.drift)
             continue
-        alone_times, alone = evolve(protocols, psi0, steps=steps, n_out=n_out)
-        assert_allclose(times, alone_times, rtol=0, atol=0)
+        _, alone = evolve(protocols, psi0, steps=steps, n_out=n_out)
         assert result.shape == alone.shape
         assert_allclose(result, alone, rtol=0, atol=1e-12)
 
@@ -769,7 +767,7 @@ def test_drifted_groups_keep_their_own_errors_and_spare_the_others():
     _, fine_alone = evolve(fine, _group_start(model), steps=100, n_out=51)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        _, results = _evolve_groups([(late, psi0), (fine, _group_start(model)), (early, psi0)], 100, 51)
+        results = list(_evolve_groups([(late, psi0), (fine, _group_start(model)), (early, psi0)], 100, 51))
     for result, want in ((results[0], alone["late"]), (results[2], alone["early"])):
         assert isinstance(result, StepSizeError)
         assert (result.kind, result.drift, result.steps) == (want.kind, want.drift, want.steps)
@@ -781,3 +779,23 @@ def test_drifted_groups_keep_their_own_errors_and_spare_the_others():
     assert isinstance(outcomes[0], StepSizeError) and isinstance(outcomes[2], StepSizeError)
     for got, want in zip(outcomes[1], run_protocol(fine, steps=100, n_out=51)):
         assert np.array_equal(got.F, want.F) and np.array_equal(got.F_tilde, want.F_tilde)
+
+
+def test_blocks_evolve_as_their_groups_are_read(monkeypatch):
+    # each block's states are handed out before the groups after the next
+    # one are read, so a study holds one block's states at a time
+    from racd import dynamics
+
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", 0)
+    model = TwoSpinModel()
+    protocols = [assemble_protocol(model, None, kind, Ramp(1.0)) for kind in ("ua", "local-cd")]
+    psi0 = _group_start(model)
+    read = []
+
+    def groups():
+        for g in range(4):
+            read.append(g)
+            yield protocols, psi0
+
+    seen = [len(read) for _ in dynamics._evolve_groups(groups(), 100, 3)]
+    assert seen == [2, 3, 4, 4]

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from racd.agp import exact_agp
-from racd.dynamics import _apply, _h0_pair, _hamiltonians, _one_signed, _word_tables, ground_space
+from racd.dynamics import _h0_pair, _one_signed, _word_tables, ground_space
 from racd.models import ChainModel, Ramp, TranslationSector
 from racd.operators import sigma_y
 from racd.optimizer import assemble_protocol
@@ -76,7 +76,7 @@ def test_slot_tables_are_the_projected_components(n, seed):
 
 
 @pytest.mark.parametrize("n", [4, 7])
-def test_sector_substeps_apply_the_projected_hamiltonian(n):
+def test_sector_substeps_apply_the_projected_hamiltonian(n, block_applies):
     # what evolve applies in the sector is P^T H(t) P of each protocol
     model = ChainModel(n)
     ramp = Ramp(1.0)
@@ -88,9 +88,9 @@ def test_sector_substeps_apply_the_projected_hamiltonian(n):
     sector = model.sector
     p = dense_isometry(n)
     rng = np.random.Generator(np.random.PCG64(n))
-    for idx, substep in enumerate(_hamiltonians(protocols, times, sector)):
+    for idx, substep in enumerate(block_applies(protocols, times, sector.embed(np.ones(sector.dim) / math.sqrt(sector.dim)))):
         psi = rng.normal(size=(3, sector.dim)) + 1j * rng.normal(size=(3, sector.dim))
-        applied = _apply(substep, psi)
+        applied = substep(psi)
         lam, lam_dot = ramp(times[idx])
         h0 = model.h0(lam).to_dense()
         for b, protocol in enumerate(protocols):
