@@ -32,6 +32,7 @@ COMMANDS = (
     ("run", "--model", "chain", "--n", "8", "--protocols", "ua,local-cd,ra"),
     ("run", "--model", "lhz", "--n-logical", "4", "--protocols", "ua,local-cd,ra"),
     ("run", "--model", "two-spin", "--protocols", "ua,exact-cd"),
+    ("run", "--model", "two-spin", "--protocols", "ua,local-cd,ra"),
     ("run", "--model", "chain", "--n", "4", "--protocols", "ua,local-cd,ra,exact-cd"),
     ("scaling", "--model", "qubo", "--instances", "2", "--steps", "4000"),
     ("scaling", "--model", "lhz", "--instances", "2"),

@@ -126,7 +126,7 @@ def _annotate(exc: RacdError, model: Model, stage: str) -> None:
     if model.seed is not None:
         where += f", instance seed {model.seed}"
     msg = f"{stage} failed for {where}: {exc}"
-    if isinstance(exc, StepSizeError):
+    if isinstance(exc, StepSizeError) and exc.steps_needed() is not None:
         msg += f"; --steps {exc.steps_needed()} or more should keep it within {exc.tol}"
     exc.args = (msg,)
 

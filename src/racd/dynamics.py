@@ -7,7 +7,9 @@ substep.  All protocols of one model and ramp evolve together, as one group
 with a state per protocol, and the groups of several models on one ramp
 evolve together in one loop, each in its own segment of one state vector;
 exact-CD adds its dense gauge-potential term to its own states only.  A
-model that declares a symmetry sector (the periodic chain's
+model's Pauli terms are read through one stacked slot table (the diagonal
+last), from which both the RK4 weights and the ground solves' H_a and H_b
+are made.  A model that declares a symmetry sector (the periodic chain's
 translation-invariant one) is evolved and ground-solved in it, and its
 states and ground bases are embedded back in the full space.  The state
 norm is asserted, never repaired: drift is the integrator-quality signal.
@@ -24,7 +26,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, eigh
 from scipy.sparse.linalg import eigsh
 
-from .agp import exact_agp
+from .agp import _require_hermitian, exact_agp
 from .errors import RacdError
 from .models import Model
 from .operators import (
@@ -49,11 +51,15 @@ class StepSizeError(RacdError, RuntimeError):
         #: the protocol kind whose state drifted, where known
         self.kind = kind
 
-    def steps_needed(self) -> int:
+    def steps_needed(self) -> int | None:
         """Step count that would bring this drift down to the tolerance if it
         scales as dt^4, RK4's global order.  RK4's norm drift falls faster
         (about dt^5), so the estimate errs high; it is still an estimate, as
-        only the first output point over the tolerance was seen."""
+        only the first output point over the tolerance was seen.  None for a
+        drift that is not finite (an overflowed state), which no step count
+        can be read from."""
+        if not math.isfinite(self.drift):
+            return None
         return math.ceil(self.steps * (self.drift / self.tol) ** 0.25)
 
 
@@ -71,14 +77,6 @@ def ground_space(h: np.ndarray) -> Tuple[float, np.ndarray]:
     _require_hermitian(h)
     dim = h.shape[0]
     return _ground_cluster(lambda k: _lowest_levels(h, k), min(2, dim), dim)
-
-
-def _require_hermitian(h) -> None:
-    """np.allclose(h, h^dagger, rtol=0, atol=1e-12), NaN failing, for a dense
-    ``h`` at a fifth of its cost (on 8 qubits as much as the solve's), or a
-    sparse one."""
-    if not abs(h - h.conj().T).max() <= 1e-12:
-        raise ValueError("Hamiltonian must be Hermitian")
 
 
 def _lowest_levels(h: np.ndarray, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -150,7 +148,8 @@ class FidelityTrace:
 
     def validate(self) -> None:
         for arr in (self.F, self.F_tilde):
-            if np.any(arr < -1e-9) or np.any(arr > 1.0 + 1e-9):
+            # NaN fails
+            if not np.all((arr >= -1e-9) & (arr <= 1.0 + 1e-9)):
                 raise ValueError("fidelity outside [0, 1]")
         if abs(self.F[0] - 1.0) > 1e-9:
             raise ValueError("run did not start in the ground state")
@@ -178,50 +177,34 @@ SECTOR_TOL = 1e-12
 @dataclass(frozen=True)
 class _WordTables:
     """The components O_c of a batch's Hamiltonians (model terms, then one
-    sigma-y per site) in slot form on a basis of ``dim`` states: the full
-    2^N computational basis, or a sector's.
+    sigma-y per site) as one stack of slots on a basis of ``cols.shape[1]``
+    states: the full 2^N computational basis, or a sector's.
 
-    Row r of sum_c coeff_c O_c holds the diagonal entry sum_c coeff_c
-    diag_c[r] and, in each slot k, the entry sum_c coeff_c off_{k,c}[r] at
-    column ``cols[k, r]``.  ``diag`` and ``off`` are stacked as
-    :func:`_stack_slots` makes them (None where no component has such an
-    entry).  In the full space slot k is the k-th nonzero x-mask of the
-    Pauli words, gathering from s ^ x; in a sector a row holds as many
-    slots as it has distinct neighbouring orbits, and a row with fewer
-    pads with zero weights on its own column.
+    Row r of sum_c coeff_c O_c holds, in each slot k, the entry sum_c
+    coeff_c vecs[k, m, r] over the slot's components c = comp_idx[k, m], at
+    column ``cols[k, r]``; ``comp_idx`` and ``vecs`` are as
+    :func:`_stack_slots` makes them.  The off-diagonal slots come first: in
+    the full space slot k is the k-th nonzero x-mask of the Pauli words,
+    gathering from s ^ x; in a sector a row holds as many slots as it has
+    distinct neighbouring orbits, and a row with fewer pads with zero
+    weights on its own column.  The diagonal is the last slot, at each row's
+    own column (zero where no component has a diagonal entry).  The RK4
+    weights (:class:`_Group`) and the ground solves' H_a and H_b
+    (:meth:`matrix`) both read this one stack.
     """
 
-    dim: int
-    diag: Tuple[np.ndarray, np.ndarray] | None
-    off: Tuple[np.ndarray, np.ndarray] | None
-    cols: np.ndarray | None
+    comp_idx: np.ndarray
+    vecs: np.ndarray
+    cols: np.ndarray
 
     def matrix(self, coeffs: Sequence[float]) -> sparse.csr_array:
-        """Sparse matrix sum_c coeffs[c] O_c, real where every weight is."""
-        c = np.asarray(coeffs, dtype=float)[None, None, :]
-        h = sparse.csr_array((self.dim, self.dim))
-        if self.diag is not None:
-            h = h + sparse.diags_array(_contract_groups(c, *self.diag)[0, 0, 0])
-        if self.off is not None:
-            # a row's padding slots add zeros to its diagonal
-            off = _contract_groups(c, *self.off)[0, :, 0]
-            h = h + sparse.csr_array((off.ravel(), (np.tile(np.arange(self.dim), len(off)), self.cols.ravel())),
-                                     shape=h.shape)
-        return h
-
-    def slots(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Every entry in one stack of slots, the off-diagonal ones first and
-        the diagonal last (zero where there is none), each slot's components
-        padded to one width: ``(comp_idx, vecs, cols)`` as :func:`_stack_slots`
-        makes them, with the gather columns of each slot."""
-        diag = self.diag or (np.zeros((1, 1), dtype=int), np.zeros((1, 1, self.dim)))
-        parts = [diag] if self.off is None else [self.off, diag]
-        width = max(p[0].shape[1] for p in parts)
-        comp_idx = np.concatenate([np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c, _ in parts])
-        vecs = np.concatenate([np.pad(v, ((0, 0), (0, width - v.shape[1]), (0, 0))) for _, v in parts])
-        own = np.arange(self.dim)[None, :]
-        cols = own if self.cols is None else np.concatenate([self.cols, own])
-        return comp_idx, vecs, cols
+        """Sparse matrix sum_c coeffs[c] O_c, real where every weight is.
+        Padding slots add zeros to the diagonal's entry at (r, r)."""
+        n_slots, dim = self.cols.shape
+        c = np.asarray(coeffs, dtype=float)[self.comp_idx][:, None, :]
+        vals = np.matmul(c, self.vecs)
+        return sparse.csr_array((vals.ravel(), (np.tile(np.arange(dim), n_slots), self.cols.ravel())),
+                                shape=(dim, dim))
 
 
 def _word_tables(ops, sector=None) -> _WordTables:
@@ -236,7 +219,7 @@ def _word_tables(ops, sector=None) -> _WordTables:
     source state.  The full space is the case orbit(s) = s, amp = 1, where
     every entry is a single weight, copied exactly.  A row's off-diagonal
     columns take slots in the order of the smallest x-mask reaching them
-    (then by column).
+    (then by column); its diagonal entries take the last slot.
     """
     n = ops[0].n_qubits
     states = np.arange(1 << n)
@@ -252,6 +235,8 @@ def _word_tables(ops, sector=None) -> _WordTables:
             else:
                 rows[comp_idx] = w * signs
     orbit, dim = (states, len(states)) if sector is None else (sector.orbit, sector.dim)
+    if not groups:
+        return _WordTables(np.zeros((1, 1), dtype=int), np.zeros((1, 1, dim)), np.arange(dim)[None, :])
     row, col, key, comp, val = [], [], [], [], []
     for k, x in enumerate(sorted(groups)):
         source = states ^ x
@@ -262,31 +247,24 @@ def _word_tables(ops, sector=None) -> _WordTables:
             key.append(np.full(len(states), k))
             comp.append(np.full(len(states), c))
             val.append(weight if sector is None else sector.amp * weight * sector.amp[source])
-    if not val:
-        return _WordTables(dim, None, None, None)
     row, col, key, comp, val = map(np.concatenate, (row, col, key, comp, val))
 
-    on_diag = row == col
-    diag = None
-    if on_diag.any():
-        diag = _stack_slots(np.zeros(on_diag.sum(), dtype=int), comp[on_diag], row[on_diag], val[on_diag], 1, dim)
-    off, cols = None, None
-    if not on_diag.all():
-        row, col, key, comp, val = (a[~on_diag] for a in (row, col, key, comp, val))
-        pairs, pair_of = np.unique(row * dim + col, return_inverse=True)
-        first_key = np.full(len(pairs), len(groups))
-        np.minimum.at(first_key, pair_of, key)
-        pair_row, pair_col = pairs // dim, pairs % dim
-        order = np.lexsort((pair_col, first_key, pair_row))
-        # rank of each pair within its row, in slot order
-        rank = np.arange(len(pairs)) - np.searchsorted(pair_row[order], pair_row[order])
-        slot = np.empty(len(pairs), dtype=int)
-        slot[order] = rank
-        n_slots = int(rank.max()) + 1
-        cols = np.tile(np.arange(dim), (n_slots, 1))
-        cols[slot, pair_row] = pair_col
-        off = _stack_slots(slot[pair_of], comp, row, val, n_slots, dim)
-    return _WordTables(dim, diag, off, cols)
+    off = row != col
+    pairs, pair_of = np.unique(row[off] * dim + col[off], return_inverse=True)
+    first_key = np.full(len(pairs), len(groups))
+    np.minimum.at(first_key, pair_of, key[off])
+    pair_row, pair_col = pairs // dim, pairs % dim
+    order = np.lexsort((pair_col, first_key, pair_row))
+    # rank of each pair within its row, in slot order
+    rank = np.arange(len(pairs)) - np.searchsorted(pair_row[order], pair_row[order])
+    n_off = int(rank.max(initial=-1)) + 1
+    pair_slot = np.empty(len(pairs), dtype=int)
+    pair_slot[order] = rank
+    cols = np.tile(np.arange(dim), (n_off + 1, 1))
+    cols[pair_slot, pair_row] = pair_col
+    slot = np.full(len(row), n_off)
+    slot[off] = pair_slot[pair_of]
+    return _WordTables(*_stack_slots(slot, comp, row, val, n_off + 1, dim), cols)
 
 
 def _h0_pair(model: Model, sector=None) -> Tuple[sparse.csr_array, sparse.csr_array]:
@@ -319,100 +297,6 @@ def _stack_slots(slot, comp, row, val, n_slots: int, dim: int) -> Tuple[np.ndarr
     vecs[target[starts]] = np.add.reduceat(val[order], starts)
     vecs = vecs.reshape(n_slots, width, dim)
     return comp_idx, (vecs if vecs.imag.any() else vecs.real.copy())
-
-
-class _Substeps:
-    """-i H(t) of one group at each of ``times``.
-
-    The components (model terms, plus one sigma-y per site when the group
-    holds local CD) are held as one stack of slots (:meth:`_WordTables.slots`,
-    the diagonal last) with -i folded into their weights, so that one
-    batched product contracts them all.  :meth:`write` contracts the weights
-    of a run of substeps into a caller's array, ``(slots, B * dim)`` per
-    substep, which multiply the ``(B, dim)`` block at the flat gather index
-    ``gather``; the protocols' field tables behind them are evaluated
-    ``TABLE_CHUNK`` substeps at a time, with the ramp evaluated once per
-    table chunk for the whole group and handed to each protocol's
-    :meth:`~racd.optimizer.Protocol.tables`.  Exact-CD columns are
-    contracted at their UA fields like any other; when the group holds
-    them, :meth:`write` also returns, per substep, -i times the dense
-    lambda_dot * A(lambda) that they add, with A the spectral gauge
-    potential of H0(lambda) = H_a + lambda * H_b (every schedule is affine
-    in lambda) on the same basis (None without exact CD).
-    """
-
-    def __init__(self, protocols: Sequence[Protocol], times: np.ndarray, sector=None):
-        model = protocols[0].model
-        n = model.n_qubits
-        self.protocols, self.times = list(protocols), times
-        self.exact = [b for b, p in enumerate(protocols) if p.kind == "exact-cd"]
-        self._ops = [t.operator for t in model.terms]
-        if any(p.kind == "local-cd" for p in protocols):
-            self._ops += [sigma_y(n, j) for j in range(n)]
-        self._comp_idx, vecs, cols = _word_tables(self._ops, sector).slots()
-        # real coefficients act on interleaved (re, im) pairs: half a complex product
-        self._vecs = np.ascontiguousarray(-1j * vecs).view(float)[:, None]
-        self.slots, dim = cols.shape
-        self.size = len(protocols) * dim
-        #: bytes of one substep's dense exact-CD term (0 without one)
-        self.agp_bytes = 16 * dim * dim if self.exact else 0
-        # flat gather index into the block: [k, b * dim + r] -> row b, state cols[k, r]
-        self.gather = (np.arange(len(protocols))[:, None] * dim + cols[:, None, :]).reshape(self.slots, -1)
-        # the full space keeps the operators' own dense form: the gauge potential
-        # is ill-conditioned near level crossings, and the tables' rounding of H0
-        # would move it (by 2.5e-8 on LHZ n=4)
-        if self.exact and sector is None:
-            self._h_ab = model.h0(0.0).to_dense(), model.dh0_dlambda(0.0).to_dense()
-        elif self.exact:
-            # complex, as before: exact_agp's syevd fails on some real H0 (see ground_space)
-            self._h_ab = tuple(m.toarray().astype(complex) for m in _h0_pair(model, sector))
-        self._table = (-1, None)
-
-    def _coeffs(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coefficients ``(substeps, B, components)``, lambdas and lambda_dots
-        of the substeps ``start`` to ``stop - 1``, from the table chunks that
-        hold them (the last one kept for the next call)."""
-        parts = []
-        for k in range(start // TABLE_CHUNK, (stop - 1) // TABLE_CHUNK + 1):
-            if self._table[0] != k:
-                times = self.times[k * TABLE_CHUNK : (k + 1) * TABLE_CHUNK]
-                lams, lam_dots = self.protocols[0].ramp.table(times)
-                coeffs = np.zeros((len(times), len(self.protocols), len(self._ops)))
-                for b, protocol in enumerate(self.protocols):
-                    fields, y = protocol.tables(times, lams, lam_dots)
-                    for c, term in enumerate(protocol.model.terms):
-                        coeffs[:, b, c] = fields[term.name]
-                    if y is not None:
-                        coeffs[:, b, len(protocol.model.terms):] = y
-                self._table = (k, (coeffs, lams, lam_dots))
-            rows = slice(max(start - k * TABLE_CHUNK, 0), stop - k * TABLE_CHUNK)
-            parts.append([a[rows] for a in self._table[1]])
-        return tuple(np.concatenate(p) for p in zip(*parts)) if len(parts) > 1 else tuple(parts[0])
-
-    def write(self, out: np.ndarray, start: int, stop: int) -> list:
-        """Weights of the substeps ``start`` to ``stop - 1`` into ``out``,
-        shaped ``(stop - start, slots, B * dim)`` with each row contiguous;
-        returns their ``agp`` terms."""
-        coeffs, lams, lam_dots = self._coeffs(start, stop)
-        n = stop - start
-        g = coeffs[..., self._comp_idx].transpose(2, 0, 1, 3)
-        target = out.reshape(n, self.slots, len(self.protocols), -1).transpose(1, 0, 2, 3).view(float)
-        np.matmul(g, self._vecs, out=target)
-        if not self.exact:
-            return [None] * n
-        h_a, h_b = self._h_ab
-        return [(-1j * lam_dot) * exact_agp(h_a + lam * h_b, h_b) for lam, lam_dot in zip(lams, lam_dots)]
-
-
-def _contract_groups(coeffs: np.ndarray, comp_idx: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """``(C, slots, B, dim)`` vectors of stacked slots (see
-    :func:`_stack_slots`) at the coefficients ``(C, B, components)``, each
-    substep's block contiguous."""
-    n_groups, width = comp_idx.shape
-    n_sub, n_batch, _ = coeffs.shape
-    g = coeffs[..., comp_idx].transpose(2, 0, 1, 3).reshape(n_groups, -1, width)
-    out = np.matmul(g, vecs).reshape(n_groups, n_sub, n_batch, -1)
-    return np.ascontiguousarray(out.swapaxes(0, 1))
 
 
 def _output_steps(protocols: Sequence[Protocol], steps: int, n_out: int) -> np.ndarray:
@@ -494,7 +378,7 @@ def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], step
     before it is read further, so that one block's states are held at a
     time.
     """
-    block: List[_Member] = []
+    block: List[_Group] = []
     for protocols, psi0 in groups:
         out_idx = _output_steps(protocols, steps, n_out)
         tau = protocols[0].ramp.tau
@@ -502,7 +386,7 @@ def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], step
         sub = np.empty(2 * steps + 1)
         sub[0::2] = np.linspace(0.0, tau, steps + 1)
         sub[1::2] = sub[0:-1:2] + 0.5 * (tau / steps)
-        member = _Member(list(protocols), np.asarray(psi0, dtype=complex), sub)
+        member = _Group(list(protocols), np.asarray(psi0, dtype=complex), sub)
         grown = block + [member]
         if block and 16 * max(m.slots for m in grown) * sum(m.size for m in grown) > BLOCK_BYTES:
             yield from _evolve_block(block, out_idx, steps)
@@ -512,45 +396,122 @@ def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], step
         yield from _evolve_block(block, out_idx, steps)
 
 
-class _Member:
-    """One group of a block: its protocols, the sector it evolves in (None
-    for the full space), its ``(B, dim)`` start block there, and its
-    substeps (:class:`_Substeps`) at ``times``, or the exception that
-    making them raised."""
+class _Group:
+    """One group of a block: the protocols of one model, evolved from that
+    model's initial state ``psi0``, and -i H(t) of each at ``times``.
+
+    The group evolves in the model's sector where ``psi0`` lies in it
+    (within ``SECTOR_TOL`` of its projection), else in the full space
+    (``sector`` None); ``start`` is its ``(B, dim)`` start block there, and
+    ``size`` its number of amplitudes.  The components (model terms, plus
+    one sigma-y per site when the group holds local CD) are the one stack
+    of slots of :func:`_word_tables`, the diagonal last, with -i folded into
+    their weights, so that one batched product contracts them all.
+    :meth:`write` contracts the weights of a run of substeps into a caller's
+    array, ``(slots, B * dim)`` per substep, which multiply the block at the
+    flat gather index ``gather``; the protocols' field tables behind them
+    are evaluated ``TABLE_CHUNK`` substeps at a time, with the ramp
+    evaluated once per table chunk for the whole group and handed to each
+    protocol's :meth:`~racd.optimizer.Protocol.tables`.  Exact-CD columns
+    (``exact``) are contracted at their UA fields like any other; when the
+    group holds them, :meth:`write` also returns, per substep, -i times the
+    dense lambda_dot * A(lambda) that they add, with A the spectral gauge
+    potential of H0(lambda) = H_a + lambda * H_b (every schedule is affine
+    in lambda) on the same basis (None without exact CD).  ``error`` is
+    the exception that making the weights raised, if any.
+    """
 
     def __init__(self, protocols: List[Protocol], psi0: np.ndarray, times: np.ndarray):
-        self.protocols = protocols
-        self.sector = protocols[0].model.sector
+        model = protocols[0].model
+        self.protocols, self.times = protocols, times
+        self.sector = model.sector
         if self.sector is not None:
             inside = self.sector.project(psi0)
             if np.linalg.norm(psi0 - self.sector.embed(inside)) > SECTOR_TOL:
                 self.sector = None
         self.start = np.tile(psi0 if self.sector is None else inside, (len(protocols), 1))
         self.size, self.slots, self.error = self.start.size, 1, None
+        self.exact = [b for b, p in enumerate(protocols) if p.kind == "exact-cd"]
         try:
-            self.substeps = _Substeps(protocols, times, self.sector)
-            self.slots = self.substeps.slots
+            self._ops = [t.operator for t in model.terms]
+            if any(p.kind == "local-cd" for p in protocols):
+                self._ops += [sigma_y(model.n_qubits, j) for j in range(model.n_qubits)]
+            tables = _word_tables(self._ops, self.sector)
+            self._comp_idx = tables.comp_idx
+            # real coefficients act on interleaved (re, im) pairs: half a complex product
+            self._vecs = np.ascontiguousarray(-1j * tables.vecs).view(float)[:, None]
+            self.slots, dim = tables.cols.shape
+            #: bytes of one substep's dense exact-CD term (0 without one)
+            self.agp_bytes = 16 * dim * dim if self.exact else 0
+            # flat gather index into the block: [k, b * dim + r] -> row b, state cols[k, r]
+            self.gather = (np.arange(len(protocols))[:, None] * dim + tables.cols[:, None, :]).reshape(self.slots, -1)
+            # the full space keeps the operators' own dense form: the gauge potential
+            # is ill-conditioned near level crossings, and the tables' rounding of H0
+            # would move it (by 2.5e-8 on LHZ n=4)
+            if self.exact and self.sector is None:
+                self._h_ab = model.h0(0.0).to_dense(), model.dh0_dlambda(0.0).to_dense()
+            elif self.exact:
+                # complex, as before: exact_agp's syevd fails on some real H0 (see ground_space)
+                self._h_ab = tuple(m.toarray().astype(complex) for m in _h0_pair(model, self.sector))
         except Exception as exc:
             self.error = exc
+        self._table = (-1, None)
+
+    def _coeffs(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Coefficients ``(substeps, B, components)``, lambdas and lambda_dots
+        of the substeps ``start`` to ``stop - 1``, from the table chunks that
+        hold them (the last one kept for the next call)."""
+        parts = []
+        for k in range(start // TABLE_CHUNK, (stop - 1) // TABLE_CHUNK + 1):
+            if self._table[0] != k:
+                times = self.times[k * TABLE_CHUNK : (k + 1) * TABLE_CHUNK]
+                lams, lam_dots = self.protocols[0].ramp.table(times)
+                coeffs = np.zeros((len(times), len(self.protocols), len(self._ops)))
+                for b, protocol in enumerate(self.protocols):
+                    fields, y = protocol.tables(times, lams, lam_dots)
+                    for c, term in enumerate(protocol.model.terms):
+                        coeffs[:, b, c] = fields[term.name]
+                    if y is not None:
+                        coeffs[:, b, len(protocol.model.terms):] = y
+                self._table = (k, (coeffs, lams, lam_dots))
+            rows = slice(max(start - k * TABLE_CHUNK, 0), stop - k * TABLE_CHUNK)
+            parts.append([a[rows] for a in self._table[1]])
+        return tuple(np.concatenate(p) for p in zip(*parts)) if len(parts) > 1 else tuple(parts[0])
+
+    def write(self, out: np.ndarray, start: int, stop: int) -> list:
+        """Weights of the substeps ``start`` to ``stop - 1`` into ``out``,
+        shaped ``(stop - start, slots, B * dim)`` with each row contiguous;
+        returns their ``agp`` terms."""
+        coeffs, lams, lam_dots = self._coeffs(start, stop)
+        n = stop - start
+        g = coeffs[..., self._comp_idx].transpose(2, 0, 1, 3)
+        target = out.reshape(n, self.slots, len(self.protocols), -1).transpose(1, 0, 2, 3).view(float)
+        np.matmul(g, self._vecs, out=target)
+        if not self.exact:
+            return [None] * n
+        h_a, h_b = self._h_ab
+        return [(-1j * lam_dot) * exact_agp(h_a + lam * h_b, h_b) for lam, lam_dot in zip(lams, lam_dots)]
 
 
 class _Block:
-    """Groups (:class:`_Member`) held as one flat, ragged state vector
+    """Groups (:class:`_Group`) held as one flat, ragged state vector
     ``psi``, each group's ``(B, dim)`` block one contiguous segment, with
     the weights of a chunk of ``2 * per + 1`` substeps, ``per`` as many
     steps as ``CHUNK_BYTES`` holds.
 
-    Every group writes its weights of a chunk (:meth:`make`) into one
-    ``(substeps, slots, amplitudes)`` array; a flat gather index carries
-    each segment's offset, and a group with fewer slots is padded with zero
-    weights on its own index.  So -i H psi of the whole block at one
+    Every group writes its weights of a chunk (:meth:`make`, by
+    :meth:`_Group.write`) into one ``(substeps, slots, amplitudes)`` array,
+    its slots in the order of its one stacked table, the diagonal last.  The
+    flat gather index is each group's ``gather`` plus its segment's offset,
+    and a group with fewer slots is padded with zero weights on its own
+    index.  So -i H psi of the whole block at one
     substep (:meth:`apply`) is one ``take``, ``multiply`` and ``add.reduce``
     into preallocated buffers, plus each exact-CD group's dense term.
     ``results`` holds, per group, the exception that stopped it, if any: a
     group that fails (:meth:`fail`) is zeroed and drops out of ``live``.
     """
 
-    def __init__(self, members: List[_Member]):
+    def __init__(self, members: List[_Group]):
         self.members = members
         self.results: list = [m.error for m in members]
         self.live = [g for g, m in enumerate(members) if m.error is None]
@@ -558,10 +519,10 @@ class _Block:
         self.segments = [slice(a, b) for a, b in zip(bounds[:-1], bounds[1:])]
         self.index = np.tile(np.arange(bounds[-1]), (max(m.slots for m in members), 1))
         for g in self.live:
-            self.index[: members[g].slots, self.segments[g]] = members[g].substeps.gather + bounds[g]
+            self.index[: members[g].slots, self.segments[g]] = members[g].gather + bounds[g]
         # a chunk holds 2 * per + 1 substeps: the last one of the previous
         # chunk, then those of ``per`` steps
-        substep = 16 * self.index.size + sum(members[g].substeps.agp_bytes for g in self.live)
+        substep = 16 * self.index.size + sum(members[g].agp_bytes for g in self.live)
         self.per = max(1, min(TABLE_CHUNK // 2, (CHUNK_BYTES // substep - 1) // 2))
         self.weights = np.zeros((2 * self.per + 1,) + self.index.shape, dtype=complex)
         self.agps: List[dict] = [{} for _ in range(2 * self.per + 1)]
@@ -585,7 +546,7 @@ class _Block:
         for g in list(self.live):
             member = self.members[g]
             try:
-                made = member.substeps.write(
+                made = member.write(
                     self.weights[first : first + stop - start, : member.slots, self.segments[g]], start, stop)
             except Exception as exc:
                 self.fail(g, exc)
@@ -610,14 +571,14 @@ class _Block:
         np.multiply(self._buf, self.weights[row], out=self._buf)
         np.add.reduce(self._buf, axis=0, out=out)
         for g, agp in self.agps[row].items():
-            shape, exact = self.members[g].start.shape, self.members[g].substeps.exact
+            shape, exact = self.members[g].start.shape, self.members[g].exact
             rows = x[self.segments[g]].reshape(shape)[exact]
             into = out[self.segments[g]].reshape(shape)
             into[exact] = into[exact] + rows @ agp.T
         return out
 
 
-def _evolve_block(members: List[_Member], out_idx: np.ndarray, steps: int) -> list:
+def _evolve_block(members: List[_Group], out_idx: np.ndarray, steps: int) -> list:
     """The RK4 loop: every group of ``members`` evolved as one
     :class:`_Block`; one entry per group, its states on the output steps
     ``out_idx`` or the exception its evolution raised.
@@ -641,7 +602,8 @@ def _evolve_block(members: List[_Member], out_idx: np.ndarray, steps: int) -> li
                 rows = psi[block.segments[g]].reshape(member.start.shape)
                 # the sector's basis is orthonormal, so its norms are the full space's
                 drift = np.abs(np.linalg.norm(rows, axis=1) - 1.0)
-                over = np.flatnonzero(drift > NORM_DRIFT_TOL)
+                # NaN drift (an overflowed state) fails too
+                over = np.flatnonzero(~(drift <= NORM_DRIFT_TOL))
                 if over.size:
                     block.fail(g, StepSizeError(float(drift[over[0]]), steps, kind=member.protocols[over[0]].kind))
                     continue

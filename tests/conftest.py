@@ -10,10 +10,10 @@ def block_applies():
     dim)`` block of the one group ``protocols``, started at ``psi0``, at each
     of ``times``, as the RK4 loop applies it: i times the -i H psi of
     :meth:`racd.dynamics._Block.apply`.  One function per time."""
-    from racd.dynamics import _Block, _Member
+    from racd.dynamics import _Block, _Group
 
     def applies(protocols, times, psi0):
-        block = _Block([_Member(list(protocols), np.asarray(psi0, dtype=complex), times)])
+        block = _Block([_Group(list(protocols), np.asarray(psi0, dtype=complex), times)])
         assert len(block.weights) >= len(times)
         block.make(0, 0, len(times))
 

@@ -590,17 +590,18 @@ def test_evolve_without_diagonal_or_off_diagonal_group():
 
 
 def _sector_spy(monkeypatch):
-    """Record the sector argument of every _Substeps made."""
+    """Record the sector of every _Group made."""
     from racd import dynamics
 
     seen = []
-    inner = dynamics._Substeps
+    inner = dynamics._Group
 
-    def spy(protocols, times, sector=None):
-        seen.append(sector)
-        return inner(protocols, times, sector)
+    def spy(protocols, psi0, times):
+        group = inner(protocols, psi0, times)
+        seen.append(group.sector)
+        return group
 
-    monkeypatch.setattr(dynamics, "_Substeps", spy)
+    monkeypatch.setattr(dynamics, "_Group", spy)
     return seen
 
 
@@ -746,6 +747,34 @@ def _stiff_protocol(field):
             super().__init__(1, [ModelTerm("x", SpinOperator(1, {(1, 0): 1.0}), field, 0.0, None)])
 
     return assemble_protocol(StiffModel(), None, "ua", Ramp(1.0))
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_overflowed_state_raises_instead_of_nan_fidelities():
+    # an X field of 1e200 overflows the state within 100 steps; its NaN norm
+    # drift is a StepSizeError with no step-count estimate, not F = nan
+    from racd.cli import _annotate
+
+    protocol = _stiff_protocol(1e200)
+    with pytest.raises(StepSizeError) as err:
+        run_protocol([protocol], steps=100, n_out=3)
+    exc = err.value
+    assert exc.kind == "ua"
+    assert np.isnan(exc.drift) and exc.steps_needed() is None
+    _annotate(exc, protocol.model, "evolution")
+    assert str(exc) == "ua evolution failed for the chain model with 1 qubits: norm drift nan exceeds 1e-06 at 100 RK4 steps"
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_fidelity_trace_rejects_non_finite_values(bad):
+    from racd.dynamics import FidelityTrace
+
+    times = np.array([0.0, 0.5, 1.0])
+    ok = np.array([1.0, 0.9, 0.8])
+    FidelityTrace(times, times, ok, ok).validate()
+    for f, f_tilde in ((np.array([1.0, bad, 0.8]), ok), (ok, np.array([1.0, 0.9, bad]))):
+        with pytest.raises(ValueError, match="fidelity outside"):
+            FidelityTrace(times, times, f, f_tilde).validate()
 
 
 def test_drifted_groups_keep_their_own_errors_and_spare_the_others():

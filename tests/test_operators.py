@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from racd.operators import (
@@ -231,15 +233,44 @@ def test_diag_vector_matches_dense():
     assert_allclose(d.diag_vector(), np.diag(d.to_dense()), atol=1e-14)
 
 
-def test_matrix_free_apply_matches_dense():
-    # the sparse form of the operator's slot tables, which ground solves
-    # above the dense cap apply
+def _table_component(kind, n, rng):
+    """A component operator on ``n`` qubits: a random operator, a random
+    diagonal, or one X or Y on a random site (sigma-y's weights are
+    imaginary)."""
+    if kind == "random":
+        return random_operator(n, rng)
+    if kind == "diag":
+        return random_diagonal(n, rng)
+    return {"x": sigma_x, "y": sigma_y}[kind](n, int(rng.integers(0, n)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 4),
+    kinds=st.lists(st.sampled_from(["random", "diag", "x", "y"]), min_size=1, max_size=4),
+    seed=st.integers(0, 2**16),
+)
+@example(n=3, kinds=["diag", "diag"], seed=0)
+@example(n=3, kinds=["x", "x", "x"], seed=1)
+@example(n=2, kinds=["y", "y", "diag"], seed=2)
+def test_matrix_free_apply_matches_dense(n, kinds, seed):
+    # the sparse form of the one stacked slot table, which the ground solves
+    # read, against sum_c coeff_c O_c from the dense operators
     from racd.dynamics import _word_tables
 
-    rng = np.random.Generator(np.random.PCG64(31))
-    op = random_operator(4, rng)
-    psi = rng.normal(size=16) + 1j * rng.normal(size=16)
-    assert_allclose(_word_tables([op]).matrix([1.0]) @ psi, op.to_dense() @ psi, atol=1e-12)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    ops = [_table_component(kind, n, rng) for kind in kinds]
+    tables = _word_tables(ops)
+    dim = 1 << n
+    # the diagonal is the last slot, at each row's own column
+    assert np.array_equal(tables.cols[-1], np.arange(dim))
+    if all(kind == "diag" for kind in kinds):
+        assert tables.cols.shape == (1, dim)
+    if all(kind in ("x", "y") for kind in kinds):
+        assert not tables.vecs[-1].any()
+    coeffs = rng.uniform(-2.0, 2.0, len(ops))
+    want = sum(c * op.to_dense() for c, op in zip(coeffs, ops))
+    assert_allclose(tables.matrix(coeffs).toarray(), want, rtol=0, atol=1e-12)
 
 
 def test_zero_pruning():
