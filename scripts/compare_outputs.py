@@ -7,10 +7,12 @@ Each command of ``COMMANDS`` runs once in a copy of ``<rev>`` (made with
 a time, with ``OPENBLAS_NUM_THREADS=1`` and racd imported from that tree's
 ``src/``.  Every run works in a fresh directory and writes to the relative
 ``--out out``, so the output path recorded in ``run.json`` is the same on
-both sides; ``racd validate`` is compared by its stdout.  For each output
-file it prints ``identical``, or the number of differing lines and the
-largest absolute difference between the numbers on them.  The exit status
-is 1 if any file differs or exists on one side only.
+both sides; ``racd validate`` is compared by its stdout, and every command
+by its exit status and stderr (``status.txt``), so that a command that
+fails is compared by its error line.  For each output file it prints
+``identical``, or the number of differing lines and the largest absolute
+difference between the numbers on them.  The exit status is 1 if any file
+differs or exists on one side only.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ COMMANDS = (
     ("run", "--model", "chain", "--n", "4", "--protocols", "ua,local-cd,ra,exact-cd"),
     ("scaling", "--model", "qubo", "--instances", "2", "--steps", "4000"),
     ("scaling", "--model", "lhz", "--instances", "2"),
+    # exits with code 2 on the RA drift of the N=5, seed-1 instance at the default 2000 steps
+    ("scaling", "--model", "qubo", "--instances", "2"),
     ("validate",),
 )
 
@@ -43,7 +47,8 @@ NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
 def _run(tree: Path, work: Path, args: Sequence[str]) -> None:
-    """``racd <args>`` from ``tree``'s source, in the new directory ``work``."""
+    """``racd <args>`` from ``tree``'s source, in the new directory ``work``,
+    which gets the command's exit status and stderr in ``status.txt``."""
     work.mkdir(parents=True)
     cmd = [sys.executable, "-m", "racd.cli", *args]
     if args[0] != "validate":
@@ -51,8 +56,7 @@ def _run(tree: Path, work: Path, args: Sequence[str]) -> None:
     path = os.pathsep.join(p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
     proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
-    if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} from {tree} exited with {proc.returncode}:\n{proc.stderr}")
+    (work / "status.txt").write_text(f"exit status {proc.returncode}\n{proc.stderr}")
     if args[0] == "validate":
         (work / "stdout.txt").write_text(proc.stdout)
 

@@ -20,14 +20,14 @@ import json
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import EXACT_CD_MAX_QUBITS, NORM_DRIFT_TOL, StepSizeError, run_groups, run_protocol
+from .dynamics import NORM_DRIFT_TOL, StepSizeError, check_capacity, run_groups, run_protocol
 from .errors import RacdError
 from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, random_instance
-from .optimizer import BFGS_GTOL, PROTOCOL_KINDS, assemble_protocol, sequential_optimize
+from .optimizer import BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, assemble_protocol, sequential_optimize
 from .validation import run_all_suites
 
 DEFAULT_PROTOCOLS = ("ua", "ra")
@@ -88,6 +88,20 @@ def _write_fields_csv(path: Path, protocol, times: np.ndarray) -> None:
             fh.write(",".join([_fmt(t)] + [_fmt(c[i]) for c in columns]) + "\n")
 
 
+def _synthesize(model: Model, config: RunConfig) -> Tuple[ParamTrajectory | None, List[Protocol]]:
+    """The RA trajectory of ``model`` (None without RA) and the protocols of
+    ``config.protocols``; a synthesis :class:`RacdError` is annotated."""
+    ramp = Ramp(config.tau)
+    trajectory = None
+    if "ra" in config.protocols:
+        try:
+            trajectory = sequential_optimize(model, ramp, M=config.m_points, backend=config.backend)
+        except RacdError as exc:
+            _annotate(exc, model, "ra synthesis")
+            raise
+    return trajectory, [assemble_protocol(model, trajectory, kind, ramp) for kind in config.protocols]
+
+
 def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: int = 101) -> Dict[str, float]:
     """Optimize, evolve and (optionally) write one model's protocols.
 
@@ -95,17 +109,11 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
     type and gets the stage, the model size and the instance seed prefixed
     to its message.
     """
-    ramp = Ramp(config.tau)
-    trajectory = None
-    stage = "ra synthesis"
+    trajectory, protocols = _synthesize(model, config)
     try:
-        if "ra" in config.protocols:
-            trajectory = sequential_optimize(model, ramp, M=config.m_points, backend=config.backend)
-        stage = f"{','.join(config.protocols)} evolution"
-        protocols = [assemble_protocol(model, trajectory, kind, ramp) for kind in config.protocols]
         traces = run_protocol(protocols, steps=config.steps, n_out=n_out) if protocols else []
     except RacdError as exc:
-        _annotate(exc, model, stage)
+        _annotate(exc, model, f"{','.join(config.protocols)} evolution")
         raise
     finals = {p.kind: float(t.F[-1]) for p, t in zip(protocols, traces)}
     if out_dir is not None:
@@ -139,8 +147,7 @@ def cmd_run(config: RunConfig) -> int:
     if bad:
         raise ValueError(f"unknown protocols: {bad}")
     model = _build_model(config, config.seed)
-    if "exact-cd" in config.protocols and model.n_qubits > EXACT_CD_MAX_QUBITS:
-        raise ValueError(f"exact-cd is limited to {EXACT_CD_MAX_QUBITS} qubits, got {model.n_qubits}")
+    check_capacity(model.n_qubits, config.protocols)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     finals = _single_run(model, config, out_dir)
@@ -165,60 +172,37 @@ def scaling_study(config: RunConfig, sizes: Sequence[int]) -> List[dict]:
     """Per-size instance sweep over ``SCALING_PROTOCOLS``; returns one
     record per (size, protocol).
 
-    Every (size, instance) is synthesized first, size by size, and then all
-    of them evolve in one call (:func:`racd.dynamics.run_groups`).  Errors
-    are reported as a run of one instance after another would meet them:
-    an instance whose synthesis fails ends the synthesis, and its error is
-    raised only if no earlier instance's evolution failed.
+    The instances, size by size, stream through one
+    :func:`racd.dynamics.run_groups`, which synthesizes each as it reads it.
+    The first failure among its outcomes, which is the one a run of one
+    instance after another meets first, is raised at once.
     """
-    ramp = Ramp(config.tau)
-    evolution = f"{','.join(SCALING_PROTOCOLS)} evolution"
-    units, failure = [], None
-    try:
-        for pos, size in enumerate(sizes):
+    models: List[Model] = []
+
+    def groups():
+        for size in sizes:
             run_cfg = replace(config, n=size, n_logical=size, protocols=SCALING_PROTOCOLS)
             for idx in range(config.instances):
                 model = _build_model(run_cfg, config.seed + idx)
-                stage = "ra synthesis"
-                try:
-                    trajectory = sequential_optimize(model, ramp, M=config.m_points, backend=config.backend)
-                    stage = evolution
-                    protocols = [assemble_protocol(model, trajectory, kind, ramp) for kind in SCALING_PROTOCOLS]
-                except RacdError as exc:
-                    _annotate(exc, model, stage)
-                    raise
-                units.append((pos, model, protocols))
-    except Exception as exc:
-        failure = exc
+                protocols = _synthesize(model, run_cfg)[1]
+                models.append(model)
+                yield protocols
+
+    # final fidelity per (size, protocol, instance)
+    finals = np.empty((len(sizes), len(SCALING_PROTOCOLS), config.instances))
     # scaling only consumes final fidelities: a sparse output grid keeps
     # the norm-drift checkpoints without per-point eigensolves
-    outcomes = run_groups([protocols for *_, protocols in units], steps=config.steps, n_out=11)
-    finals: List[List[Dict[str, float]]] = [[] for _ in sizes]
-    for (pos, model, protocols), outcome in zip(units, outcomes):
+    for g, outcome in enumerate(run_groups(groups(), steps=config.steps, n_out=11)):
         if isinstance(outcome, Exception):
-            if isinstance(outcome, RacdError):
-                _annotate(outcome, model, evolution)
+            # past the models handed out: a synthesis error, annotated where it arose
+            if isinstance(outcome, RacdError) and g < len(models):
+                _annotate(outcome, models[g], f"{','.join(SCALING_PROTOCOLS)} evolution")
             raise outcome
-        finals[pos].append({p.kind: float(t.F[-1]) for p, t in zip(protocols, outcome)})
-    if failure is not None:
-        raise failure
-    rows: List[dict] = []
-    for size, size_finals in zip(sizes, finals):
-        for kind in SCALING_PROTOCOLS:
-            f_vals = np.array([f[kind] for f in size_finals])
-            f_ua = np.array([f["ua"] for f in size_finals])
-            rel = f_vals / f_ua
-            rows.append(
-                {
-                    "size": size,
-                    "protocol": kind,
-                    "mean_F": float(f_vals.mean()),
-                    "p25_F": float(np.percentile(f_vals, 25)),
-                    "p75_F": float(np.percentile(f_vals, 75)),
-                    "mean_rel_improvement": float(rel.mean()),
-                }
-            )
-    return rows
+        finals[g // config.instances, :, g % config.instances] = [t.F[-1] for t in outcome]
+    ua = SCALING_PROTOCOLS.index("ua")
+    return [{"size": size, "protocol": kind, "mean_F": float(f.mean()), "p25_F": float(np.percentile(f, 25)),
+             "p75_F": float(np.percentile(f, 75)), "mean_rel_improvement": float((f / size_finals[ua]).mean())}
+            for size, size_finals in zip(sizes, finals) for kind, f in zip(SCALING_PROTOCOLS, size_finals)]
 
 
 def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
@@ -282,6 +266,15 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
+        if not isinstance(base, dict):
+            raise ValueError(f"config file {args.config} must hold a JSON object")
+        types = {f.name: type(f.default) for f in fields(RunConfig)}
+        for key, value in base.items():
+            if key not in types:
+                raise ValueError(f"unknown config key {key!r}")
+            # a JSON list for the protocols, an int for a float, and no bool for a number
+            if type(value) not in {tuple: (list,), float: (int, float)}.get(types[key], (types[key],)):
+                raise ValueError(f"config key {key!r}: expected {types[key].__name__}, got {value!r}")
     if args.protocols is not None:
         args.protocols = [s.strip() for s in args.protocols.split(",") if s.strip()]
     config = RunConfig(**base)

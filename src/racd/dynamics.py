@@ -299,15 +299,19 @@ def _stack_slots(slot, comp, row, val, n_slots: int, dim: int) -> Tuple[np.ndarr
     return comp_idx, (vecs if vecs.imag.any() else vecs.real.copy())
 
 
+def check_capacity(n_qubits: int, kinds: Iterable[str]) -> None:
+    """Raise :class:`CapacityError` unless protocols of ``kinds`` on
+    ``n_qubits`` qubits fit the state-vector and exact-CD caps."""
+    if n_qubits > STATE_VECTOR_MAX_QUBITS:
+        raise CapacityError(f"{n_qubits} qubits exceeds state-vector cap")
+    if "exact-cd" in kinds and n_qubits > EXACT_CD_MAX_QUBITS:
+        raise CapacityError(f"exact-cd is limited to {EXACT_CD_MAX_QUBITS} qubits, got {n_qubits}")
+
+
 def _output_steps(protocols: Sequence[Protocol], steps: int, n_out: int) -> np.ndarray:
     """Indices of the ``n_out`` RK4 steps sampled for output, both ends
-    included, once the protocols are known to fit the propagator."""
-    for protocol in protocols:
-        n = protocol.model.n_qubits
-        if n > STATE_VECTOR_MAX_QUBITS:
-            raise CapacityError(f"{n} qubits exceeds state-vector cap")
-        if protocol.kind == "exact-cd" and n > EXACT_CD_MAX_QUBITS:
-            raise CapacityError(f"exact-CD baseline restricted to {EXACT_CD_MAX_QUBITS} qubits")
+    included, once the protocols (of one model) fit the propagator."""
+    check_capacity(protocols[0].model.n_qubits, [p.kind for p in protocols])
     if steps < 100:
         raise ValueError("steps must be >= 100")
     return np.unique(np.linspace(0, steps, n_out).round().astype(int))
@@ -375,8 +379,9 @@ def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], step
     while one substep's weights of the block stay within ``BLOCK_BYTES``; a
     group above that is a block of its own.  ``groups`` is read at most one
     group past the block being gathered, and a block's entries are yielded
-    before it is read further, so that one block's states are held at a
-    time.
+    as soon as it has run, so one block's states are held at a time, and a
+    generator that makes each group as it is read makes none that is not
+    needed yet.
     """
     block: List[_Group] = []
     for protocols, psi0 in groups:
@@ -697,50 +702,51 @@ def run_protocol(
 
 
 def run_groups(
-    groups: Sequence[Sequence[Protocol]],
+    groups: Iterable[Sequence[Protocol]],
     steps: int = 2000,
     n_out: int = 101,
-) -> List[List[FidelityTrace] | Exception]:
+) -> Iterator[List[FidelityTrace] | Exception]:
     """:func:`run_protocol` of several groups of protocols, each group one
-    model's, all on one ramp, with consecutive groups evolved together in
-    blocks (:func:`_evolve_groups`).  One outcome per group, in order: its
-    traces, or the exception that its run raised.  A group's ground bases
-    are solved when its block is gathered, and its states become traces
-    once its block has run, so one block's bases and states are held at a
-    time.
+    model's, all on the first group's ramp, with consecutive groups evolved
+    together in blocks.  ``groups`` is read lazily, as
+    :func:`_evolve_groups` reads it, so a caller may make (synthesize) each
+    group as it is read; its ground bases are solved then.  Yields one
+    outcome per group, in order, once its block has run: its traces, or the
+    exception that its run raised.  So one block's bases and states are
+    held at a time.
 
     The outcomes are those of running the groups one at a time, in order,
     up to the first failure.  A group whose evolution fails does not
-    disturb the others.  A group that fails before its evolution (capacity,
-    ground solves, a degenerate start) is the last outcome: the groups
-    after it are not run, and those before it still evolve.
+    disturb the others.  An exception raised while a group is read, by
+    ``groups`` or before its evolution (capacity, ground solves, a
+    degenerate start), ends the reading and is the last outcome.
     """
-    groups = [list(protocols) for protocols in groups]
-    _check_groups(groups)
-    # each group's output grid and ground bases, from just before its block
-    # gathers it until its traces are made
+    # (protocols, output times, lambdas, ground bases) of each group read and not yet traced
     grids: list = []
     failure: list = []
 
     def starts():
-        for protocols in groups:
-            try:
-                grids.append(_ground_grid(protocols, steps, n_out))
-            except Exception as exc:
-                failure.append(exc)
-                return
-            yield protocols, grids[-1][2][0][:, 0]
+        first = None
+        # the try also spans the yield, where only GeneratorExit, which it lets pass, can arrive
+        try:
+            for protocols in map(list, groups):
+                # the first group stays referenced: every later one is checked against its ramp
+                first = first or protocols
+                _check_groups([first, protocols])
+                grids.append((protocols, *_ground_grid(protocols, steps, n_out)))
+                yield protocols, grids[-1][3][0][:, 0]
+        except Exception as exc:
+            failure.append(exc)
 
-    outcomes: list = []
-    for g, states in enumerate(_evolve_groups(starts(), steps, n_out)):
-        (times, lams, bases), grids[g] = grids[g], None
+    for states in _evolve_groups(starts(), steps, n_out):
+        protocols, times, lams, bases = grids.pop(0)
         if not isinstance(states, Exception):
             try:
-                states = _fidelity_traces(groups[g], states, times, lams, bases)
+                states = _fidelity_traces(protocols, states, times, lams, bases)
             except Exception as exc:
                 states = exc
-        outcomes.append(states)
-    return outcomes + failure
+        yield states
+    yield from failure
 
 
 def _ground_grid(protocols: List[Protocol], steps: int, n_out: int) -> Tuple[np.ndarray, np.ndarray, List[np.ndarray]]:

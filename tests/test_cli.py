@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from racd import cli
 
@@ -103,6 +105,29 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
     rc = run_cli(["run", "--model", "two-spin", "--protocols", "warp-drive", "--out", tmp_path / "x"])
     assert rc == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("content, named", [({"nn": 3}, "'nn'"), ({"model": "qubo", "n": "3"}, "'n'"),
+                                            ({"full": 1}, "'full'"), ({"protocols": "ua,ra"}, "'protocols'")])
+def test_invalid_config_file_is_one_error_line(tmp_path, capsys, content, named):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(content))
+    rc = run_cli(["run", "--config", cfg_path, "--out", tmp_path / "out"])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and named in lines[0], lines
+    assert not (tmp_path / "out").exists()
+
+
+def test_state_vector_cap_refused_before_any_run(tmp_path, capsys, monkeypatch):
+    def synthesize(*args, **kwargs):
+        raise AssertionError("synthesis ran")
+
+    monkeypatch.setattr(cli, "sequential_optimize", synthesize)
+    rc = run_cli(["run", "--model", "qubo", "--n", "16", "--protocols", "ua,ra", "--out", tmp_path / "out"])
+    assert rc == 2
+    assert "16 qubits exceeds state-vector cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.slow
@@ -277,9 +302,20 @@ def test_scaling_reports_an_earlier_evolution_failure_before_a_later_synthesis_f
             raise SequentialOptimizeError("BFGS aborted")
         return synthesize(model, *args, **kwargs)
 
+    def read(groups):
+        # the groups up to the first failure to read one, and that failure
+        read, failure = [], []
+        try:
+            for protocols in groups:
+                read.append(protocols)
+        except Exception as exc:
+            failure.append(exc)
+        return read, failure
+
     def drift_first(groups, *args, **kwargs):
+        groups, failure = read(groups)
         evolved.append([p[0].model.n_qubits for p in groups])
-        return [StepSizeError(2e-6, 200, kind="ra")] + [[] for _ in groups[1:]]
+        return [StepSizeError(2e-6, 200, kind="ra")] + [[] for _ in groups[1:]] + failure
 
     monkeypatch.setattr(cli, "sequential_optimize", failing_third)
     config = cli.RunConfig(model="qubo", m_points=10, steps=200, seed=3, instances=1)
@@ -291,8 +327,66 @@ def test_scaling_reports_an_earlier_evolution_failure_before_a_later_synthesis_f
     assert str(drift.value).startswith("ra evolution failed for the qubo model with 2 qubits, instance seed 3")
     # with no evolution failure the synthesis error is the one reported
     synthesized.clear()
-    monkeypatch.setattr(cli, "run_groups", lambda groups, *a, **k: [
-        [type("T", (), {"F": np.ones(2)})() for _ in p] for p in groups])
+    def run_through(groups, *args, **kwargs):
+        groups, failure = read(groups)
+        return [[type("T", (), {"F": np.ones(2)})() for _ in p] for p in groups] + failure
+
+    monkeypatch.setattr(cli, "run_groups", run_through)
     with pytest.raises(SequentialOptimizeError) as synth:
         cli.scaling_study(config, (2, 3, 4, 5))
     assert str(synth.value).startswith("ra synthesis failed for the qubo model with 4 qubits, instance seed 3")
+
+
+@settings(max_examples=10, deadline=None)
+@given(sizes=st.lists(st.sampled_from([2, 3]), min_size=2, max_size=5), steps=st.integers(100, 150),
+       data=st.data())
+def test_scaling_fails_as_one_single_run_after_another(sizes, steps, data):
+    # one or two injected failures (a synthesis that aborts, a ground solve
+    # that raises, an RA field stiff enough to drift) at drawn instances:
+    # the study raises what running them one at a time meets first, in one
+    # block or one block per instance
+    from racd import RacdError, dynamics
+    from racd.optimizer import ParamTrajectory, SequentialOptimizeError
+
+    failing = data.draw(st.lists(st.integers(0, len(sizes) - 1), min_size=1, max_size=2, unique=True))
+    kinds = {i: data.draw(st.sampled_from(["synthesis", "ground", "drift"])) for i in failing}
+    config = cli.RunConfig(model="qubo", tau=1.0, m_points=10, steps=steps, seed=data.draw(st.integers(0, 9)))
+    synthesize, solve = cli.sequential_optimize, dynamics.ground_trace
+    calls = {"synthesis": 0, "ground": 0}
+
+    def injected(model, ramp, *args, **kwargs):
+        i, calls["synthesis"] = calls["synthesis"], calls["synthesis"] + 1
+        if kinds.get(i) == "synthesis":
+            raise SequentialOptimizeError("BFGS aborted")
+        if kinds.get(i) == "drift":
+            values = np.zeros((11, len(model.param_names)))
+            values[:, 0] = 3.0e3
+            return ParamTrajectory(np.linspace(0.0, ramp.tau, 11), values, model.param_names)
+        return synthesize(model, ramp, *args, **kwargs)
+
+    def ground_trace(model, lambdas):
+        i, calls["ground"] = calls["ground"], calls["ground"] + 1
+        if kinds.get(i) == "ground":
+            raise RacdError("ground solve failed")
+        return solve(model, lambdas)
+
+    def first_failure(run):
+        calls.update(synthesis=0, ground=0)
+        with pytest.raises(Exception) as err:
+            run()
+        return type(err.value), str(err.value)
+
+    def one_after_another():
+        for size in sizes:
+            run_cfg = replace(config, n=size, protocols=cli.SCALING_PROTOCOLS)
+            cli._single_run(cli._build_model(run_cfg, config.seed), run_cfg, None, n_out=11)
+
+    with pytest.MonkeyPatch.context() as mp, np.errstate(over="ignore", invalid="ignore"):
+        mp.setattr(cli, "sequential_optimize", injected)
+        mp.setattr(dynamics, "ground_trace", ground_trace)
+        want = first_failure(one_after_another)
+        first = calls["synthesis"] - 1
+        assert first_failure(lambda: cli.scaling_study(config, sizes)) == want
+        mp.setattr(dynamics, "BLOCK_BYTES", 0)
+        assert first_failure(lambda: cli.scaling_study(config, sizes)) == want
+        assert calls["synthesis"] <= first + 2

@@ -42,3 +42,11 @@ def test_compare_dirs_verdicts(tmp_path):
     assert verdicts["out/fields.csv"].startswith("1 lines differ")
     # numbers that cannot be paired leave the difference undefined
     assert verdicts["stdout.txt"] == "1 lines differ, largest numeric difference nan"
+
+
+def test_failing_command_is_recorded_not_raised(tmp_path):
+    work = tmp_path / "work"
+    compare_outputs._run(compare_outputs.REPO, work, ("run", "--protocols", "warp-drive"))
+    status = (work / "status.txt").read_text().splitlines()
+    assert status[0] == "exit status 2"
+    assert status[1].startswith("error: unknown protocols")

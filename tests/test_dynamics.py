@@ -804,10 +804,31 @@ def test_drifted_groups_keep_their_own_errors_and_spare_the_others():
     # run_groups: the same per-group outcomes, traces where a group ran through
     from racd.dynamics import run_groups
 
-    outcomes = run_groups([late, fine, early], steps=100, n_out=51)
+    outcomes = list(run_groups([late, fine, early], steps=100, n_out=51))
     assert isinstance(outcomes[0], StepSizeError) and isinstance(outcomes[2], StepSizeError)
     for got, want in zip(outcomes[1], run_protocol(fine, steps=100, n_out=51)):
         assert np.array_equal(got.F, want.F) and np.array_equal(got.F_tilde, want.F_tilde)
+
+
+def test_run_groups_ends_at_a_group_that_cannot_be_read(monkeypatch):
+    # every group is checked against the first one's ramp, also after the
+    # first block has run; a group that fails to be read is the last outcome
+    from racd import dynamics
+
+    monkeypatch.setattr(dynamics, "BLOCK_BYTES", 0)
+    model = TwoSpinModel()
+    ua = [assemble_protocol(model, None, "ua", Ramp(1.0))]
+    other = [assemble_protocol(model, None, "ua", Ramp(2.0))]
+
+    def broken():
+        yield ua
+        raise RuntimeError("synthesis failed")
+
+    for groups, ran, error in (([ua, ua, other, ua], 2, "groups must share one ramp"),
+                               (broken(), 1, "synthesis failed")):
+        outcomes = list(dynamics.run_groups(groups, steps=100, n_out=3))
+        assert len(outcomes) == ran + 1 and all(isinstance(o, list) for o in outcomes[:-1])
+        assert str(outcomes[-1]) == error
 
 
 def test_blocks_evolve_as_their_groups_are_read(monkeypatch):
