@@ -24,10 +24,11 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .dynamics import NORM_DRIFT_TOL, StepSizeError, check_capacity, run_groups, run_protocol
+from .dynamics import NORM_DRIFT_TOL, StepSizeError, check_capacity, check_steps, run_groups, run_protocol
 from .errors import RacdError
-from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, random_instance
-from .optimizer import BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, assemble_protocol, sequential_optimize
+from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, ramp_eval, random_instance
+from .optimizer import (BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, assemble_protocol, check_grid,
+                        sequential_optimize)
 from .validation import run_all_suites
 
 DEFAULT_PROTOCOLS = ("ua", "ra")
@@ -54,10 +55,17 @@ class RunConfig:
     full: bool = False
 
     def validate(self) -> None:
+        """Refuse a setting before any work; a numeric bound is the library's own check, named by its flag."""
         if self.model not in ("two-spin", "chain", "qubo", "lhz"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
+        for flag, value, check in (("--tau", self.tau, lambda tau: ramp_eval(0.0, tau)),
+                                   ("--steps", self.steps, check_steps), ("--m-points", self.m_points, check_grid)):
+            try:
+                check(value)
+            except ValueError as exc:
+                raise ValueError(f"{flag} {value}: {exc}") from None
 
 
 def _build_model(config: RunConfig, seed: int) -> Model:

@@ -5,14 +5,15 @@ Evolution is fixed-step fourth-order Runge-Kutta on dpsi/dt = -i H(t) psi
 with the Hamiltonian rebuilt from the protocols' control fields at every
 substep.  All protocols of one model and ramp evolve together, as one group
 with a state per protocol, and the groups of several models on one ramp
-evolve together in one loop, each in its own segment of one state vector;
-exact-CD adds its dense gauge-potential term to its own states only.  A
-model's Pauli terms are read through one stacked slot table (the diagonal
+evolve together in one loop, each in its own segment of one state vector.
+A model's Pauli terms are read through one stacked slot table (the diagonal
 last), from which both the RK4 weights and the ground solves' H_a and H_b
-are made.  A model that declares a symmetry sector (the periodic chain's
-translation-invariant one) is evolved and ground-solved in it, and its
-states and ground bases are embedded back in the full space.  The state
-norm is asserted, never repaired: drift is the integrator-quality signal.
+are made; exact-CD's dense gauge-potential term is ``dim`` more slots of
+that table, weighted on its own states only.  A model that declares a
+symmetry sector (the periodic chain's translation-invariant one) is evolved
+and ground-solved in it, and its states and ground bases are embedded back
+in the full space.  The state norm is asserted, never repaired: drift is
+the integrator-quality signal.
 """
 
 from __future__ import annotations
@@ -308,12 +309,16 @@ def check_capacity(n_qubits: int, kinds: Iterable[str]) -> None:
         raise CapacityError(f"exact-cd is limited to {EXACT_CD_MAX_QUBITS} qubits, got {n_qubits}")
 
 
-def _output_steps(protocols: Sequence[Protocol], steps: int, n_out: int) -> np.ndarray:
-    """Indices of the ``n_out`` RK4 steps sampled for output, both ends
-    included, once the protocols (of one model) fit the propagator."""
-    check_capacity(protocols[0].model.n_qubits, [p.kind for p in protocols])
+def check_steps(steps: int) -> None:
+    """Raise ValueError unless ``steps`` RK4 steps are enough to run."""
     if steps < 100:
         raise ValueError("steps must be >= 100")
+
+
+def _output_steps(steps: int, n_out: int) -> np.ndarray:
+    """Indices of the ``n_out`` RK4 steps sampled for output, both ends
+    included."""
+    check_steps(steps)
     return np.unique(np.linspace(0, steps, n_out).round().astype(int))
 
 
@@ -332,8 +337,9 @@ def _check_groups(groups: Sequence[List[Protocol]]) -> None:
 
 def _output_times(protocols: Sequence[Protocol], steps: int, n_out: int) -> np.ndarray:
     """Times of the output steps (:func:`_output_steps`) on the protocols'
-    RK4 grid."""
-    return np.linspace(0.0, protocols[0].ramp.tau, steps + 1)[_output_steps(protocols, steps, n_out)]
+    RK4 grid, once the protocols (of one model) fit the propagator."""
+    check_capacity(protocols[0].model.n_qubits, [p.kind for p in protocols])
+    return np.linspace(0.0, protocols[0].ramp.tau, steps + 1)[_output_steps(steps, n_out)]
 
 
 def evolve(
@@ -374,23 +380,24 @@ def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], step
     ramp: one entry per group, in order, the group's states as
     :func:`evolve` returns them, or the exception that its evolution raised.
 
-    Each group evolves in its model's sector where :func:`evolve` would.
-    Consecutive groups are evolved as one block (:func:`_evolve_block`)
-    while one substep's weights of the block stay within ``BLOCK_BYTES``; a
-    group above that is a block of its own.  ``groups`` is read at most one
-    group past the block being gathered, and a block's entries are yielded
-    as soon as it has run, so one block's states are held at a time, and a
-    generator that makes each group as it is read makes none that is not
-    needed yet.
+    Each group, known to fit the propagator, evolves in its model's sector
+    where :func:`evolve` would, on one substep grid made from the first
+    group's ramp.  Consecutive groups are evolved as one block
+    (:func:`_evolve_block`) while one substep's weights of the block stay
+    within ``BLOCK_BYTES``; a group above that is a block of its own.
+    ``groups`` is read at most one group past the block being gathered, and
+    a block's entries are yielded as soon as it has run, so one block's
+    states are held at a time, and a generator that makes each group as it
+    is read makes none that is not needed yet.
     """
     block: List[_Group] = []
+    sub = None
     for protocols, psi0 in groups:
-        out_idx = _output_steps(protocols, steps, n_out)
-        tau = protocols[0].ramp.tau
-        # substep times: t_k, t_k + h/2 interleaved, plus the final endpoint
-        sub = np.empty(2 * steps + 1)
-        sub[0::2] = np.linspace(0.0, tau, steps + 1)
-        sub[1::2] = sub[0:-1:2] + 0.5 * (tau / steps)
+        if sub is None:
+            out_idx, tau = _output_steps(steps, n_out), protocols[0].ramp.tau
+            # substep times: t_k, t_k + h/2 interleaved, plus the final endpoint
+            sub = np.repeat(np.linspace(0.0, tau, steps + 1), 2)[:-1]
+            sub[1::2] += 0.5 * (tau / steps)
         member = _Group(list(protocols), np.asarray(psi0, dtype=complex), sub)
         grown = block + [member]
         if block and 16 * max(m.slots for m in grown) * sum(m.size for m in grown) > BLOCK_BYTES:
@@ -411,18 +418,19 @@ class _Group:
     ``size`` its number of amplitudes.  The components (model terms, plus
     one sigma-y per site when the group holds local CD) are the one stack
     of slots of :func:`_word_tables`, the diagonal last, with -i folded into
-    their weights, so that one batched product contracts them all.
-    :meth:`write` contracts the weights of a run of substeps into a caller's
-    array, ``(slots, B * dim)`` per substep, which multiply the block at the
-    flat gather index ``gather``; the protocols' field tables behind them
-    are evaluated ``TABLE_CHUNK`` substeps at a time, with the ramp
-    evaluated once per table chunk for the whole group and handed to each
-    protocol's :meth:`~racd.optimizer.Protocol.tables`.  Exact-CD columns
-    (``exact``) are contracted at their UA fields like any other; when the
-    group holds them, :meth:`write` also returns, per substep, -i times the
-    dense lambda_dot * A(lambda) that they add, with A the spectral gauge
-    potential of H0(lambda) = H_a + lambda * H_b (every schedule is affine
-    in lambda) on the same basis (None without exact CD).  ``error`` is
+    their weights, so that one batched product contracts them all; a group
+    with exact-CD columns (``exact``) adds ``dim`` dense slots, slot k of
+    every row gathering basis state k.  :meth:`write` makes the weights of
+    a run of substeps into a caller's array, ``(slots, B * dim)`` per
+    substep, which multiply the block at the flat gather index ``gather``;
+    the protocols' field tables behind them are evaluated ``TABLE_CHUNK``
+    substeps at a time, with the ramp evaluated once per table chunk for
+    the whole group and handed to each protocol's
+    :meth:`~racd.optimizer.Protocol.tables`.  Exact-CD columns are
+    contracted at their UA fields like any other, and their dense slots
+    hold (-i lambda_dot * A(lambda)).T, with A the spectral gauge potential
+    of H0(lambda) = H_a + lambda * H_b (every schedule is affine in lambda)
+    on the same basis; other columns' dense slots stay zero.  ``error`` is
     the exception that making the weights raised, if any.
     """
 
@@ -445,11 +453,12 @@ class _Group:
             self._comp_idx = tables.comp_idx
             # real coefficients act on interleaved (re, im) pairs: half a complex product
             self._vecs = np.ascontiguousarray(-1j * tables.vecs).view(float)[:, None]
-            self.slots, dim = tables.cols.shape
-            #: bytes of one substep's dense exact-CD term (0 without one)
-            self.agp_bytes = 16 * dim * dim if self.exact else 0
+            cols, dim = tables.cols, tables.cols.shape[1]
+            if self.exact:
+                cols = np.concatenate([cols, np.broadcast_to(np.arange(dim)[:, None], (dim, dim))])
+            self.slots = len(cols)
             # flat gather index into the block: [k, b * dim + r] -> row b, state cols[k, r]
-            self.gather = (np.arange(len(protocols))[:, None] * dim + tables.cols[:, None, :]).reshape(self.slots, -1)
+            self.gather = (np.arange(len(protocols))[:, None] * dim + cols[:, None, :]).reshape(self.slots, -1)
             # the full space keeps the operators' own dense form: the gauge potential
             # is ill-conditioned near level crossings, and the tables' rounding of H0
             # would move it (by 2.5e-8 on LHZ n=4)
@@ -483,19 +492,21 @@ class _Group:
             parts.append([a[rows] for a in self._table[1]])
         return tuple(np.concatenate(p) for p in zip(*parts)) if len(parts) > 1 else tuple(parts[0])
 
-    def write(self, out: np.ndarray, start: int, stop: int) -> list:
+    def write(self, out: np.ndarray, start: int, stop: int) -> None:
         """Weights of the substeps ``start`` to ``stop - 1`` into ``out``,
-        shaped ``(stop - start, slots, B * dim)`` with each row contiguous;
-        returns their ``agp`` terms."""
+        shaped ``(stop - start, slots, B * dim)`` with each row contiguous."""
         coeffs, lams, lam_dots = self._coeffs(start, stop)
-        n = stop - start
+        weights = out.reshape(stop - start, self.slots, len(self.protocols), -1)
+        table = len(self._vecs)
         g = coeffs[..., self._comp_idx].transpose(2, 0, 1, 3)
-        target = out.reshape(n, self.slots, len(self.protocols), -1).transpose(1, 0, 2, 3).view(float)
-        np.matmul(g, self._vecs, out=target)
-        if not self.exact:
-            return [None] * n
-        h_a, h_b = self._h_ab
-        return [(-1j * lam_dot) * exact_agp(h_a + lam * h_b, h_b) for lam, lam_dot in zip(lams, lam_dots)]
+        np.matmul(g, self._vecs, out=weights[:, :table].transpose(1, 0, 2, 3).view(float))
+        if self.exact:
+            h_a, h_b = self._h_ab
+            for rows, lam, lam_dot in zip(weights, lams, lam_dots):
+                # dense slot k of row r holds the term's entry (r, k); the term stays referenced, as freeing it
+                # lets malloc trim the heap after each exact_agp, whose temporaries then fault in new pages
+                self._term = (-1j * lam_dot) * exact_agp(h_a + lam * h_b, h_b)
+                rows[table:, self.exact] = self._term.T[:, None]
 
 
 class _Block:
@@ -506,14 +517,14 @@ class _Block:
 
     Every group writes its weights of a chunk (:meth:`make`, by
     :meth:`_Group.write`) into one ``(substeps, slots, amplitudes)`` array,
-    its slots in the order of its one stacked table, the diagonal last.  The
-    flat gather index is each group's ``gather`` plus its segment's offset,
-    and a group with fewer slots is padded with zero weights on its own
-    index.  So -i H psi of the whole block at one
-    substep (:meth:`apply`) is one ``take``, ``multiply`` and ``add.reduce``
-    into preallocated buffers, plus each exact-CD group's dense term.
-    ``results`` holds, per group, the exception that stopped it, if any: a
-    group that fails (:meth:`fail`) is zeroed and drops out of ``live``.
+    its slots in the order of its one stacked table, the diagonal last, then
+    an exact-CD group's dense slots.  The flat gather index is each group's
+    ``gather`` plus its segment's offset, and a group with fewer slots is
+    padded with zero weights on its own index.  So -i H psi of the whole
+    block at one substep (:meth:`apply`), for every drive, is one ``take``,
+    ``multiply`` and ``add.reduce`` into preallocated buffers.  ``results``
+    holds, per group, the exception that stopped it, if any: a group that
+    fails (:meth:`fail`) is zeroed and drops out of ``live``.
     """
 
     def __init__(self, members: List[_Group]):
@@ -525,12 +536,8 @@ class _Block:
         self.index = np.tile(np.arange(bounds[-1]), (max(m.slots for m in members), 1))
         for g in self.live:
             self.index[: members[g].slots, self.segments[g]] = members[g].gather + bounds[g]
-        # a chunk holds 2 * per + 1 substeps: the last one of the previous
-        # chunk, then those of ``per`` steps
-        substep = 16 * self.index.size + sum(members[g].agp_bytes for g in self.live)
-        self.per = max(1, min(TABLE_CHUNK // 2, (CHUNK_BYTES // substep - 1) // 2))
+        self.per = max(1, min(TABLE_CHUNK // 2, (CHUNK_BYTES // (16 * self.index.size) - 1) // 2))
         self.weights = np.zeros((2 * self.per + 1,) + self.index.shape, dtype=complex)
-        self.agps: List[dict] = [{} for _ in range(2 * self.per + 1)]
         self.psi = np.concatenate([m.start.ravel() for m in members])
         self._buf = np.empty(self.index.shape, dtype=complex)
 
@@ -540,47 +547,24 @@ class _Block:
         self.live.remove(g)
         self.psi[self.segments[g]] = 0.0
         self.weights[:, :, self.segments[g]] = 0.0
-        for terms in self.agps:
-            terms.pop(g, None)
 
     def make(self, first: int, start: int, stop: int) -> None:
         """Substeps ``start`` to ``stop - 1`` into the chunk from its row
         ``first``; a group whose weights raise fails."""
-        for terms in self.agps[first:]:
-            terms.clear()
         for g in list(self.live):
             member = self.members[g]
             try:
-                made = member.write(
-                    self.weights[first : first + stop - start, : member.slots, self.segments[g]], start, stop)
+                member.write(self.weights[first : first + stop - start, : member.slots, self.segments[g]], start, stop)
             except Exception as exc:
                 self.fail(g, exc)
-                continue
-            for terms, agp in zip(self.agps[first:], made):
-                if agp is not None:
-                    terms[g] = agp
-
-    def next_chunk(self, start: int, stop: int) -> None:
-        """The chunk's last substep as its first row, then substeps
-        ``start`` to ``stop - 1``."""
-        self.weights[0] = self.weights[-1]
-        self.agps[0], self.agps[-1] = self.agps[-1], self.agps[0]
-        self.make(1, start, stop)
 
     def apply(self, row: int, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """-i H psi into ``out`` of the flat block ``x``, at the substep in
         the chunk's ``row``."""
-        # out[r] = sum_k w_k[r] x[index[k, r]], plus (agp x_g[b])[r] for the
-        # exact-CD rows b of each group g
+        # out[r] = sum_k w_k[r] x[index[k, r]]
         np.take(x, self.index, out=self._buf, mode="clip")
         np.multiply(self._buf, self.weights[row], out=self._buf)
-        np.add.reduce(self._buf, axis=0, out=out)
-        for g, agp in self.agps[row].items():
-            shape, exact = self.members[g].start.shape, self.members[g].exact
-            rows = x[self.segments[g]].reshape(shape)[exact]
-            into = out[self.segments[g]].reshape(shape)
-            into[exact] = into[exact] + rows @ agp.T
-        return out
+        return np.add.reduce(self._buf, axis=0, out=out)
 
 
 def _evolve_block(members: List[_Group], out_idx: np.ndarray, steps: int) -> list:
@@ -618,7 +602,9 @@ def _evolve_block(members: List[_Group], out_idx: np.ndarray, steps: int) -> lis
             break
         j = k % per
         if j == 0 and k > 0:
-            block.next_chunk(2 * k + 1, min(2 * (k + per) + 1, 2 * steps + 1))
+            # the next chunk: the last substep of this one, then those of ``per`` steps
+            block.weights[0] = block.weights[-1]
+            block.make(1, 2 * k + 1, min(2 * (k + per) + 1, 2 * steps + 1))
         # substeps 2k, 2k+1 and 2k+2 are rows 2j, 2j+1 and 2j+2
         block.apply(2 * j, psi, k1)
         np.multiply(k1, 0.5 * h, out=arg)

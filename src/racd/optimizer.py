@@ -207,6 +207,12 @@ def _objective(model: Model, lam: float, lam_dot: float, evaluate: Callable | No
     return lambda x: evaluate(fd, x)
 
 
+def check_grid(M: int) -> None:
+    """Raise ValueError unless ``M`` grid intervals are enough to synthesize."""
+    if M < 10:
+        raise ValueError("M must be >= 10")
+
+
 def sequential_optimize(
     model: Model,
     ramp: Ramp,
@@ -222,8 +228,7 @@ def sequential_optimize(
     one closed-form evaluator (and so one QUBO kernel and gamma cache,
     whose sums depend on neither the fields nor beta) serves them all.
     """
-    if M < 10:
-        raise ValueError("M must be >= 10")
+    check_grid(M)
     names = model.param_names
     periods = model.param_periods
     times = np.array([m * ramp.tau / M for m in range(M + 1)])

@@ -130,6 +130,24 @@ def test_state_vector_cap_refused_before_any_run(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args, named", [
+    (["run", "--model", "two-spin", "--tau", "0"], "--tau 0.0: tau must be positive"),
+    (["run", "--model", "two-spin", "--protocols", "ua,ra", "--steps", "50"], "--steps 50: steps must be >= 100"),
+    (["run", "--model", "two-spin", "--m-points", "5"], "--m-points 5: M must be >= 10"),
+    (["scaling", "--model", "qubo", "--steps", "50"], "--steps 50: steps must be >= 100"),
+])
+def test_invalid_run_input_refused_before_any_work(tmp_path, capsys, monkeypatch, args, named):
+    def synthesize(*args, **kwargs):
+        raise AssertionError("synthesis ran")
+
+    monkeypatch.setattr(cli, "sequential_optimize", synthesize)
+    rc = run_cli(args + ["--out", tmp_path / "out"])
+    assert rc == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: {named}"], lines
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.slow
 def test_scaling_default_steps_drift_is_one_error_line(tmp_path, capsys):
     # the default sizes, seed and --steps (2000): the RA evolution of the

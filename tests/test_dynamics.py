@@ -698,9 +698,9 @@ def _group_start(model):
 
 @st.composite
 def _groups(draw):
-    """One model's protocols: QUBO N=2..6, the chain at N=4..8 (in its
-    sector), two-spin with exact-CD, or LHZ n=3, each with its own slot
-    count."""
+    """One model's protocols, exact-CD among the kinds drawn: QUBO N=2..6,
+    the chain at N=4..8 (in its sector), two-spin or LHZ n=3, each with its
+    own slot count, so that blocks mix dense slots with padded ones."""
     family = draw(st.sampled_from(["qubo", "chain", "two-spin", "lhz"]))
     if family == "qubo":
         model = random_instance("qubo", draw(st.integers(2, 6)), draw(st.integers(0, 2**16)))
@@ -710,8 +710,7 @@ def _groups(draw):
         model = random_instance("lhz", 3, draw(st.integers(0, 2**16)))
     else:
         model = TwoSpinModel()
-    kinds = ["ua", "local-cd", "ra"] + (["exact-cd"] if family == "two-spin" else [])
-    order = draw(st.permutations(kinds))
+    order = draw(st.permutations(["ua", "local-cd", "ra", "exact-cd"]))
     traj = random_trajectory(model, draw(st.integers(0, 2**16)))
     ramp = Ramp(1.0)
     return [assemble_protocol(model, traj, kind, ramp) for kind in order[: draw(st.integers(1, len(order)))]]
