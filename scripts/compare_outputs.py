@@ -38,6 +38,7 @@ COMMANDS = (
     ("run", "--model", "chain", "--n", "4", "--protocols", "ua,local-cd,ra,exact-cd"),
     # exact-CD in the full space, on a diagonal made of several terms
     ("run", "--model", "lhz", "--n-logical", "3", "--protocols", "ua,local-cd,ra,exact-cd"),
+    ("run", "--model", "qubo", "--n", "6", "--protocols", "ua,local-cd,ra"),
     ("scaling", "--model", "qubo", "--instances", "2", "--steps", "4000"),
     ("scaling", "--model", "lhz", "--instances", "2"),
     # exits with code 2 on the RA drift of the N=5, seed-1 instance at the default 2000 steps

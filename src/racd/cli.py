@@ -27,8 +27,8 @@ import numpy as np
 from .dynamics import NORM_DRIFT_TOL, StepSizeError, check_capacity, check_steps, run_groups, run_protocol
 from .errors import RacdError
 from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, ramp_eval, random_instance
-from .optimizer import (BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, assemble_protocol, check_grid,
-                        sequential_optimize)
+from .optimizer import (BACKENDS, BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, assemble_protocol,
+                        check_backend, check_grid, fmt, sequential_optimize, write_csv)
 from .validation import run_all_suites
 
 DEFAULT_PROTOCOLS = ("ua", "ra")
@@ -55,13 +55,16 @@ class RunConfig:
     full: bool = False
 
     def validate(self) -> None:
-        """Refuse a setting before any work; a numeric bound is the library's own check, named by its flag."""
+        """Refuse a setting before any work, naming its flag; a bound the library has is its own check."""
         if self.model not in ("two-spin", "chain", "qubo", "lhz"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.instances < 1:
             raise ValueError("instances must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"--seed {self.seed}: seed must be >= 0")
         for flag, value, check in (("--tau", self.tau, lambda tau: ramp_eval(0.0, tau)),
-                                   ("--steps", self.steps, check_steps), ("--m-points", self.m_points, check_grid)):
+                                   ("--steps", self.steps, check_steps), ("--m-points", self.m_points, check_grid),
+                                   ("--backend", self.backend, check_backend)):
             try:
                 check(value)
             except ValueError as exc:
@@ -77,23 +80,11 @@ def _build_model(config: RunConfig, seed: int) -> Model:
     return random_instance(config.model, size, seed)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12e}"
-
-
 def _write_fields_csv(path: Path, protocol, times: np.ndarray) -> None:
-    tables = protocol.field_table(times)
     names = [t.name for t in protocol.model.terms]
-    columns = [tables[n] for n in names]
-    header = ["t"] + names
-    if protocol.kind == "local-cd":
-        y = protocol.y_table(times)
-        header += [f"y{j + 1}" for j in range(protocol.model.n_qubits)]
-        columns += [y[:, j] for j in range(protocol.model.n_qubits)]
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for i, t in enumerate(times):
-            fh.write(",".join([_fmt(t)] + [_fmt(c[i]) for c in columns]) + "\n")
+    table = protocol.tables(times, *protocol.ramp.table(times))
+    header = ["t", *names] + [f"y{j + 1}" for j in range(table.shape[1] - len(names))]
+    write_csv(path, header, np.column_stack([times, table]))
 
 
 def _synthesize(model: Model, config: RunConfig) -> Tuple[ParamTrajectory | None, List[Protocol]]:
@@ -227,8 +218,8 @@ def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
         fh.write("size,protocol,mean_F,p25_F,p75_F,mean_rel_improvement\n")
         for r in rows:
             fh.write(
-                f"{r['size']},{r['protocol']},{_fmt(r['mean_F'])},{_fmt(r['p25_F'])},"
-                f"{_fmt(r['p75_F'])},{_fmt(r['mean_rel_improvement'])}\n"
+                f"{r['size']},{r['protocol']},{fmt(r['mean_F'])},{fmt(r['p25_F'])},"
+                f"{fmt(r['p75_F'])},{fmt(r['mean_rel_improvement'])}\n"
             )
     meta = {"config": asdict(config), "sizes": list(sizes), "prng": PRNG_NAME}
     meta["config"]["protocols"] = list(SCALING_PROTOCOLS)
@@ -263,7 +254,7 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int)
         sp.add_argument("--instances", type=int)
         sp.add_argument("--out", type=str)
-        sp.add_argument("--backend", choices=["closed-form", "oracle"])
+        sp.add_argument("--backend", choices=BACKENDS)
         sp.add_argument("--full", action="store_true", default=None)
     sub.add_parser("validate").add_argument("--draws", type=int, default=100)
     return p

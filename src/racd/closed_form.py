@@ -204,11 +204,6 @@ def _hole_sums(cos_rows: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, n
     Division-free handling of exact cosine zeros (0, 1 or 2 zeros per row).
     """
     z = cos_rows == 0.0
-    if not z.any():  # no zeros: the zc == 0 branches below, without the masks
-        p = cos_rows.prod(axis=1)
-        q = weights / cos_rows
-        sq = q.sum(axis=1)
-        return p, p * sq, p * (sq**2 - (q**2).sum(axis=1))
     zc = z.sum(axis=1)
     chat = np.where(z, 1.0, cos_rows)
     p = chat.prod(axis=1)  # product over nonzero entries

@@ -36,7 +36,7 @@ from .operators import (
     CapacityError,
     sigma_y,
 )
-from .optimizer import Protocol
+from .optimizer import Protocol, write_csv
 
 NORM_DRIFT_TOL = 1e-6
 EXACT_CD_MAX_QUBITS = 8
@@ -139,8 +139,9 @@ def rotated_fidelity(psi: np.ndarray, ground: np.ndarray, q_diag: np.ndarray) ->
 
 @dataclass
 class FidelityTrace:
-    """Instantaneous fidelities along a run; F_tilde equals F except for the
-    rotated-frame protocol."""
+    """Instantaneous fidelities along a run: F with the instantaneous ground
+    space, and F_tilde with it rotated by the protocol's Q, which is zero,
+    so that F_tilde equals F, except for the rotated-frame protocol."""
 
     times: np.ndarray
     lambdas: np.ndarray
@@ -156,10 +157,7 @@ class FidelityTrace:
             raise ValueError("run did not start in the ground state")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t,lambda,F,F_tilde\n")
-            for row in zip(self.times, self.lambdas, self.F, self.F_tilde):
-                fh.write(",".join(f"{v:.12e}" for v in row) + "\n")
+        write_csv(path, ["t", "lambda", "F", "F_tilde"], zip(self.times, self.lambdas, self.F, self.F_tilde))
 
 
 #: substeps whose protocol tables are evaluated in one call
@@ -423,10 +421,11 @@ class _Group:
     every row gathering basis state k.  :meth:`write` makes the weights of
     a run of substeps into a caller's array, ``(slots, B * dim)`` per
     substep, which multiply the block at the flat gather index ``gather``;
-    the protocols' field tables behind them are evaluated ``TABLE_CHUNK``
-    substeps at a time, with the ramp evaluated once per table chunk for
-    the whole group and handed to each protocol's
-    :meth:`~racd.optimizer.Protocol.tables`.  Exact-CD columns are
+    the coefficients behind them are each protocol's drive table
+    (:meth:`~racd.optimizer.Protocol.tables`), whose columns are in the
+    components' order, copied as it is into the protocol's column.  The
+    tables are evaluated ``TABLE_CHUNK`` substeps at a time, with the ramp
+    evaluated once per table chunk for the whole group.  Exact-CD columns are
     contracted at their UA fields like any other, and their dense slots
     hold (-i lambda_dot * A(lambda)).T, with A the spectral gauge potential
     of H0(lambda) = H_a + lambda * H_b (every schedule is affine in lambda)
@@ -482,11 +481,8 @@ class _Group:
                 lams, lam_dots = self.protocols[0].ramp.table(times)
                 coeffs = np.zeros((len(times), len(self.protocols), len(self._ops)))
                 for b, protocol in enumerate(self.protocols):
-                    fields, y = protocol.tables(times, lams, lam_dots)
-                    for c, term in enumerate(protocol.model.terms):
-                        coeffs[:, b, c] = fields[term.name]
-                    if y is not None:
-                        coeffs[:, b, len(protocol.model.terms):] = y
+                    table = protocol.tables(times, lams, lam_dots)
+                    coeffs[:, b, : table.shape[1]] = table
                 self._table = (k, (coeffs, lams, lam_dots))
             rows = slice(max(start - k * TABLE_CHUNK, 0), stop - k * TABLE_CHUNK)
             parts.append([a[rows] for a in self._table[1]])
@@ -748,28 +744,19 @@ def _ground_grid(protocols: List[Protocol], steps: int, n_out: int) -> Tuple[np.
 
 def _fidelity_traces(protocols: List[Protocol], states: np.ndarray, times: np.ndarray, lams: np.ndarray,
                      ground_bases: List[np.ndarray]) -> List[FidelityTrace]:
-    """One :func:`_fidelity_trace` per column of ``states``."""
-    return [_fidelity_trace(protocol, np.ascontiguousarray(states[:, :, col]), times, lams, ground_bases)
-            for col, protocol in enumerate(protocols)]
-
-
-def _fidelity_trace(protocol: Protocol, states: np.ndarray, times: np.ndarray, lams: np.ndarray,
-                    ground_bases: List[np.ndarray]) -> FidelityTrace:
-    """F and F-tilde of one protocol's states ``(n_out, 2^N)`` on the output grid."""
-    f_vals = np.empty(len(times))
-    ft_vals = np.empty(len(times))
-    if protocol.kind == "ra":
+    """F and F-tilde of each column of ``states`` ``(n_out, 2^N, B)``.  F-tilde
+    rotates the ground state by Q, the Q terms' diagonals weighted by
+    ``q_table``; Q is zero but for RA, so elsewhere F-tilde is F bit for bit."""
+    traces = []
+    for col, protocol in enumerate(protocols):
+        psi = np.ascontiguousarray(states[:, :, col])
         q_tables = protocol.q_table(times)
-        q_terms = [(t.param, t.operator.diag_vector().real) for t in protocol.model.terms if t.param in ("gamma", "phi")]
-    for i in range(len(times)):
-        f_vals[i] = fidelity(states[i], ground_bases[i])
-        if protocol.kind == "ra":
-            q_diag = np.zeros(states.shape[1])
-            for pname, diag in q_terms:
-                q_diag = q_diag + q_tables[pname][i] * diag
-            ft_vals[i] = rotated_fidelity(states[i], ground_bases[i], q_diag)
-        else:
-            ft_vals[i] = f_vals[i]
-    trace = FidelityTrace(times=times, lambdas=lams, F=f_vals, F_tilde=ft_vals)
-    trace.validate()
-    return trace
+        q_diag = np.zeros(psi.shape)
+        for term in protocol.model.terms:
+            if term.param in ("gamma", "phi"):
+                q_diag = q_diag + np.outer(q_tables[term.param], term.operator.diag_vector().real)
+        trace = FidelityTrace(times, lams, np.array([fidelity(p, g) for p, g in zip(psi, ground_bases)]),
+                              np.array([rotated_fidelity(p, g, q) for p, g, q in zip(psi, ground_bases, q_diag)]))
+        trace.validate()
+        traces.append(trace)
+    return traces

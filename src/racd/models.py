@@ -45,6 +45,8 @@ def ramp_table(times: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
+    if not np.isfinite(tau):
+        raise ValueError("tau must be finite")
     t = np.asarray(times, dtype=float)
     outside = (t < -1e-9 * tau) | (t > tau * (1 + 1e-9))
     if outside.any():

@@ -27,6 +27,8 @@ from .models import Model, Ramp
 BFGS_GTOL = 1e-10
 BFGS_MAX_ITER = 500
 FD_STEP = 1e-6
+#: action backends: the model's closed form, or the dense trace oracle
+BACKENDS = ("closed-form", "oracle")
 
 
 class SequentialOptimizeError(RacdError, RuntimeError):
@@ -110,6 +112,19 @@ def bfgs_minimize(objective: Callable[[np.ndarray], float], x0: Sequence[float])
         return BfgsResult(np.asarray(best["x"]), float(best["f"]), 0, False, aborted=True)
 
 
+def fmt(x: float) -> str:
+    """A number as every CSV output writes it: 12-significant-digit scientific notation."""
+    return f"{x:.12e}"
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """A CSV of the column names ``header`` and the numeric ``rows``, written by :func:`fmt`."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(fmt, row)) + "\n")
+
+
 @dataclass
 class ParamTrajectory:
     """Time-gridded variational parameters with spline interpolation.
@@ -156,11 +171,7 @@ class ParamTrajectory:
         return self._spline(name)(t, 1)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("t," + ",".join(self.param_names) + "\n")
-            for i, t in enumerate(self.times):
-                row = [f"{t:.12e}"] + [f"{v:.12e}" for v in self.values[i]]
-                fh.write(",".join(row) + "\n")
+        write_csv(path, ["t", *self.param_names], np.column_stack([self.times, self.values]))
 
     @staticmethod
     def from_csv(path) -> "ParamTrajectory":
@@ -193,8 +204,7 @@ def make_action_objective(
 def _evaluator(model: Model, backend: str) -> Callable | None:
     """The closed-form evaluator of ``model`` (:func:`racd.closed_form.evaluator`)
     for the ``closed-form`` backend, None for the oracle."""
-    if backend not in ("closed-form", "oracle"):
-        raise ValueError(f"unknown action backend {backend!r}")
+    check_backend(backend)
     return closed_form.evaluator(model) if backend == "closed-form" else None
 
 
@@ -205,6 +215,12 @@ def _objective(model: Model, lam: float, lam_dot: float, evaluate: Callable | No
     if evaluate is None:
         return lambda x: action_oracle(model, fd, x)
     return lambda x: evaluate(fd, x)
+
+
+def check_backend(backend: str) -> None:
+    """Raise ValueError unless ``backend`` is one of ``BACKENDS``."""
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown action backend {backend!r}")
 
 
 def check_grid(M: int) -> None:
@@ -268,13 +284,14 @@ PROTOCOL_KINDS = ("ua", "local-cd", "ra", "exact-cd")
 class Protocol:
     """Assembled time-dependent driving for one model.
 
-    ``field_table`` returns the control field on every model term; for the
-    RA kind these are UA fields plus the K-parameter value or Q-parameter
-    spline rate.  ``q_table`` exposes the rotation-generator coefficients
-    (zero unless RA), and ``y_table`` the per-site sigma-y fields of the
-    local-CD drive.  ``tables`` gives the field and sigma-y tables from ramp
-    values the caller has already evaluated; it is the one table method
-    that :func:`racd.dynamics.evolve` calls.
+    :meth:`tables` gives the drive at each time as one row of an array whose
+    columns are the control field on every model term, in term order, then,
+    for local CD, the sigma-y field on every site; for the RA kind the term
+    fields are UA fields plus the K-parameter value or Q-parameter spline
+    rate.  It is the one table that :func:`racd.dynamics.evolve` and the
+    fields CSV read.  ``field_table`` is its term columns by term name and
+    ``y_table`` its sigma-y columns (zero unless local CD); ``q_table``
+    exposes the rotation-generator coefficients (zero unless RA).
     """
 
     model: Model
@@ -296,8 +313,8 @@ class Protocol:
 
     def field_table(self, times: np.ndarray) -> Dict[str, np.ndarray]:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        lams, _ = self.ramp.table(times)
-        return self.tables(times, lams)[0]
+        table = self.tables(times, *self.ramp.table(times))
+        return {t.name: table[:, c] for c, t in enumerate(self.model.terms)}
 
     def q_table(self, times: np.ndarray) -> Dict[str, np.ndarray]:
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -314,25 +331,26 @@ class Protocol:
         times = np.atleast_1d(np.asarray(times, dtype=float))
         if self.kind != "local-cd":
             return np.zeros((len(times), self.model.n_qubits))
-        return self.tables(times, *self.ramp.table(times))[1]
+        return self.tables(times, *self.ramp.table(times))[:, len(self.model.terms) :]
 
-    def tables(
-        self, times: np.ndarray, lams: np.ndarray, lam_dots: np.ndarray | None = None
-    ) -> Tuple[Dict[str, np.ndarray], np.ndarray | None]:
-        """:meth:`field_table` and, for local CD when ``lam_dots`` is given,
-        :meth:`y_table` (else None) at the 1-D array ``times``, from the
-        ramp's values there (``lams, lam_dots = self.ramp.table(times)``),
-        so that one :meth:`Ramp.table` serves a batch of protocols."""
-        out = {t.name: t.field0 + t.field1 * lams for t in self.model.terms}
-        if self.kind == "ra":
-            for term in self.model.terms:
-                if term.param == "beta":
-                    out[term.name] = out[term.name] + self.trajectory.value("beta", times)
-                elif term.param in ("gamma", "phi"):
-                    out[term.name] = out[term.name] + self.trajectory.derivative(term.param, times)
-        if self.kind != "local-cd" or lam_dots is None:
-            return out, None
-        return out, lam_dots[:, None] * self._local_solver.solve_batch(lams)
+    def tables(self, times: np.ndarray, lams: np.ndarray, lam_dots: np.ndarray) -> np.ndarray:
+        """The drive ``(len(times), components)`` at the 1-D array ``times``,
+        from the ramp's values there (``lams, lam_dots =
+        self.ramp.table(times)``), so that one :meth:`Ramp.table` serves a
+        batch of protocols: one column per model term, then, for local CD,
+        one per site."""
+        terms = self.model.terms
+        n_y = self.model.n_qubits if self.kind == "local-cd" else 0
+        out = np.empty((len(times), len(terms) + n_y))
+        for c, t in enumerate(terms):
+            out[:, c] = t.field0 + t.field1 * lams
+            if self.kind == "ra" and t.param == "beta":
+                out[:, c] += self.trajectory.value("beta", times)
+            elif self.kind == "ra" and t.param in ("gamma", "phi"):
+                out[:, c] += self.trajectory.derivative(t.param, times)
+        if n_y:
+            out[:, len(terms) :] = lam_dots[:, None] * self._local_solver.solve_batch(lams)
+        return out
 
 
 def assemble_protocol(model: Model, trajectory: ParamTrajectory | None, kind: str, ramp: Ramp) -> Protocol:

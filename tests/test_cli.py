@@ -108,7 +108,8 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("content, named", [({"nn": 3}, "'nn'"), ({"model": "qubo", "n": "3"}, "'n'"),
-                                            ({"full": 1}, "'full'"), ({"protocols": "ua,ra"}, "'protocols'")])
+                                            ({"full": 1}, "'full'"), ({"protocols": "ua,ra"}, "'protocols'"),
+                                            ({"backend": "bogus"}, "--backend bogus: unknown action backend 'bogus'")])
 def test_invalid_config_file_is_one_error_line(tmp_path, capsys, content, named):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(content))
@@ -135,6 +136,11 @@ def test_state_vector_cap_refused_before_any_run(tmp_path, capsys, monkeypatch):
     (["run", "--model", "two-spin", "--protocols", "ua,ra", "--steps", "50"], "--steps 50: steps must be >= 100"),
     (["run", "--model", "two-spin", "--m-points", "5"], "--m-points 5: M must be >= 10"),
     (["scaling", "--model", "qubo", "--steps", "50"], "--steps 50: steps must be >= 100"),
+    (["run", "--model", "two-spin", "--tau", "nan"], "--tau nan: tau must be finite"),
+    (["run", "--model", "two-spin", "--tau", "inf"], "--tau inf: tau must be finite"),
+    (["scaling", "--model", "qubo", "--seed", "-1"], "--seed -1: seed must be >= 0"),
+    (["run", "--model", "qubo", "--n", "4", "--seed", "-1"], "--seed -1: seed must be >= 0"),
+    (["run", "--model", "two-spin", "--seed", "-1"], "--seed -1: seed must be >= 0"),
 ])
 def test_invalid_run_input_refused_before_any_work(tmp_path, capsys, monkeypatch, args, named):
     def synthesize(*args, **kwargs):

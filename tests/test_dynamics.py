@@ -282,10 +282,10 @@ def test_time_reversal_round_trip():
         kind = "ua"
         ramp = forward.ramp
 
-        # evolve reads a batch's field and y tables through Protocol.tables
+        # evolve reads a batch's drive through Protocol.tables
         def tables(self, times, lams, lam_dots):
-            tables = forward.field_table(self.ramp.tau - np.asarray(times))
-            return {k: -v for k, v in tables.items()}, None
+            back = self.ramp.tau - np.asarray(times)
+            return -forward.tables(back, *self.ramp.table(back))
 
         def q_table(self, times):
             return {}
@@ -733,6 +733,44 @@ def test_group_block_matches_each_group_alone(groups, steps, n_out):
         _, alone = evolve(protocols, psi0, steps=steps, n_out=n_out)
         assert result.shape == alone.shape
         assert_allclose(result, alone, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(protocols=_groups(), n_out=st.integers(2, 6))
+def test_one_drive_table_and_one_rotated_fidelity_per_protocol(protocols, n_out):
+    # the drive table's columns are field_table's terms, then y_table's
+    # sites for local CD; F-tilde is F except for RA, whose F-tilde is the
+    # fidelity of evolve's state with the ground state rotated by q_table's Q
+    model = protocols[0].model
+    times = np.linspace(0.0, 1.0, 7)
+    for protocol in protocols:
+        table = protocol.tables(times, *protocol.ramp.table(times))
+        fields, y = protocol.field_table(times), protocol.y_table(times)
+        assert y.shape == (len(times), model.n_qubits)
+        want = [fields[t.name] for t in model.terms] + ([y] if protocol.kind == "local-cd" else [])
+        assert np.array_equal(table, np.column_stack(want))
+    try:
+        traces = run_protocol(protocols, steps=100, n_out=n_out)
+    except StepSizeError:
+        return
+    except ValueError as exc:
+        # a norm drift within NORM_DRIFT_TOL can still put F over the trace's
+        # bound of 1 + 1e-9 (QUBO N=2, seed 0, exact-CD: drift 1.5e-9)
+        assert str(exc) == "fidelity outside [0, 1]"
+        return
+    bases = ground_trace(model, protocols[0].ramp.table(traces[0].times)[0])
+    times, states = evolve(protocols, bases[0][:, 0], steps=100, n_out=n_out)
+    for b, (protocol, trace) in enumerate(zip(protocols, traces)):
+        if protocol.kind != "ra":
+            assert np.array_equal(trace.F_tilde, trace.F)
+            continue
+        q_tables = protocol.q_table(times)
+        for i, basis in enumerate(bases):
+            q = np.zeros(states.shape[1])
+            for term in model.terms:
+                if term.param in ("gamma", "phi"):
+                    q = q + q_tables[term.param][i] * term.operator.diag_vector().real
+            assert trace.F_tilde[i] == rotated_fidelity(np.ascontiguousarray(states[i, :, b]), basis, q)
 
 
 def _stiff_protocol(field):
