@@ -39,6 +39,8 @@ COMMANDS = (
     # exact-CD in the full space, on a diagonal made of several terms
     ("run", "--model", "lhz", "--n-logical", "3", "--protocols", "ua,local-cd,ra,exact-cd"),
     ("run", "--model", "qubo", "--n", "6", "--protocols", "ua,local-cd,ra"),
+    # RA synthesized on the dense trace oracle
+    ("run", "--model", "two-spin", "--backend", "oracle", "--protocols", "ua,ra"),
     ("scaling", "--model", "qubo", "--instances", "2", "--steps", "4000"),
     ("scaling", "--model", "lhz", "--instances", "2"),
     # exits with code 2 on the RA drift of the N=5, seed-1 instance at the default 2000 steps

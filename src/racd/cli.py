@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
@@ -238,48 +238,50 @@ def cmd_validate(draws: int = 100) -> int:
     return 0 if ok else 1
 
 
+#: the RunConfig fields that each command reads: its flags, and the keys its --config file may hold
+COMMAND_FIELDS = {"run": ("model", "n", "n_logical", "tau", "m_points", "steps", "protocols", "seed", "out", "backend"),
+                  "scaling": ("model", "tau", "m_points", "steps", "seed", "instances", "out", "backend", "full")}
+
+
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="racd", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("run", "scaling"):
+    # a flag not named here takes its field's type
+    flags = {"model": {"choices": ["two-spin", "chain", "qubo", "lhz"]}, "backend": {"choices": BACKENDS},
+             "n": {"type": int, "help": "sites (chain) or qubits (qubo)"},
+             "n_logical": {"type": int, "help": "logical spins (lhz)"},
+             "protocols": {"type": str, "help": "comma list of ua,local-cd,ra,exact-cd"},
+             "full": {"action": "store_true", "default": None}}
+    for name, keys in COMMAND_FIELDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", type=str, default=None, help="JSON config file; flags override")
-        sp.add_argument("--model", choices=["two-spin", "chain", "qubo", "lhz"])
-        sp.add_argument("--n", type=int, help="sites (chain) or qubits (qubo)")
-        sp.add_argument("--n-logical", type=int, help="logical spins (lhz)")
-        sp.add_argument("--tau", type=float)
-        sp.add_argument("--m-points", type=int)
-        sp.add_argument("--steps", type=int)
-        sp.add_argument("--protocols", type=str, help="comma list of ua,local-cd,ra,exact-cd")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--instances", type=int)
-        sp.add_argument("--out", type=str)
-        sp.add_argument("--backend", choices=BACKENDS)
-        sp.add_argument("--full", action="store_true", default=None)
+        for key in keys:
+            sp.add_argument("--" + key.replace("_", "-"), **flags.get(key, {"type": type(getattr(RunConfig, key))}))
     sub.add_parser("validate").add_argument("--draws", type=int, default=100)
     return p
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
+    keys = COMMAND_FIELDS[args.command]
     base: Dict = {}
     if args.config:
         with open(args.config) as fh:
             base = json.load(fh)
         if not isinstance(base, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        types = {f.name: type(f.default) for f in fields(RunConfig)}
         for key, value in base.items():
-            if key not in types:
-                raise ValueError(f"unknown config key {key!r}")
+            if key not in keys:
+                raise ValueError(f"config key {key!r} is not an option of racd {args.command}")
+            kind = type(getattr(RunConfig, key))
             # a JSON list for the protocols, an int for a float, and no bool for a number
-            if type(value) not in {tuple: (list,), float: (int, float)}.get(types[key], (types[key],)):
-                raise ValueError(f"config key {key!r}: expected {types[key].__name__}, got {value!r}")
-    if args.protocols is not None:
+            if type(value) not in {tuple: (list,), float: (int, float)}.get(kind, (kind,)):
+                raise ValueError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
+    if getattr(args, "protocols", None) is not None:
         args.protocols = [s.strip() for s in args.protocols.split(",") if s.strip()]
     config = RunConfig(**base)
-    for f in fields(RunConfig):
-        if getattr(args, f.name) is not None:
-            setattr(config, f.name, getattr(args, f.name))
+    for key in keys:
+        if getattr(args, key) is not None:
+            setattr(config, key, getattr(args, key))
     config.protocols = tuple(config.protocols)
     return config
 

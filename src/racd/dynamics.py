@@ -7,9 +7,9 @@ substep.  All protocols of one model and ramp evolve together, as one group
 with a state per protocol, and the groups of several models on one ramp
 evolve together in one loop, each in its own segment of one state vector.
 A model's Pauli terms are read through one stacked slot table (the diagonal
-last), from which both the RK4 weights and the ground solves' H_a and H_b
-are made; exact-CD's dense gauge-potential term is ``dim`` more slots of
-that table, weighted on its own states only.  A model that declares a
+last), from which both the RK4 weights and the one H_a and H_b of the
+ground solves and exact-CD are made; exact-CD's dense gauge-potential term
+is ``dim`` more slots of that table, weighted on its own states only.  A model that declares a
 symmetry sector (the periodic chain's translation-invariant one) is evolved
 and ground-solved in it, and its states and ground bases are embedded back
 in the full space.  The state norm is asserted, never repaired: drift is
@@ -39,6 +39,8 @@ from .operators import (
 from .optimizer import Protocol, write_csv
 
 NORM_DRIFT_TOL = 1e-6
+#: the largest F of a state whose norm passes the drift check: F <= |psi|^2
+FIDELITY_MAX = (1.0 + NORM_DRIFT_TOL) ** 2
 EXACT_CD_MAX_QUBITS = 8
 DEGENERACY_TOL = 1e-10
 
@@ -149,10 +151,11 @@ class FidelityTrace:
     F_tilde: np.ndarray
 
     def validate(self) -> None:
+        """Refuse a fidelity that is NaN, below -1e-9 or above ``FIDELITY_MAX`` (as
+        far past 1 as the accepted norm drift allows), and an F[0] not 1 within 1e-9."""
         for arr in (self.F, self.F_tilde):
-            # NaN fails
-            if not np.all((arr >= -1e-9) & (arr <= 1.0 + 1e-9)):
-                raise ValueError("fidelity outside [0, 1]")
+            if not np.all((arr >= -1e-9) & (arr <= FIDELITY_MAX)):
+                raise ValueError(f"fidelity outside [0, {FIDELITY_MAX!r}]")
         if abs(self.F[0] - 1.0) > 1e-9:
             raise ValueError("run did not start in the ground state")
 
@@ -266,12 +269,16 @@ def _word_tables(ops, sector=None) -> _WordTables:
     return _WordTables(*_stack_slots(slot, comp, row, val, n_off + 1, dim), cols)
 
 
-def _h0_pair(model: Model, sector=None) -> Tuple[sparse.csr_array, sparse.csr_array]:
+def _h0_pair(model: Model, sector=None) -> Tuple[np.ndarray | sparse.csr_array, np.ndarray | sparse.csr_array]:
     """H_a = H0(0) and H_b = dH0/dlambda, so that H0(lambda) = H_a +
-    lambda * H_b, as sparse matrices from the slot tables of the model's
-    terms, in the full space or in ``sector``."""
+    lambda * H_b, from the slot tables of the model's terms, in the full
+    space or in ``sector``, in their solver's form: dense up to the dimension
+    of ``DENSE_MATRIX_MAX_QUBITS`` qubits, sparse above.  The one H0 of the
+    ground solves and of exact-CD's gauge potential."""
     tables = _word_tables([t.operator for t in model.terms], sector)
-    return tables.matrix([t.field0 for t in model.terms]), tables.matrix([t.field1 for t in model.terms])
+    dense = tables.cols.shape[1] <= 1 << DENSE_MATRIX_MAX_QUBITS
+    return tuple(m.toarray() if dense else m for m in (tables.matrix([t.field0 for t in model.terms]),
+                                                        tables.matrix([t.field1 for t in model.terms])))
 
 
 def _stack_slots(slot, comp, row, val, n_slots: int, dim: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -380,7 +387,8 @@ def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], step
 
     Each group, known to fit the propagator, evolves in its model's sector
     where :func:`evolve` would, on one substep grid made from the first
-    group's ramp.  Consecutive groups are evolved as one block
+    group's ramp, whose values there (one :meth:`Ramp.table` for the whole
+    stream) every group reads.  Consecutive groups are evolved as one block
     (:func:`_evolve_block`) while one substep's weights of the block stay
     within ``BLOCK_BYTES``; a group above that is a block of its own.
     ``groups`` is read at most one group past the block being gathered, and
@@ -396,6 +404,7 @@ def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], step
             # substep times: t_k, t_k + h/2 interleaved, plus the final endpoint
             sub = np.repeat(np.linspace(0.0, tau, steps + 1), 2)[:-1]
             sub[1::2] += 0.5 * (tau / steps)
+            sub = (sub, *protocols[0].ramp.table(sub))
         member = _Group(list(protocols), np.asarray(psi0, dtype=complex), sub)
         grown = block + [member]
         if block and 16 * max(m.slots for m in grown) * sum(m.size for m in grown) > BLOCK_BYTES:
@@ -408,7 +417,8 @@ def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], step
 
 class _Group:
     """One group of a block: the protocols of one model, evolved from that
-    model's initial state ``psi0``, and -i H(t) of each at ``times``.
+    model's initial state ``psi0``, and -i H(t) of each on the substep grid
+    ``(times, lams, lam_dots)``, the ramp's table there.
 
     The group evolves in the model's sector where ``psi0`` lies in it
     (within ``SECTOR_TOL`` of its projection), else in the full space
@@ -424,18 +434,18 @@ class _Group:
     the coefficients behind them are each protocol's drive table
     (:meth:`~racd.optimizer.Protocol.tables`), whose columns are in the
     components' order, copied as it is into the protocol's column.  The
-    tables are evaluated ``TABLE_CHUNK`` substeps at a time, with the ramp
-    evaluated once per table chunk for the whole group.  Exact-CD columns are
-    contracted at their UA fields like any other, and their dense slots
-    hold (-i lambda_dot * A(lambda)).T, with A the spectral gauge potential
-    of H0(lambda) = H_a + lambda * H_b (every schedule is affine in lambda)
-    on the same basis; other columns' dense slots stay zero.  ``error`` is
+    tables are evaluated ``TABLE_CHUNK`` substeps at a time from the grid's
+    ramp values.  Exact-CD columns are contracted at their UA fields like
+    any other, and their dense slots hold (-i lambda_dot * A(lambda)).T,
+    with A the spectral gauge potential of H0(lambda) = H_a + lambda * H_b
+    (:func:`_h0_pair`; every schedule is affine in lambda) on the same
+    basis; other columns' dense slots stay zero.  ``error`` is
     the exception that making the weights raised, if any.
     """
 
-    def __init__(self, protocols: List[Protocol], psi0: np.ndarray, times: np.ndarray):
+    def __init__(self, protocols: List[Protocol], psi0: np.ndarray, grid: Tuple[np.ndarray, ...]):
         model = protocols[0].model
-        self.protocols, self.times = protocols, times
+        self.protocols, (self.times, self.lams, self.lam_dots) = protocols, grid
         self.sector = model.sector
         if self.sector is not None:
             inside = self.sector.project(psi0)
@@ -458,47 +468,40 @@ class _Group:
             self.slots = len(cols)
             # flat gather index into the block: [k, b * dim + r] -> row b, state cols[k, r]
             self.gather = (np.arange(len(protocols))[:, None] * dim + cols[:, None, :]).reshape(self.slots, -1)
-            # the full space keeps the operators' own dense form: the gauge potential
-            # is ill-conditioned near level crossings, and the tables' rounding of H0
-            # would move it (by 2.5e-8 on LHZ n=4)
-            if self.exact and self.sector is None:
-                self._h_ab = model.h0(0.0).to_dense(), model.dh0_dlambda(0.0).to_dense()
-            elif self.exact:
-                # complex, as before: exact_agp's syevd fails on some real H0 (see ground_space)
-                self._h_ab = tuple(m.toarray().astype(complex) for m in _h0_pair(model, self.sector))
+            if self.exact:
+                # complex: exact_agp's syevd fails on some real H0 (see ground_space)
+                self._h_ab = tuple(m.astype(complex) for m in _h0_pair(model, self.sector))
         except Exception as exc:
             self.error = exc
         self._table = (-1, None)
 
-    def _coeffs(self, start: int, stop: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Coefficients ``(substeps, B, components)``, lambdas and lambda_dots
-        of the substeps ``start`` to ``stop - 1``, from the table chunks that
-        hold them (the last one kept for the next call)."""
+    def _coeffs(self, start: int, stop: int) -> np.ndarray:
+        """Coefficients ``(substeps, B, components)`` of the substeps
+        ``start`` to ``stop - 1``, from the table chunks that hold them (the
+        last one kept for the next call)."""
         parts = []
         for k in range(start // TABLE_CHUNK, (stop - 1) // TABLE_CHUNK + 1):
             if self._table[0] != k:
-                times = self.times[k * TABLE_CHUNK : (k + 1) * TABLE_CHUNK]
-                lams, lam_dots = self.protocols[0].ramp.table(times)
-                coeffs = np.zeros((len(times), len(self.protocols), len(self._ops)))
+                chunk = slice(k * TABLE_CHUNK, (k + 1) * TABLE_CHUNK)
+                coeffs = np.zeros((len(self.times[chunk]), len(self.protocols), len(self._ops)))
                 for b, protocol in enumerate(self.protocols):
-                    table = protocol.tables(times, lams, lam_dots)
+                    table = protocol.tables(self.times[chunk], self.lams[chunk], self.lam_dots[chunk])
                     coeffs[:, b, : table.shape[1]] = table
-                self._table = (k, (coeffs, lams, lam_dots))
-            rows = slice(max(start - k * TABLE_CHUNK, 0), stop - k * TABLE_CHUNK)
-            parts.append([a[rows] for a in self._table[1]])
-        return tuple(np.concatenate(p) for p in zip(*parts)) if len(parts) > 1 else tuple(parts[0])
+                self._table = (k, coeffs)
+            parts.append(self._table[1][max(start - k * TABLE_CHUNK, 0) : stop - k * TABLE_CHUNK])
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def write(self, out: np.ndarray, start: int, stop: int) -> None:
         """Weights of the substeps ``start`` to ``stop - 1`` into ``out``,
         shaped ``(stop - start, slots, B * dim)`` with each row contiguous."""
-        coeffs, lams, lam_dots = self._coeffs(start, stop)
+        coeffs = self._coeffs(start, stop)
         weights = out.reshape(stop - start, self.slots, len(self.protocols), -1)
         table = len(self._vecs)
         g = coeffs[..., self._comp_idx].transpose(2, 0, 1, 3)
         np.matmul(g, self._vecs, out=weights[:, :table].transpose(1, 0, 2, 3).view(float))
         if self.exact:
             h_a, h_b = self._h_ab
-            for rows, lam, lam_dot in zip(weights, lams, lam_dots):
+            for rows, lam, lam_dot in zip(weights, self.lams[start:stop], self.lam_dots[start:stop]):
                 # dense slot k of row r holds the term's entry (r, k); the term stays referenced, as freeing it
                 # lets malloc trim the heap after each exact_agp, whose temporaries then fault in new pages
                 self._term = (-1j * lam_dot) * exact_agp(h_a + lam * h_b, h_b)
@@ -624,7 +627,7 @@ def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
     the full 2^N space.
 
     Each solve is of H0 = H_a + lambda * H_b, by :func:`ground_space_op`,
-    with H_a and H_b built once from slot tables (:func:`_h0_pair`).  Where
+    with H_a and H_b built once, in the solve's form (:func:`_h0_pair`).  Where
     the model declares a sector, each lambda is first solved there.  That
     answer is taken only with a certificate: the sector's ground cluster is
     one vector, and every one of its amplitudes is nonzero and of one sign.
@@ -632,15 +635,11 @@ def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
     with one sign, which for a stoquastic H0 with an irreducible
     off-diagonal part (the chain's, while its X field 1 - lambda/2 is
     nonzero) only the unique ground state is (Perron-Frobenius).  Any other
-    lambda is solved in the full space, built at the first such lambda.  A
-    sector within the dense cap keeps its pair dense, so that each lambda
-    adds two dense matrices.
+    lambda is solved in the full space, built at the first such lambda.
     """
     sector = model.sector
     if sector is not None:
         sec_a, sec_b = _h0_pair(model, sector)
-        if sector.dim <= 1 << DENSE_MATRIX_MAX_QUBITS:
-            sec_a, sec_b = sec_a.toarray(), sec_b.toarray()
     full = None
     bases = []
     for lam in lambdas:
@@ -745,16 +744,18 @@ def _ground_grid(protocols: List[Protocol], steps: int, n_out: int) -> Tuple[np.
 def _fidelity_traces(protocols: List[Protocol], states: np.ndarray, times: np.ndarray, lams: np.ndarray,
                      ground_bases: List[np.ndarray]) -> List[FidelityTrace]:
     """F and F-tilde of each column of ``states`` ``(n_out, 2^N, B)``.  F-tilde
-    rotates the ground state by Q, the Q terms' diagonals weighted by
-    ``q_table``; Q is zero but for RA, so elsewhere F-tilde is F bit for bit."""
+    rotates the ground state by Q, the Q terms' diagonals (made once)
+    weighted by ``q_table``, in term order; Q is zero but for RA, so
+    elsewhere F-tilde is F bit for bit."""
+    q_terms = [(t.param, t.operator.diag_vector().real) for t in protocols[0].model.terms
+               if t.param in ("gamma", "phi")]
     traces = []
     for col, protocol in enumerate(protocols):
         psi = np.ascontiguousarray(states[:, :, col])
         q_tables = protocol.q_table(times)
         q_diag = np.zeros(psi.shape)
-        for term in protocol.model.terms:
-            if term.param in ("gamma", "phi"):
-                q_diag = q_diag + np.outer(q_tables[term.param], term.operator.diag_vector().real)
+        for param, diag in q_terms:
+            q_diag = q_diag + np.outer(q_tables[param], diag)
         trace = FidelityTrace(times, lams, np.array([fidelity(p, g) for p, g in zip(psi, ground_bases)]),
                               np.array([rotated_fidelity(p, g, q) for p, g, q in zip(psi, ground_bases, q_diag)]))
         trace.validate()

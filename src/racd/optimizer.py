@@ -201,19 +201,20 @@ def make_action_objective(
     return _objective(model, lam, lam_dot, _evaluator(model, backend))
 
 
-def _evaluator(model: Model, backend: str) -> Callable | None:
-    """The closed-form evaluator of ``model`` (:func:`racd.closed_form.evaluator`)
-    for the ``closed-form`` backend, None for the oracle."""
+def _evaluator(model: Model, backend: str) -> Callable:
+    """The action of ``model`` on ``backend`` as a function of ``(fd, x)``:
+    the closed-form evaluator (:func:`racd.closed_form.evaluator`) or the
+    dense oracle (:func:`racd.agp.action_oracle`)."""
     check_backend(backend)
-    return closed_form.evaluator(model) if backend == "closed-form" else None
+    if backend == "closed-form":
+        return closed_form.evaluator(model)
+    return lambda fd, x: action_oracle(model, fd, x)
 
 
-def _objective(model: Model, lam: float, lam_dot: float, evaluate: Callable | None) -> Callable[[np.ndarray], float]:
+def _objective(model: Model, lam: float, lam_dot: float, evaluate: Callable) -> Callable[[np.ndarray], float]:
     """The objective of :func:`make_action_objective` on an evaluator made
     by :func:`_evaluator`."""
     fd = model.ua_fields(lam, lam_dot)
-    if evaluate is None:
-        return lambda x: action_oracle(model, fd, x)
     return lambda x: evaluate(fd, x)
 
 
@@ -318,14 +319,9 @@ class Protocol:
 
     def q_table(self, times: np.ndarray) -> Dict[str, np.ndarray]:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        out = {}
-        for term in self.model.terms:
-            if term.param in ("gamma", "phi"):
-                if self.kind == "ra":
-                    out[term.param] = np.asarray(self.trajectory.value(term.param, times))
-                else:
-                    out[term.param] = np.zeros(len(times))
-        return out
+        ra = self.kind == "ra"
+        return {t.param: np.asarray(self.trajectory.value(t.param, times)) if ra else np.zeros(len(times))
+                for t in self.model.terms if t.param in ("gamma", "phi")}
 
     def y_table(self, times: np.ndarray) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))

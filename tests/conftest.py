@@ -13,7 +13,8 @@ def block_applies():
     from racd.dynamics import _Block, _Group
 
     def applies(protocols, times, psi0):
-        block = _Block([_Group(list(protocols), np.asarray(psi0, dtype=complex), times)])
+        block = _Block([_Group(list(protocols), np.asarray(psi0, dtype=complex),
+                                (times, *protocols[0].ramp.table(times)))])
         assert len(block.weights) >= len(times)
         block.make(0, 0, len(times))
 

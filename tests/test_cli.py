@@ -414,3 +414,37 @@ def test_scaling_fails_as_one_single_run_after_another(sizes, steps, data):
         mp.setattr(dynamics, "BLOCK_BYTES", 0)
         assert first_failure(lambda: cli.scaling_study(config, sizes)) == want
         assert calls["synthesis"] <= first + 2
+
+
+@pytest.mark.parametrize("args", [["run", "--model", "two-spin", "--instances", "2"],
+                                  ["run", "--model", "two-spin", "--full"],
+                                  ["scaling", "--model", "qubo", "--n", "12"],
+                                  ["scaling", "--model", "lhz", "--n-logical", "3"],
+                                  ["scaling", "--model", "qubo", "--protocols", "ua"]])
+def test_command_refuses_a_flag_it_does_not_read(tmp_path, capsys, args):
+    with pytest.raises(SystemExit) as exit_:
+        run_cli(args + ["--out", tmp_path / "out"])
+    assert exit_.value.code == 2
+    assert f"unrecognized arguments: {args[3]}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, content", [("run", {"instances": 2}), ("run", {"full": True}),
+                                              ("scaling", {"model": "qubo", "n": 12}),
+                                              ("scaling", {"n_logical": 3}), ("scaling", {"protocols": ["ua"]})])
+def test_config_key_the_command_does_not_read_is_one_error_line(tmp_path, capsys, command, content):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(content))
+    assert run_cli([command, "--config", cfg_path, "--out", tmp_path / "out"]) == 2
+    key = list(content)[-1]
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines == [f"error: config key {key!r} is not an option of racd {command}"], lines
+    assert not (tmp_path / "out").exists()
+
+
+def test_exact_cd_fidelity_within_the_accepted_drift_is_written(tmp_path):
+    # exact-CD at 100 steps ends 1.5e-9 past norm 1, within NORM_DRIFT_TOL
+    out = tmp_path / "out"
+    assert run_cli(["run", "--model", "qubo", "--n", "2", "--seed", "0", "--protocols", "ua,exact-cd",
+                    "--steps", "100", "--out", out]) == 0
+    assert json.loads((out / "run.json").read_text())["final_fidelity"]["exact-cd"] > 1.0 + 1e-9

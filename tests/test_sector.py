@@ -113,7 +113,7 @@ def test_sector_ground_energy_matches_full_space(n):
     sector = model.sector
     h_a, h_b = _h0_pair(model, sector)
     for lam in np.linspace(0.0, 1.0, 21):
-        energy, vec = ground_space((h_a + lam * h_b).toarray())
+        energy, vec = ground_space(h_a + lam * h_b)
         assert _one_signed(vec)
         h = model.h0(lam).to_dense().real
         full = scipy.linalg.eigh(h, eigvals_only=True, subset_by_index=[0, 0])[0]
