@@ -42,6 +42,7 @@ NORM_DRIFT_TOL = 1e-6
 #: the largest F of a state whose norm passes the drift check: F <= |psi|^2
 FIDELITY_MAX = (1.0 + NORM_DRIFT_TOL) ** 2
 EXACT_CD_MAX_QUBITS = 8
+assert EXACT_CD_MAX_QUBITS <= DENSE_MATRIX_MAX_QUBITS  # exact-CD's H0 pair is dense (_h0_pair)
 DEGENERACY_TOL = 1e-10
 
 
@@ -269,14 +270,15 @@ def _word_tables(ops, sector=None) -> _WordTables:
     return _WordTables(*_stack_slots(slot, comp, row, val, n_off + 1, dim), cols)
 
 
-def _h0_pair(model: Model, sector=None) -> Tuple[np.ndarray | sparse.csr_array, np.ndarray | sparse.csr_array]:
+def _h0_pair(model: Model, sector=None, dense: bool = True) -> Tuple[np.ndarray | sparse.csr_array, ...]:
     """H_a = H0(0) and H_b = dH0/dlambda, so that H0(lambda) = H_a +
     lambda * H_b, from the slot tables of the model's terms, in the full
-    space or in ``sector``, in their solver's form: dense up to the dimension
-    of ``DENSE_MATRIX_MAX_QUBITS`` qubits, sparse above.  The one H0 of the
-    ground solves and of exact-CD's gauge potential."""
+    space or in ``sector``: where ``dense``, dense up to the dimension of
+    ``DENSE_MATRIX_MAX_QUBITS`` qubits, else sparse.  The one H0 of the
+    ground solves and of exact-CD's gauge potential, which needs it dense
+    (``EXACT_CD_MAX_QUBITS`` is within the dense cap)."""
     tables = _word_tables([t.operator for t in model.terms], sector)
-    dense = tables.cols.shape[1] <= 1 << DENSE_MATRIX_MAX_QUBITS
+    dense = dense and tables.cols.shape[1] <= 1 << DENSE_MATRIX_MAX_QUBITS
     return tuple(m.toarray() if dense else m for m in (tables.matrix([t.field0 for t in model.terms]),
                                                         tables.matrix([t.field1 for t in model.terms])))
 
@@ -396,8 +398,7 @@ def _evolve_groups(groups: Iterable[Tuple[Sequence[Protocol], np.ndarray]], step
     states are held at a time, and a generator that makes each group as it
     is read makes none that is not needed yet.
     """
-    block: List[_Group] = []
-    sub = None
+    block, sub = [], None
     for protocols, psi0 in groups:
         if sub is None:
             out_idx, tau = _output_steps(steps, n_out), protocols[0].ramp.tau
@@ -627,8 +628,10 @@ def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
     the full 2^N space.
 
     Each solve is of H0 = H_a + lambda * H_b, by :func:`ground_space_op`,
-    with H_a and H_b built once, in the solve's form (:func:`_h0_pair`).  Where
-    the model declares a sector, each lambda is first solved there.  That
+    with H_a and H_b built once (:func:`_h0_pair`), the full space's sparse,
+    so that only each lambda's H0 is made dense (a dense pair took the peak
+    RSS of a 3-lambda QUBO trace at N = 12 from 360 to 612 MB).  Where the
+    model declares a sector, each lambda is first solved there.  That
     answer is taken only with a certificate: the sector's ground cluster is
     one vector, and every one of its amplitudes is nonzero and of one sign.
     Its embedding (P has positive entries) is then an eigenvector of H0
@@ -640,15 +643,14 @@ def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
     sector = model.sector
     if sector is not None:
         sec_a, sec_b = _h0_pair(model, sector)
-    full = None
-    bases = []
+    full, bases = None, []
     for lam in lambdas:
         if sector is not None:
             _, vec = ground_space_op(sec_a + lam * sec_b)
             if _one_signed(vec):
                 bases.append(sector.embed(vec.T).T)
                 continue
-        full = full or _h0_pair(model)
+        full = full or _h0_pair(model, dense=False)
         _, basis = ground_space_op(full[0] + lam * full[1])
         bases.append(basis)
     return bases

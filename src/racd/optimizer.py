@@ -206,9 +206,7 @@ def _evaluator(model: Model, backend: str) -> Callable:
     the closed-form evaluator (:func:`racd.closed_form.evaluator`) or the
     dense oracle (:func:`racd.agp.action_oracle`)."""
     check_backend(backend)
-    if backend == "closed-form":
-        return closed_form.evaluator(model)
-    return lambda fd, x: action_oracle(model, fd, x)
+    return closed_form.evaluator(model) if backend == "closed-form" else lambda fd, x: action_oracle(model, fd, x)
 
 
 def _objective(model: Model, lam: float, lam_dot: float, evaluate: Callable) -> Callable[[np.ndarray], float]:

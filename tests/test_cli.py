@@ -120,6 +120,16 @@ def test_invalid_config_file_is_one_error_line(tmp_path, capsys, content, named)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("content, error", [({"full": 1}, "config key 'full': expected bool, got 1"),
+                                            ({"instances": 2.0}, "config key 'instances': expected int, got 2.0")])
+def test_config_value_is_type_checked_by_the_command_that_reads_it(tmp_path, capsys, content, error):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"model": "qubo", **content}))
+    assert run_cli(["scaling", "--config", cfg_path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [f"error: {error}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_state_vector_cap_refused_before_any_run(tmp_path, capsys, monkeypatch):
     def synthesize(*args, **kwargs):
         raise AssertionError("synthesis ran")

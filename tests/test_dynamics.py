@@ -940,7 +940,8 @@ def test_one_ramp_table_per_stream(monkeypatch):
                          ids=["chain-6-sector", "qubo-5", "lhz-3"])
 def test_h0_pair_is_dense_up_to_the_cap_and_sparse_above(monkeypatch, model):
     # the one H0 pair of the ground solves and exact-CD: dense at or below
-    # the cap, sparse above, and H_a + lambda * H_b the same bits either way
+    # the cap unless asked sparse, sparse above, and H_a + lambda * H_b the
+    # same bits either way
     import scipy.sparse
 
     from racd import dynamics
@@ -950,11 +951,29 @@ def test_h0_pair_is_dense_up_to_the_cap_and_sparse_above(monkeypatch, model):
     monkeypatch.setattr(dynamics, "DENSE_MATRIX_MAX_QUBITS", cap)
     dense = dynamics._h0_pair(model, model.sector)
     assert all(isinstance(m, np.ndarray) and m.shape == (dim, dim) for m in dense)
+    assert all(scipy.sparse.issparse(m) for m in dynamics._h0_pair(model, model.sector, dense=False))
     monkeypatch.setattr(dynamics, "DENSE_MATRIX_MAX_QUBITS", cap - 1)
     above = dynamics._h0_pair(model, model.sector)
     assert all(scipy.sparse.issparse(m) for m in above)
     for lam in Ramp(1.0).table(np.linspace(0.0, 1.0, 21))[0]:
         assert (dense[0] + lam * dense[1]).tobytes() == (above[0] + lam * above[1]).toarray().tobytes()
+
+
+@pytest.mark.parametrize("model", [random_instance("qubo", 4, 2), ChainModel(4)], ids=["qubo-4", "chain-4-sector"])
+def test_ground_trace_makes_only_each_lambdas_full_space_h0_dense(monkeypatch, model):
+    # a dense full-space pair, held for the whole trace, took the peak RSS of
+    # a QUBO trace at N = 12 from 360 to 612 MB: the full space's pair stays
+    # sparse and ground_space_op densifies each lambda's H0; a sector's is dense
+    import scipy.sparse
+
+    from racd import dynamics
+
+    forms, solve = [], dynamics.ground_space_op
+    monkeypatch.setattr(dynamics, "ground_space_op", lambda op: forms.append(op) or solve(op))
+    # the chain's X field vanishes at lambda = 2, where its sector answer has no certificate
+    dynamics.ground_trace(model, [0.0, 0.5, 1.0, 2.0])
+    assert {op.shape[0] for op in forms} >= {1 << model.n_qubits}
+    assert all(scipy.sparse.issparse(op) == (op.shape[0] == 1 << model.n_qubits) for op in forms)
 
 
 @pytest.mark.parametrize("n, seed", [(2, 0), (3, 9), (4, 39), (6, 36)])
