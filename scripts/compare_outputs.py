@@ -11,8 +11,9 @@ both sides; ``racd validate`` is compared by its stdout, and every command
 by its exit status and stderr (``status.txt``), so that a command that
 fails is compared by its error line.  For each output file it prints
 ``identical``, or the number of differing lines and the largest absolute
-difference between the numbers on them.  The exit status is 1 if any file
-differs or exists on one side only.
+difference between the numbers on them.  It then prints the line counts of
+the Python files under ``src/racd`` and ``tests`` in both trees.  The exit
+status is 1 if any file differs or exists on one side only.
 """
 
 from __future__ import annotations
@@ -47,6 +48,9 @@ COMMANDS = (
     ("scaling", "--model", "qubo", "--instances", "2"),
     ("validate",),
 )
+
+#: the directories whose Python line counts are printed for both trees
+COUNTED = ("src/racd", "tests")
 
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
@@ -100,6 +104,12 @@ def compare_dirs(parent: Path, change: Path) -> List[Tuple[str, str]]:
     return verdicts
 
 
+def line_counts(tree: Path) -> List[int]:
+    """Lines (as ``wc -l`` counts them) of the Python files under each
+    directory of ``COUNTED`` in ``tree``."""
+    return [sum(p.read_bytes().count(b"\n") for p in (tree / d).rglob("*.py")) for d in COUNTED]
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--parent", required=True, help="git revision to compare against")
@@ -118,6 +128,8 @@ def main() -> int:
             for name, verdict in compare_dirs(work["parent"], work["change"]):
                 print(f"  {name}: {verdict}", flush=True)
                 same = same and verdict == "identical"
+        for d, old, new in zip(COUNTED, line_counts(parent_tree), line_counts(REPO)):
+            print(f"lines of {d}: parent {old}, change {new}", flush=True)
     return 0 if same else 1
 
 

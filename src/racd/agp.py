@@ -93,11 +93,16 @@ def g_operator(model: Model, fd: FieldSet, scaled_agp: np.ndarray) -> np.ndarray
     return dh0 - 1j * (h0 @ scaled_agp - scaled_agp @ h0)
 
 
+def check_oracle_size(model: Model) -> None:
+    """Raise ValueError if ``model`` has more qubits than the dense oracle takes."""
+    if model.n_qubits > DENSE_MATRIX_MAX_QUBITS:
+        raise ValueError(f"{model.n_qubits} qubits exceeds the dense oracle cap")
+
+
 def action_oracle(model: Model, fd: FieldSet, x: Sequence[float]) -> float:
     """Scaled action Tr(G_t^2) >= 0, computed densely (exact reference); the
     arguments are those of :func:`racd.closed_form.action`."""
-    if model.n_qubits > DENSE_MATRIX_MAX_QUBITS:
-        raise ValueError(f"{model.n_qubits} qubits exceeds the dense oracle cap")
+    check_oracle_size(model)
     g = g_operator(model, fd, ra_agp(model, fd, x))
     return float(np.vdot(g, g).real)  # Tr(G^2) = ||G||_F^2 for Hermitian G
 

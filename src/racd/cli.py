@@ -27,7 +27,7 @@ import numpy as np
 from .dynamics import NORM_DRIFT_TOL, StepSizeError, check_capacity, check_steps, run_groups, run_protocol
 from .errors import RacdError
 from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, ramp_eval, random_instance
-from .optimizer import (BACKENDS, BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, assemble_protocol,
+from .optimizer import (BACKENDS, BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, _evaluator, assemble_protocol,
                         check_backend, check_grid, fmt, sequential_optimize, write_csv)
 from .validation import run_all_suites
 
@@ -62,6 +62,11 @@ class RunConfig:
             raise ValueError("instances must be >= 1")
         if self.seed < 0:
             raise ValueError(f"--seed {self.seed}: seed must be >= 0")
+        bad = [p for p in self.protocols if p not in PROTOCOL_KINDS]
+        if bad:
+            raise ValueError(f"unknown protocols: {bad}")
+        if not self.protocols or len(set(self.protocols)) < len(self.protocols):
+            raise ValueError(f"--protocols '{','.join(self.protocols)}': name one or more protocols, each once")
         for flag, value, check in (("--tau", self.tau, lambda tau: ramp_eval(0.0, tau)),
                                    ("--steps", self.steps, check_steps), ("--m-points", self.m_points, check_grid),
                                    ("--backend", self.backend, check_backend)):
@@ -80,9 +85,9 @@ def _build_model(config: RunConfig, seed: int) -> Model:
     return random_instance(config.model, size, seed)
 
 
-def _write_fields_csv(path: Path, protocol, times: np.ndarray) -> None:
+def _write_fields_csv(path: Path, protocol, times: np.ndarray, ramp_table: Tuple[np.ndarray, np.ndarray]) -> None:
     names = [t.name for t in protocol.model.terms]
-    table = protocol.tables(times, *protocol.ramp.table(times))
+    table = protocol.tables(times, *ramp_table)
     header = ["t", *names] + [f"y{j + 1}" for j in range(table.shape[1] - len(names))]
     write_csv(path, header, np.column_stack([times, table]))
 
@@ -110,15 +115,18 @@ def _single_run(model: Model, config: RunConfig, out_dir: Path | None, n_out: in
     """
     trajectory, protocols = _synthesize(model, config)
     try:
-        traces = run_protocol(protocols, steps=config.steps, n_out=n_out) if protocols else []
+        traces = run_protocol(protocols, steps=config.steps, n_out=n_out)
     except RacdError as exc:
         _annotate(exc, model, f"{','.join(config.protocols)} evolution")
         raise
     finals = {p.kind: float(t.F[-1]) for p, t in zip(protocols, traces)}
     if out_dir is not None:
+        # the protocols share one ramp and their traces one output grid
+        times = traces[0].times
+        ramp_table = protocols[0].ramp.table(times)
         for protocol, trace in zip(protocols, traces):
             trace.to_csv(out_dir / f"fidelity_{protocol.kind}.csv")
-            _write_fields_csv(out_dir / f"fields_{protocol.kind}.csv", protocol, trace.times)
+            _write_fields_csv(out_dir / f"fields_{protocol.kind}.csv", protocol, times, ramp_table)
         if trajectory is not None:
             trajectory.to_csv(out_dir / "params_ra.csv")
     return finals
@@ -138,15 +146,20 @@ def _annotate(exc: RacdError, model: Model, stage: str) -> None:
     exc.args = (msg,)
 
 
+def _check_backend_serves(model: Model, backend: str) -> None:
+    """Refuse, naming the flag, a ``backend`` whose action evaluator cannot serve ``model``."""
+    try:
+        _evaluator(model, backend)
+    except ValueError as exc:
+        raise ValueError(f"--backend {backend}: {exc}") from None
+
+
 def cmd_run(config: RunConfig) -> int:
     config.validate()
-    # checked here, not in RunConfig.validate: scaling runs its own protocols
-    # at its own sizes
-    bad = [p for p in config.protocols if p not in PROTOCOL_KINDS]
-    if bad:
-        raise ValueError(f"unknown protocols: {bad}")
     model = _build_model(config, config.seed)
     check_capacity(model.n_qubits, config.protocols)
+    if "ra" in config.protocols:
+        _check_backend_serves(model, config.backend)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     finals = _single_run(model, config, out_dir)
@@ -211,6 +224,8 @@ def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
         if config.model not in table:
             raise ValueError("scaling study expects a random-instance model (qubo or lhz)")
         sizes = table[config.model]
+    # a backend that serves the largest size serves them all
+    _check_backend_serves(_build_model(replace(config, n=max(sizes), n_logical=max(sizes)), config.seed), config.backend)
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = scaling_study(config, sizes)

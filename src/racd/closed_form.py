@@ -13,7 +13,8 @@ size.
 Normalization conventions (documented per function, returned by
 :func:`normalization`): the two-level action is the raw 4-dimensional trace;
 the chain action is per-site, S / (N 2^N); the QUBO and LHZ actions are
-S / 2^N.
+S / 2^N.  The QUBO action takes the couplings that a QUBO model takes
+(:func:`racd.models.check_couplings`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import RacdError
-from .models import ChainModel, LhzCounts, Model, lhz_counts  # noqa: F401 - LHZ counts re-exported
+from .models import ChainModel, LhzCounts, Model, check_couplings, lhz_counts  # noqa: F401 - LHZ counts re-exported
 from .operators import SpinOperator, commutator, sigma_x, sigma_y, trace_product, z_word
 
 FieldDerivs = Dict[str, Tuple[float, float]]  # term name -> (value, time derivative)
@@ -194,53 +195,25 @@ def action_chain(fd: FieldDerivs, beta: float, gamma: float, phi: float) -> floa
 # QUBO annealer
 # ---------------------------------------------------------------------------
 
-def _hole_sums(cos_rows: np.ndarray, weights: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row full products and one/two-hole weighted sums.
-
-    Returns (f, e1, cross) with
-      f_j     = prod_m C[j,m]
-      e1_j    = sum_k  W[j,k]           * prod_{m != k}     C[j,m]
-      cross_j = sum_{k != l} W[j,k] W[j,l] * prod_{m not in {k,l}} C[j,m]
-    Division-free handling of exact cosine zeros (0, 1 or 2 zeros per row).
-    """
-    z = cos_rows == 0.0
-    zc = z.sum(axis=1)
-    chat = np.where(z, 1.0, cos_rows)
-    p = chat.prod(axis=1)  # product over nonzero entries
-    q = np.where(z, 0.0, weights / chat)
-    sq = q.sum(axis=1)
-    sq2 = (q**2).sum(axis=1)
-    wz = np.where(z, weights, 1.0).prod(axis=1)  # product of W over zero positions
-
-    f = np.where(zc == 0, p, 0.0)
-    e1 = np.where(zc == 0, p * sq, np.where(zc == 1, wz * p, 0.0))
-    cross = np.where(
-        zc == 0,
-        p * (sq**2 - sq2),
-        np.where(zc == 1, 2.0 * wz * p * sq, np.where(zc == 2, 2.0 * wz * p, 0.0)),
-    )
-    return f, e1, cross
-
-
 #: byte budget of one half block of pair-product rows in :class:`QuboKernel`;
 #: bounds the memory of a QUBO action evaluation independently of N
 _PAIR_BLOCK_BYTES = 1 << 20
 
 
-def _pair_blocks(n: int, diagonal: bool) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-    """Row blocks of the qubit pairs 1 <= j < k <= n (j <= k if ``diagonal``);
-    one empty block if there is no pair.
+def _pair_blocks(n: int) -> Tuple[Tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Row blocks of the qubit pairs 1 <= j < k <= n, for n >= 2 (so that
+    there is a pair).
 
     Each block holds the pair rows ``j`` and ``k`` and the flat positions of
     the entries m = j and m = k in a C-ordered (2 len(j), n + 1) array that
     stacks the block's J_j + J_k rows over its J_j - J_k rows, at most
     ``_PAIR_BLOCK_BYTES`` of float64 per half.
     """
-    j, k = np.triu_indices(n, 0 if diagonal else 1)
+    j, k = np.triu_indices(n, 1)
     j, k = j + 1, k + 1
     rows = max(1, _PAIR_BLOCK_BYTES // (8 * (n + 1)))
     blocks = []
-    for s in range(0, len(j) or 1, rows):
+    for s in range(0, len(j), rows):
         jb, kb = j[s : s + rows], k[s : s + rows]
         base = np.arange(2 * len(jb)) * (n + 1)
         holes = np.concatenate((base + np.tile(jb, 2), base + np.tile(kb, 2)))
@@ -253,15 +226,19 @@ class QuboKernel:
     (tau_hp2, N, sum t_row, sum e2, sum e1, sum (1 - f2), sin2_sum,
     pair_sum), at any gamma; none of them depends on the fields or on beta.
 
-    Building the kernel checks ``J`` (square and symmetric), copies it, and
-    computes once what does not depend on gamma: the squared sums of J's
+    Building the kernel checks ``J`` as :class:`racd.models.QuboModel` does
+    (:func:`racd.models.check_couplings`), copies it with its diagonal set
+    to 0 (an accepted diagonal is at most 1e-12, and H_p never reads it),
+    and computes once what does not depend on gamma: the squared sums of J's
     rows, the pair blocks (:func:`_pair_blocks`) with their positions in the
     pair matrix, the rows J_j and the first block's J_j +- J_k (0 at its
     holes), and the work buffers.  A call at gamma then takes one multiply
     of those rows by 2 gamma, one ``sin`` of theta = 2 gamma J, and one
     ``cos`` and one row product over a single buffer stacking 2 theta_j (as
     theta_j * 2), theta_j (j >= 1) and the first block's pair angles, which
-    serve the hole sums and both pair products at once.
+    serve the hole sums and both pair products at once.  A hole product is
+    its row's product over the cosine left out: ``np.cos`` is never exactly 0
+    at a double, though the quotient loses accuracy near a cosine zero.
     Further blocks (N above about 60) reuse the pair part of that buffer, so
     memory stays O(N^2) plus a fixed number of ``_PAIR_BLOCK_BYTES``
     buffers, and nothing O(N^3) is kept.  Every product runs along one
@@ -271,12 +248,8 @@ class QuboKernel:
     """
 
     def __init__(self, J: np.ndarray):
-        J = np.array(J, dtype=float)
-        if J.ndim != 2 or J.shape[0] != J.shape[1]:
-            raise ValueError("J must be square")
-        # np.allclose(J, J.T, atol=1e-12) without its overhead
-        if not (np.abs(J - J.T) <= 1e-12 + 1e-5 * np.abs(J.T)).all():
-            raise ValueError("J must be symmetric")
+        J = np.array(check_couplings(J))
+        np.fill_diagonal(J, 0.0)
         J.setflags(write=False)
         n = J.shape[0] - 1
         self.J, self.n = J, n
@@ -288,7 +261,7 @@ class QuboKernel:
         # (N+1)x(N+1) matrix
         self._blocks = [
             (np.tile(j, 2), k, holes, np.concatenate((j * (n + 1) + k, k * (n + 1) + j)))
-            for j, k, holes in _pair_blocks(n, bool(np.diagonal(J)[1:].any()))
+            for j, k, holes in _pair_blocks(n)
         ]
         r = len(self._blocks[0][1])
         # 2 theta_j and theta_j (j >= 1), then the pair angles of a block
@@ -343,16 +316,13 @@ class QuboKernel:
             p = c.prod(axis=1)
             pairs.put(dest, p[: len(k)] + p[len(k) :])
 
-        cos_rows = buf[n : 2 * n]  # rows j = 1..N, columns m = 0..N
-        if buf[: 2 * n].all():  # no exact cosine zero: _hole_sums without its masks
-            f1, f2 = prods[n : 2 * n], prods[:n]
-            q = np.divide(w, cos_rows, out=w)
-            sq = q.sum(axis=1)
-            np.multiply(f1, sq, out=terms[1])
-            cross = f1 * (sq**2 - np.square(q, out=q).sum(axis=1))
-        else:
-            f1, terms[1], cross = _hole_sums(cos_rows, w)
-            f2 = _hole_sums(buf[:n], w)[0]
+        # with q_jk = W_jk / cos theta_jk, the hole sums of row j are
+        # e1 = f1 sum_k q_jk and cross = f1 ((sum_k q_jk)^2 - sum_k q_jk^2)
+        f1, f2 = prods[n : 2 * n], prods[:n]
+        q = np.divide(w, buf[n : 2 * n], out=w)
+        sq = q.sum(axis=1)
+        np.multiply(f1, sq, out=terms[1])
+        cross = f1 * (sq**2 - np.square(q, out=q).sum(axis=1))
         np.multiply(self._t_row, f1, out=terms[0])
         terms[0] -= cross  # e2 = Re tau(R_j^2 e^{2 i gamma R_j})
         np.subtract(1.0, f2, out=terms[2])
@@ -363,23 +333,16 @@ class QuboKernel:
         return self._tau_hp2, n, self._t_sum, e2_sum, e1_sum, f2_sum, sin2_sum, pair_sum
 
 
-def _qubo_angle_sums(J, gamma: float) -> Tuple[float, ...]:
-    """The angle sums of :class:`QuboKernel` at ``gamma``, from a kernel or
-    from a coupling matrix (building a kernel for this one call)."""
-    kernel = J if isinstance(J, QuboKernel) else QuboKernel(J)
-    return kernel(gamma)
-
-
 def action_qubo(J, fd: FieldDerivs, beta: float, gamma: float, cache: dict | None = None) -> float:
     """Scaled QUBO action, normalized as S_bar / 2^N; cost O(N^3) in time and
     O(N^2) in memory.
 
-    ``J`` is the symmetric (N+1)x(N+1) coupling matrix with zero diagonal and
+    ``J`` is the coupling matrix of a :class:`racd.models.QuboModel`, with
     the local fields in row/column 0, or its :class:`QuboKernel` (as
     :func:`evaluator` passes), which keeps the gamma-independent work and
-    the checks of ``J`` out of every call; a matrix is checked and gets a
-    kernel for the call.  All trigonometric products are evaluated in
-    hole-product form, so exact cosine zeros are safe.
+    the checks of ``J`` out of every call; a matrix gets a kernel for the
+    call, and so the checks of :func:`racd.models.check_couplings`: a
+    nonzero diagonal or N < 2 raises ``ValueError``.
 
     The action depends on ``beta`` only through a final scalar assembly, so
     ``cache``, a dict that the caller keeps for one fixed ``J``, maps each
@@ -391,7 +354,7 @@ def action_qubo(J, fd: FieldDerivs, beta: float, gamma: float, cache: dict | Non
     # a zero e1 sum, which leaves the assembled action unchanged
     sums = None if cache is None else cache.get(gamma)
     if sums is None:
-        sums = _qubo_angle_sums(J, gamma)
+        sums = (J if isinstance(J, QuboKernel) else QuboKernel(J))(gamma)
         if cache is not None:
             cache[gamma] = sums
     tau_hp2, n, t_sum, e2_sum, e1_sum, f2_sum, sin2_sum, pair_sum = sums

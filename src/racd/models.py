@@ -310,25 +310,33 @@ class ChainModel(Model):
         return {"kind": self.kind, "N": self.n_qubits}
 
 
+def check_couplings(couplings: np.ndarray) -> np.ndarray:
+    """``couplings`` as a float array if it is a QUBO coupling matrix:
+    (N+1)x(N+1) with N >= 2, symmetric and of zero diagonal within 1e-12
+    (sz_j^2 = 1, so a diagonal would only shift H_p); else ``ValueError``."""
+    J = np.asarray(couplings, dtype=float)
+    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] < 3:
+        raise ValueError("couplings must be a square (N+1)x(N+1) matrix, N >= 2")
+    if not np.allclose(J, J.T, atol=1e-12):
+        raise ValueError("couplings must be symmetric")
+    if not np.allclose(np.diag(J), 0.0, atol=1e-12):
+        raise ValueError("couplings must have zero diagonal")
+    return J
+
+
 class QuboModel(Model):
     """Transverse-field annealer for a QUBO instance.
 
-    ``couplings`` is the symmetric (N+1)x(N+1) matrix J with zero diagonal;
-    row/column 0 holds the local fields J_j0.  H_p = -1/2 sum J_jk sz_j sz_k
-    - sum J_j0 sz_j (A0 = lambda, gamma); H_x = -sum sx_j (B0 = 1 - lambda,
-    beta).
+    ``couplings`` is the symmetric (N+1)x(N+1) matrix J with zero diagonal,
+    as :func:`check_couplings` checks; row/column 0 holds the local fields
+    J_j0.  H_p = -1/2 sum_{j != k} J_jk sz_j sz_k - sum J_j0 sz_j (A0 =
+    lambda, gamma); H_x = -sum sx_j (B0 = 1 - lambda, beta).
     """
 
     kind = "qubo"
 
     def __init__(self, couplings: np.ndarray, seed: int | None = None):
-        J = np.asarray(couplings, dtype=float)
-        if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] < 3:
-            raise ValueError("couplings must be a square (N+1)x(N+1) matrix, N >= 2")
-        if not np.allclose(J, J.T, atol=1e-12):
-            raise ValueError("couplings must be symmetric")
-        if not np.allclose(np.diag(J), 0.0, atol=1e-12):
-            raise ValueError("couplings must have zero diagonal")
+        J = check_couplings(couplings)
         n = J.shape[0] - 1
         p_terms = {}
         for j in range(1, n + 1):

@@ -20,7 +20,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import minimize
 
 from . import closed_form
-from .agp import LocalCdSolver, action_oracle
+from .agp import LocalCdSolver, action_oracle, check_oracle_size
 from .errors import RacdError
 from .models import Model, Ramp
 
@@ -204,9 +204,13 @@ def make_action_objective(
 def _evaluator(model: Model, backend: str) -> Callable:
     """The action of ``model`` on ``backend`` as a function of ``(fd, x)``:
     the closed-form evaluator (:func:`racd.closed_form.evaluator`) or the
-    dense oracle (:func:`racd.agp.action_oracle`)."""
+    dense oracle (:func:`racd.agp.action_oracle`); ``ValueError`` for a
+    model that the backend cannot serve."""
     check_backend(backend)
-    return closed_form.evaluator(model) if backend == "closed-form" else lambda fd, x: action_oracle(model, fd, x)
+    if backend == "closed-form":
+        return closed_form.evaluator(model)
+    check_oracle_size(model)
+    return lambda fd, x: action_oracle(model, fd, x)
 
 
 def _objective(model: Model, lam: float, lam_dot: float, evaluate: Callable) -> Callable[[np.ndarray], float]:

@@ -109,7 +109,10 @@ def test_invalid_config_exits_nonzero(tmp_path, capsys):
 
 @pytest.mark.parametrize("content, named", [({"nn": 3}, "'nn'"), ({"model": "qubo", "n": "3"}, "'n'"),
                                             ({"full": 1}, "'full'"), ({"protocols": "ua,ra"}, "'protocols'"),
-                                            ({"backend": "bogus"}, "--backend bogus: unknown action backend 'bogus'")])
+                                            ({"backend": "bogus"}, "--backend bogus: unknown action backend 'bogus'"),
+                                            ({"protocols": []}, "--protocols '': name one or more protocols, each once"),
+                                            ({"protocols": ["ua", "ua"]},
+                                             "--protocols 'ua,ua': name one or more protocols, each once")])
 def test_invalid_config_file_is_one_error_line(tmp_path, capsys, content, named):
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(content))
@@ -151,6 +154,16 @@ def test_state_vector_cap_refused_before_any_run(tmp_path, capsys, monkeypatch):
     (["scaling", "--model", "qubo", "--seed", "-1"], "--seed -1: seed must be >= 0"),
     (["run", "--model", "qubo", "--n", "4", "--seed", "-1"], "--seed -1: seed must be >= 0"),
     (["run", "--model", "two-spin", "--seed", "-1"], "--seed -1: seed must be >= 0"),
+    (["run", "--model", "two-spin", "--protocols", ","], "--protocols '': name one or more protocols, each once"),
+    (["run", "--model", "two-spin", "--protocols", "ua,ua"],
+     "--protocols 'ua,ua': name one or more protocols, each once"),
+    (["run", "--model", "chain", "--n", "3", "--protocols", "ua,ra"],
+     "--backend closed-form: chain closed form needs N >= 4; use backend='oracle'"),
+    (["run", "--model", "lhz", "--n-logical", "6", "--backend", "oracle", "--protocols", "ua,ra"],
+     "--backend oracle: 15 qubits exceeds the dense oracle cap"),
+    # refused at its largest size (N = 15) before the sizes below the cap are synthesized
+    (["scaling", "--model", "qubo", "--full", "--backend", "oracle"],
+     "--backend oracle: 15 qubits exceeds the dense oracle cap"),
 ])
 def test_invalid_run_input_refused_before_any_work(tmp_path, capsys, monkeypatch, args, named):
     def synthesize(*args, **kwargs):
@@ -162,6 +175,34 @@ def test_invalid_run_input_refused_before_any_work(tmp_path, capsys, monkeypatch
     lines = capsys.readouterr().err.strip().splitlines()
     assert lines == [f"error: {named}"], lines
     assert not (tmp_path / "out").exists()
+
+
+def test_backend_refused_only_where_ra_synthesis_needs_it(tmp_path, capsys, monkeypatch):
+    # the dense oracle takes 12 qubits at most; a run without RA evaluates
+    # no action, so it runs whatever the backend
+    monkeypatch.setattr(cli, "_single_run", lambda model, config, out_dir: {"ua": 0.5})
+    args = ["run", "--model", "qubo", "--n", "13", "--backend", "oracle", "--out", tmp_path / "out"]
+    assert run_cli(args + ["--protocols", "ua,ra"]) == 2
+    assert capsys.readouterr().err.strip() == "error: --backend oracle: 13 qubits exceeds the dense oracle cap"
+    assert not (tmp_path / "out").exists()
+    assert run_cli(args + ["--protocols", "ua"]) == 0
+    assert (tmp_path / "out" / "run.json").exists()
+
+
+def test_fields_csvs_share_one_ramp_table(tmp_path, monkeypatch):
+    # writing the fields CSVs of three protocols evaluates the ramp once
+    from racd.models import Ramp, TwoSpinModel
+
+    calls = []
+    table = Ramp.table
+    monkeypatch.setattr(Ramp, "table", lambda self, times: calls.append(1) or table(self, times))
+    config = cli.RunConfig(protocols=("ua", "local-cd", "ra"), steps=200, m_points=20)
+    cli._single_run(TwoSpinModel(), config, None)
+    unwritten = len(calls)
+    cli._single_run(TwoSpinModel(), config, tmp_path)
+    assert len(calls) - unwritten == unwritten + 1
+    assert sorted(p.name for p in tmp_path.glob("fields_*.csv")) == ["fields_local-cd.csv", "fields_ra.csv",
+                                                                      "fields_ua.csv"]
 
 
 @pytest.mark.slow

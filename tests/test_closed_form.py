@@ -185,13 +185,19 @@ def test_qubo_asymmetric_raises():
 
 
 def _qubo_sums_tensor(J, gamma):
-    """cf._qubo_angle_sums with the pair products taken over full (N+1)^3
-    tensors, in the same evaluation order."""
+    """cf.QuboKernel's sums with the pair products taken over full (N+1)^3
+    tensors, in the same evaluation order; each hole product is its row's
+    product divided by the cosine left out."""
     n = J.shape[0] - 1
     theta = 2.0 * gamma * J
     w = J[1:, :] * np.sin(theta)[1:, :]
-    f1, e1, cross = cf._hole_sums(np.cos(theta)[1:, :], w)
-    f2, _, _ = cf._hole_sums(np.cos(2.0 * theta)[1:, :], w)
+    cos_rows = np.cos(theta)[1:, :]
+    f1 = cos_rows.prod(axis=1)
+    q = w / cos_rows
+    sq = q.sum(axis=1)
+    e1 = f1 * sq
+    cross = f1 * (sq**2 - (q**2).sum(axis=1))
+    f2 = np.cos(2.0 * theta)[1:, :].prod(axis=1)
     t_row = (J[1:, :] ** 2).sum(axis=1)
     e2 = t_row * f1 - cross
     mp = np.cos(2.0 * gamma * (J[:, None, :] + J[None, :, :]))
@@ -249,7 +255,7 @@ def test_qubo_action_bit_identical_to_tensor_form(n, seed, integer, fd, betas, g
         J = np.round(2.0 * J)
     cache = {}
     for g in (gamma, -gamma):  # 0.0 and -0.0 share one entry
-        assert _bits(cf._qubo_angle_sums(J, g)) == _bits(_qubo_sums_tensor(J, g))
+        assert _bits(cf.QuboKernel(J)(g)) == _bits(_qubo_sums_tensor(J, g))
         for beta in betas + betas:
             want = _bits(_action_qubo_tensor(J, fd, beta, g))
             assert _bits(cf.action_qubo(J, fd, beta, g)) == want
@@ -280,7 +286,7 @@ def test_qubo_kernel_multi_block_bit_identical_to_tensor_form():
     # per call in the first one's buffer
     J = random_instance("qubo", 70, 5).couplings
     kernel = cf.QuboKernel(J)
-    assert len(cf._pair_blocks(70, False)) == 2
+    assert len(cf._pair_blocks(70)) == 2
     for gamma in (0.0, -0.0, 0.013, -0.41, 1.7):
         assert _bits(kernel(gamma)) == _bits(_qubo_sums_tensor(J, gamma))
 
@@ -306,14 +312,53 @@ def test_qubo_kernel_reuse_bit_identical_to_fresh():
             assert _bits(objective(np.array([0.4, g]))) == _bits(want)
 
 
-def test_qubo_nonzero_diagonal_bit_identical_to_tensor_form():
-    # a diagonal that action_qubo accepts (models keep it at zero) enters the
-    # pair sum, so those pairs are evaluated too
-    rng = np.random.Generator(np.random.PCG64(17))
-    J = random_instance("qubo", 6, 3).couplings + np.diag(rng.uniform(-1.0, 1.0, 7))
+@pytest.mark.parametrize("J, message", [
+    (random_instance("qubo", 5, 3).couplings + np.diag(np.r_[0.0, 0.0, 0.3, 0.0, 0.0, 0.0]),
+     "couplings must have zero diagonal"),
+    (np.array([[0.0, 0.5], [0.5, 0.0]]), r"couplings must be a square \(N\+1\)x\(N\+1\) matrix, N >= 2"),
+])
+def test_qubo_couplings_refused_as_by_the_model(J, message):
+    # a diagonal only shifts H_p by a multiple of the identity, so no
+    # QuboModel holds one, and N = 1 is no QuboModel either: the closed form
+    # refuses both with the model's own message
     fd = {"A": (0.6, 1.3), "B": (0.4, -1.3)}
-    for gamma in (0.3, -1.1):
-        assert _bits(cf.action_qubo(J, fd, 0.2, gamma)) == _bits(_action_qubo_tensor(J, fd, 0.2, gamma))
+    with pytest.raises(ValueError, match=message):
+        QuboModel(J)
+    with pytest.raises(ValueError, match=message):
+        cf.QuboKernel(J)
+    with pytest.raises(ValueError, match=message):
+        cf.action_qubo(J, fd, 0.2, 0.3)
+    model = random_instance("qubo", 3, 0)
+    model.couplings = J
+    with pytest.raises(ValueError, match=message):
+        make_action_objective(model, 0.5, 1.0)
+
+
+def test_qubo_diagonal_within_tolerance_gives_zero_diagonal_action():
+    # a diagonal of at most 1e-12 is accepted, and ignored as H_p ignores it;
+    # with couplings of 1e-5 it would otherwise show in the last digits
+    diag = np.diag(np.r_[1e-12, -1e-12, 5e-13, 0.0, -3e-13, 1e-12, 7e-13])
+    fd = {"A": (0.6, 1.3), "B": (0.4, -1.3)}
+    for scale in (1.0, 1e-5):
+        J = scale * random_instance("qubo", 6, 3).couplings
+        for gamma in (0.3, -1.1, 3e4):
+            assert _bits(cf.action_qubo(J + diag, fd, 0.2, gamma)) == _bits(cf.action_qubo(J, fd, 0.2, gamma))
+            assert _bits(cf.QuboKernel(J + diag)(gamma)) == _bits(cf.QuboKernel(J)(gamma))
+
+
+def test_cos_has_no_exact_zero_at_a_double():
+    # QuboKernel divides by the cosines of its angles; that is defined
+    # because np.cos is never exactly 0 at a finite double: not at the
+    # doubles at and next to odd multiples of pi/2, nor at the hardest
+    # argument to reduce, 6381956970095103 * 2^797 (Kahan and McDonald)
+    k = np.arange(1, 20001, 2, dtype=float)
+    x = k * (np.pi / 2)
+    near = np.concatenate([x, np.nextafter(x, 0.0), np.nextafter(x, np.inf), -x])
+    assert np.all(np.cos(near) != 0.0)
+    assert np.cos(np.ldexp(6381956970095103.0, 797)) != 0.0
+    # and at those points the kernel's sums stay finite
+    J = random_instance("qubo", 4, 0).couplings
+    assert np.isfinite(cf.QuboKernel(J)(np.pi / (4.0 * J[1, 2]))).all()
 
 
 def test_qubo_objective_caches_stay_apart():
@@ -334,10 +379,10 @@ def test_qubo_objective_caches_stay_apart():
 
 def test_qubo_pair_products_bounded_memory():
     # the pair products come in blocks of at most _PAIR_BLOCK_BYTES
-    for n, diagonal in ((12, False), (200, False), (200, True)):
-        blocks = cf._pair_blocks(n, diagonal)
+    for n in (12, 200):
+        blocks = cf._pair_blocks(n)
         assert all(8 * len(j) * (n + 1) <= max(cf._PAIR_BLOCK_BYTES, 8 * (n + 1)) for j, _, _ in blocks)
-        assert sum(len(j) for j, _, _ in blocks) == n * (n + 1 if diagonal else n - 1) // 2
+        assert sum(len(j) for j, _, _ in blocks) == n * (n - 1) // 2
 
 
 _TIMING_SCRIPT = """

@@ -50,3 +50,10 @@ def test_failing_command_is_recorded_not_raised(tmp_path):
     status = (work / "status.txt").read_text().splitlines()
     assert status[0] == "exit status 2"
     assert status[1].startswith("error: unknown protocols")
+
+
+def test_line_counts_as_wc_counts_them(tmp_path):
+    _write(tmp_path, {"src/racd/a.py": "x = 1\ny = 2\n", "src/racd/sub/b.py": "z = 3\n", "src/racd/c.txt": "no\n",
+                      "tests/test_a.py": "def test():\n    pass\n\n"})
+    assert compare_outputs.COUNTED == ("src/racd", "tests")
+    assert compare_outputs.line_counts(tmp_path) == [3, 3]
