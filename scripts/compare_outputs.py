@@ -9,7 +9,9 @@ a time, with ``OPENBLAS_NUM_THREADS=1`` and racd imported from that tree's
 ``--out out``, so the output path recorded in ``run.json`` is the same on
 both sides; ``racd validate`` is compared by its stdout, and every command
 by its exit status and stderr (``status.txt``), so that a command that
-fails is compared by its error line.  For each output file it prints
+fails is compared by its error line.  For each command it prints the peak
+RSS of its process in both trees (the child's own ``ru_maxrss``, from
+``os.wait4``; written to no compared file), then, for each output file,
 ``identical``, or the number of differing lines and the largest absolute
 difference between the numbers on them.  It then prints the line counts of
 the Python files under ``src/racd`` and ``tests`` in both trees.  The exit
@@ -47,6 +49,8 @@ COMMANDS = (
     # exits with code 2 on the RA drift of the N=5, seed-1 instance at the default 2000 steps
     ("scaling", "--model", "qubo", "--instances", "2"),
     ("validate",),
+    # the one command above the 12-qubit dense cap: eigsh ground solves and a 2^13-state output stage (~30 s)
+    ("run", "--model", "qubo", "--n", "13", "--protocols", "ua,local-cd,ra", "--steps", "2600"),
 )
 
 #: the directories whose Python line counts are printed for both trees
@@ -55,19 +59,35 @@ COUNTED = ("src/racd", "tests")
 NUMBER = re.compile(r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?")
 
 
-def _run(tree: Path, work: Path, args: Sequence[str]) -> None:
+def child_run(cmd: Sequence[str], **popen) -> Tuple[int, str, str, float]:
+    """Run ``cmd`` (with ``subprocess.Popen`` keywords ``popen``) to its end:
+    its exit status, stdout, stderr and peak RSS in MiB, the child's own
+    ``ru_maxrss`` as ``os.wait4`` reports it when it reaps the child.  Linux
+    starts that peak at the spawning process's RSS, which here is small."""
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, stdout=out, stderr=err, **popen)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024
+
+
+def _run(tree: Path, work: Path, args: Sequence[str]) -> float:
     """``racd <args>`` from ``tree``'s source, in the new directory ``work``,
-    which gets the command's exit status and stderr in ``status.txt``."""
+    which gets the command's exit status and stderr in ``status.txt``; the
+    command's peak RSS in MiB."""
     work.mkdir(parents=True)
     cmd = [sys.executable, "-m", "racd.cli", *args]
     if args[0] != "validate":
         cmd += ["--out", "out"]
     path = os.pathsep.join(p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
-    proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, text=True)
-    (work / "status.txt").write_text(f"exit status {proc.returncode}\n{proc.stderr}")
+    status, stdout, stderr, peak = child_run(cmd, cwd=work, env=env)
+    (work / "status.txt").write_text(f"exit status {status}\n{stderr}")
     if args[0] == "validate":
-        (work / "stdout.txt").write_text(proc.stdout)
+        (work / "stdout.txt").write_text(stdout)
+    return peak
 
 
 def _lines_differ(old: List[str], new: List[str]) -> str:
@@ -122,9 +142,9 @@ def main() -> int:
             tar.extractall(parent_tree, filter="data")
         for i, command in enumerate(COMMANDS):
             work = {side: Path(tmp) / side / str(i) for side in ("parent", "change")}
-            _run(parent_tree, work["parent"], command)
-            _run(REPO, work["change"], command)
+            peaks = [_run(tree, work[side], command) for tree, side in ((parent_tree, "parent"), (REPO, "change"))]
             print("racd " + " ".join(command), flush=True)
+            print("  peak RSS: parent {:.1f} MiB, change {:.1f} MiB".format(*peaks), flush=True)
             for name, verdict in compare_dirs(work["parent"], work["change"]):
                 print(f"  {name}: {verdict}", flush=True)
                 same = same and verdict == "identical"

@@ -29,7 +29,7 @@ from .errors import RacdError
 from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, ramp_eval, random_instance
 from .optimizer import (BACKENDS, BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, _evaluator, assemble_protocol,
                         check_backend, check_grid, fmt, sequential_optimize, write_csv)
-from .validation import run_all_suites
+from .validation import check_draws, run_all_suites
 
 DEFAULT_PROTOCOLS = ("ua", "ra")
 SCALING_PROTOCOLS = ("ua", "local-cd", "ra")
@@ -70,10 +70,15 @@ class RunConfig:
         for flag, value, check in (("--tau", self.tau, lambda tau: ramp_eval(0.0, tau)),
                                    ("--steps", self.steps, check_steps), ("--m-points", self.m_points, check_grid),
                                    ("--backend", self.backend, check_backend)):
-            try:
-                check(value)
-            except ValueError as exc:
-                raise ValueError(f"{flag} {value}: {exc}") from None
+            _check_flag(flag, value, check)
+
+
+def _check_flag(flag: str, value, check) -> None:
+    """``check(value)``, its ValueError naming ``flag`` and the value."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {value}: {exc}") from None
 
 
 def _build_model(config: RunConfig, seed: int) -> Model:
@@ -146,20 +151,12 @@ def _annotate(exc: RacdError, model: Model, stage: str) -> None:
     exc.args = (msg,)
 
 
-def _check_backend_serves(model: Model, backend: str) -> None:
-    """Refuse, naming the flag, a ``backend`` whose action evaluator cannot serve ``model``."""
-    try:
-        _evaluator(model, backend)
-    except ValueError as exc:
-        raise ValueError(f"--backend {backend}: {exc}") from None
-
-
 def cmd_run(config: RunConfig) -> int:
     config.validate()
     model = _build_model(config, config.seed)
     check_capacity(model.n_qubits, config.protocols)
     if "ra" in config.protocols:
-        _check_backend_serves(model, config.backend)
+        _check_flag("--backend", config.backend, lambda backend: _evaluator(model, backend))
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     finals = _single_run(model, config, out_dir)
@@ -225,7 +222,8 @@ def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
             raise ValueError("scaling study expects a random-instance model (qubo or lhz)")
         sizes = table[config.model]
     # a backend that serves the largest size serves them all
-    _check_backend_serves(_build_model(replace(config, n=max(sizes), n_logical=max(sizes)), config.seed), config.backend)
+    largest = _build_model(replace(config, n=max(sizes), n_logical=max(sizes)), config.seed)
+    _check_flag("--backend", config.backend, lambda backend: _evaluator(largest, backend))
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = scaling_study(config, sizes)
@@ -245,12 +243,11 @@ def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
 
 
 def cmd_validate(draws: int = 100) -> int:
+    _check_flag("--draws", draws, check_draws)
     results = run_all_suites(draws=draws)
-    ok = True
     for r in results:
         print(r.line())
-        ok = ok and r.passed
-    return 0 if ok else 1
+    return 0 if all(r.passed for r in results) else 1
 
 
 #: the RunConfig fields that each command reads: its flags, and the keys its --config file may hold

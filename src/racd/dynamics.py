@@ -359,9 +359,9 @@ def evolve(
     same initial state, as one block: the one-group case of the block loop
     (:func:`_evolve_groups`).
 
-    The protocols share one model and one ramp.  Returns (times, states)
-    sampled at ``n_out`` integrator grid points (including both endpoints),
-    ``states`` shaped ``(n_out, 2^N, B)`` with one column per protocol.
+    The protocols share one model and one ramp.  Returns (times, states) at
+    ``n_out`` integrator grid points (both endpoints included), ``states`` a
+    ``(n_out, 2^N, B)`` view, one column per protocol, of the RK4 loop's store ``(n_out, B, 2^N)``.
     Raises :class:`StepSizeError`, naming the protocol, if a state's norm
     drifts by more than 1e-6 anywhere on the output grid: the first protocol
     over the tolerance at the earliest such point.
@@ -570,7 +570,7 @@ class _Block:
 def _evolve_block(members: List[_Group], out_idx: np.ndarray, steps: int) -> list:
     """The RK4 loop: every group of ``members`` evolved as one
     :class:`_Block`; one entry per group, its states on the output steps
-    ``out_idx`` or the exception its evolution raised.
+    ``out_idx`` (:func:`evolve`'s), or the exception its evolution raised.
 
     The RK4 combination runs in place.  A group that fails (its norm
     drifts, or making its weights raises, which happens a chunk ahead)
@@ -580,7 +580,7 @@ def _evolve_block(members: List[_Group], out_idx: np.ndarray, steps: int) -> lis
     psi, per = block.psi, block.per
     h = members[0].protocols[0].ramp.tau / steps
     k1, k2, k3, k4, arg = (np.empty_like(psi) for _ in range(5))
-    states = {g: np.empty((len(out_idx), 1 << members[g].protocols[0].model.n_qubits, len(members[g].protocols)),
+    states = {g: np.empty((len(out_idx), len(members[g].protocols), 1 << members[g].protocols[0].model.n_qubits),
                           dtype=complex) for g in block.live}
     block.make(0, 0, min(2 * per + 1, 2 * steps + 1))
     pointer = 0
@@ -596,7 +596,7 @@ def _evolve_block(members: List[_Group], out_idx: np.ndarray, steps: int) -> lis
                 if over.size:
                     block.fail(g, StepSizeError(float(drift[over[0]]), steps, kind=member.protocols[over[0]].kind))
                     continue
-                states[g][pointer] = (rows if member.sector is None else member.sector.embed(rows)).T
+                states[g][pointer] = rows if member.sector is None else member.sector.embed(rows)
             pointer += 1
         if k == steps or not block.live:
             break
@@ -618,9 +618,7 @@ def _evolve_block(members: List[_Group], out_idx: np.ndarray, steps: int) -> lis
         k1 += np.multiply(k3, 2.0, out=k3)
         k1 += k4
         psi += np.multiply(k1, h / 6.0, out=k1)
-    for g in block.live:
-        block.results[g] = states[g]
-    return block.results
+    return [states[g].transpose(0, 2, 1) if g in block.live else result for g, result in enumerate(block.results)]
 
 
 def ground_trace(model: Model, lambdas: Sequence[float]) -> List[np.ndarray]:
@@ -745,21 +743,19 @@ def _ground_grid(protocols: List[Protocol], steps: int, n_out: int) -> Tuple[np.
 
 def _fidelity_traces(protocols: List[Protocol], states: np.ndarray, times: np.ndarray, lams: np.ndarray,
                      ground_bases: List[np.ndarray]) -> List[FidelityTrace]:
-    """F and F-tilde of each column of ``states`` ``(n_out, 2^N, B)``.  F-tilde
-    rotates the ground state by Q, the Q terms' diagonals (made once)
-    weighted by ``q_table``, in term order; Q is zero but for RA, so
-    elsewhere F-tilde is F bit for bit."""
+    """F and F-tilde of each column of ``states`` ``(n_out, 2^N, B)``, point by
+    point, each row read in place where contiguous (as :func:`evolve`'s are).
+    F-tilde rotates the ground state by Q, the Q terms' diagonals weighted by
+    ``q_table`` at the point, in term order; Q is zero but for RA, so elsewhere F-tilde is F bit for bit."""
     q_terms = [(t.param, t.operator.diag_vector().real) for t in protocols[0].model.terms
                if t.param in ("gamma", "phi")]
     traces = []
     for col, protocol in enumerate(protocols):
-        psi = np.ascontiguousarray(states[:, :, col])
-        q_tables = protocol.q_table(times)
-        q_diag = np.zeros(psi.shape)
-        for param, diag in q_terms:
-            q_diag = q_diag + np.outer(q_tables[param], diag)
-        trace = FidelityTrace(times, lams, np.array([fidelity(p, g) for p, g in zip(psi, ground_bases)]),
-                              np.array([rotated_fidelity(p, g, q) for p, g, q in zip(psi, ground_bases, q_diag)]))
-        trace.validate()
-        traces.append(trace)
+        q_tables, points = protocol.q_table(times), []
+        for i, basis in enumerate(ground_bases):
+            psi = np.ascontiguousarray(states[i, :, col])
+            q_diag = sum((q_tables[param][i] * diag for param, diag in q_terms), np.zeros(len(psi)))
+            points.append((fidelity(psi, basis), rotated_fidelity(psi, basis, q_diag)))
+        traces.append(FidelityTrace(times, lams, *map(np.array, zip(*points))))
+        traces[-1].validate()
     return traces

@@ -154,6 +154,8 @@ class ParamTrajectory:
             raise ValueError("values shape does not match times/param_names")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite parameter values")
+        if self.bc not in ("natural", "clamped-zero"):
+            raise ValueError(f"bc must be 'natural' or 'clamped-zero', got {self.bc!r}")
 
     def _spline(self, name: str) -> CubicSpline:
         if name not in self.param_names:

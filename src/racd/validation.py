@@ -58,9 +58,7 @@ def closed_form_deviation(model, draws: int, seed: int) -> float:
     worst = 0.0
     for _ in range(draws):
         fd = _random_field_derivs(model, rng)
-        x = np.array(
-            [rng.uniform(-2.0, 2.0) if n == "beta" else rng.uniform(-1.0, 1.0) for n in names]
-        )
+        x = np.array([rng.uniform(-2.0, 2.0) if n == "beta" else rng.uniform(-1.0, 1.0) for n in names])
         oracle = action_oracle(model, fd, x) / normalization
         closed = closed_form.action(model, fd, x)
         rel = abs(closed - oracle) / max(abs(oracle), 1e-12)
@@ -68,7 +66,14 @@ def closed_form_deviation(model, draws: int, seed: int) -> float:
     return worst
 
 
+def check_draws(draws: int) -> None:
+    """Raise ValueError unless ``draws`` oracle draws check anything."""
+    if draws < 1:
+        raise ValueError("draws must be >= 1")
+
+
 def suite_closed_form_vs_oracle(draws: int = 100) -> SuiteResult:
+    check_draws(draws)
     cases = [
         (TwoSpinModel(), ORACLE_SEED),
         (ChainModel(4), ORACLE_SEED + 4),

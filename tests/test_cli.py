@@ -336,6 +336,20 @@ def test_validate_detects_injected_fault(monkeypatch):
     assert dev > 1e-8
 
 
+@pytest.mark.parametrize("draws", [0, -3])
+def test_validate_refuses_draws_that_check_nothing(capsys, monkeypatch, draws):
+    # --draws 0 used to print PASS for the oracle suite with a max deviation over no draws
+    from racd import validation
+
+    with pytest.raises(ValueError, match="draws must be >= 1"):
+        validation.suite_closed_form_vs_oracle(draws=draws)
+    monkeypatch.setattr(cli, "run_all_suites", lambda draws: pytest.fail("a suite ran"))
+    assert run_cli(["validate", "--draws", draws]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.strip().splitlines() == [f"error: --draws {draws}: draws must be >= 1"]
+
+
 def test_validate_reports_max_deviation_format():
     from racd.validation import SuiteResult
 

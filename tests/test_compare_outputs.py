@@ -1,4 +1,6 @@
+import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +59,19 @@ def test_line_counts_as_wc_counts_them(tmp_path):
                       "tests/test_a.py": "def test():\n    pass\n\n"})
     assert compare_outputs.COUNTED == ("src/racd", "tests")
     assert compare_outputs.line_counts(tmp_path) == [3, 3]
+
+
+def test_child_run_reads_the_childs_own_peak_rss():
+    # a child that fills 64 MiB peaks that much above an idle one.  A child's ru_maxrss starts at its
+    # spawner's RSS (Linux carries it across exec), so both are spawned from a small interpreter that
+    # imports only the script, as its own main() spawns each racd command
+    idle, held = "print('idle')", "import sys; b = b'x' * (64 << 20); sys.exit('held')"
+    spawn = ("import sys; sys.path.insert(0, sys.argv[1]); from compare_outputs import child_run; "
+             "print([child_run([sys.executable, '-c', code]) for code in sys.argv[2:]])")
+    status, out, err, _ = compare_outputs.child_run([sys.executable, "-c", spawn, str(_SCRIPT.parent), idle, held])
+    assert (status, err) == (0, "")
+    idle, held = ast.literal_eval(out)
+    assert idle[:3] == (0, "idle\n", "")
+    assert held[:3] == (1, "", "held\n")
+    assert 0 < idle[3] < 40
+    assert 60 < held[3] - idle[3] < 72

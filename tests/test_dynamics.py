@@ -768,6 +768,46 @@ def test_one_drive_table_and_one_rotated_fidelity_per_protocol(protocols, n_out)
             assert trace.F_tilde[i] == rotated_fidelity(np.ascontiguousarray(states[i, :, b]), basis, q)
 
 
+def test_fidelity_traces_read_each_output_point_in_place():
+    # QUBO N=12, ua,local-cd,ra at 101 output points, the states as evolve hands them out (a transposed
+    # view of its store) and C-contiguous: F and F-tilde equal, bit for bit, the formulas of a contiguous
+    # copy of each column and an outer-product table of Q's diagonals, in under 2 MiB above the inputs
+    import tracemalloc
+
+    from racd.dynamics import _fidelity_traces
+
+    model, ramp, n_out = random_instance("qubo", 12, 5), Ramp(1.0), 101
+    protocols = [assemble_protocol(model, random_trajectory(model, 2), kind, ramp) for kind in ("ua", "local-cd", "ra")]
+    rng = np.random.Generator(np.random.PCG64(9))
+
+    def unit(*shape):
+        v = rng.normal(size=(*shape, 1 << 12)) + 1j * rng.normal(size=(*shape, 1 << 12))
+        return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+    store, bases = unit(n_out, len(protocols)), list(unit(n_out)[:, :, None])
+    # every protocol starts in the ground state at t = 0
+    store[0] = bases[0][:, 0]
+    times = np.linspace(0.0, 1.0, n_out)
+    lams, _ = ramp.table(times)
+    for states in (store.transpose(0, 2, 1), np.ascontiguousarray(store.transpose(0, 2, 1))):
+        tracemalloc.start()
+        try:
+            traces = _fidelity_traces(protocols, states, times, lams, bases)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        for col, (protocol, trace) in enumerate(zip(protocols, traces)):
+            psi = np.ascontiguousarray(states[:, :, col])
+            q_tables, q_diag = protocol.q_table(times), np.zeros(psi.shape)
+            for term in model.terms:
+                if term.param in ("gamma", "phi"):
+                    q_diag = q_diag + np.outer(q_tables[term.param], term.operator.diag_vector().real)
+            assert protocol.kind != "ra" or q_diag.any()
+            assert np.array_equal(trace.F, [fidelity(p, g) for p, g in zip(psi, bases)])
+            assert np.array_equal(trace.F_tilde, [rotated_fidelity(p, g, q) for p, g, q in zip(psi, bases, q_diag)])
+
+
 def _stiff_protocol(field):
     from racd.models import Model, ModelTerm
     from racd.operators import SpinOperator

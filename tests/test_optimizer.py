@@ -2,6 +2,8 @@ import gc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 
 from racd import closed_form as cf
@@ -86,6 +88,17 @@ def test_trajectory_validation():
         ParamTrajectory(np.array([0.0, 0.0, 1.0]), np.zeros((3, 1)), ("beta",))
     with pytest.raises(ValueError):
         ParamTrajectory(np.array([0.0, 0.5, 1.0]), np.full((3, 1), np.nan), ("beta",))
+
+
+@pytest.mark.parametrize("bc", ["clamped", "Natural", "", None])
+def test_trajectory_refuses_an_unknown_spline_boundary(bc):
+    # a mistyped bc used to build a natural spline: sin(3t)'s end rate was 2.9999 with "clamped"
+    times = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match="'natural' or 'clamped-zero'"):
+        ParamTrajectory(times, np.sin(3 * times)[:, None], ("gamma",), bc=bc)
+    rates = {bc: ParamTrajectory(times, np.sin(3 * times)[:, None], ("gamma",), bc=bc).derivative("gamma", 1.0)
+             for bc in ("natural", "clamped-zero")}
+    assert abs(rates["clamped-zero"]) < 1e-12 and abs(rates["natural"]) > 1.0
 
 
 def test_trajectory_interpolates_knots():
@@ -361,3 +374,31 @@ def test_sequential_shares_one_evaluator_bit_identically(monkeypatch, kind, size
     fresh = sequential_optimize(model, ramp, M=20)
     assert len(built) == 1 + 1 + 21  # its own evaluator goes unused
     assert_array_equal(shared.values, fresh.values)
+
+
+@pytest.mark.slow
+@settings(max_examples=6, deadline=None)
+@given(case=st.sampled_from([("qubo", n) for n in range(3, 7)] + [("lhz", n) for n in (3, 4)]),
+       seed=st.integers(0, 99))
+def test_a_rounding_change_of_the_action_leaves_the_ra_fidelity(case, seed):
+    # the premise of gating a run on its fidelities rather than its knots: a relative change of 1e-15 in the
+    # closed-form action can move an RA knot by 1e-3 where the beta-gamma valley is flat, but it moves the
+    # RA final F by less than 1e-7
+    from racd.dynamics import run_protocol
+
+    kind, size = case
+    model, ramp = random_instance(kind, size, seed), Ramp(1.0)
+    name = "action_qubo" if kind == "qubo" else "action_lhz"
+    action = getattr(cf, name)
+
+    def final_ra_fidelity():
+        # the evaluator looks the action up when sequential_optimize builds it
+        trajectory = sequential_optimize(model, ramp)
+        ua, ra = (assemble_protocol(model, trajectory, k, ramp) for k in ("ua", "ra"))
+        return run_protocol([ua, ra], steps=4000, n_out=2)[1].F[-1]
+
+    exact = final_ra_fidelity()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cf, name, lambda *args: action(*args) * (1.0 + 1e-15))
+        rounded = final_ra_fidelity()
+    assert abs(rounded - exact) < 1e-7
