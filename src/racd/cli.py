@@ -27,8 +27,8 @@ import numpy as np
 from .dynamics import NORM_DRIFT_TOL, StepSizeError, check_capacity, check_steps, run_groups, run_protocol
 from .errors import RacdError
 from .models import PRNG_NAME, Model, Ramp, TwoSpinModel, ramp_eval, random_instance
-from .optimizer import (BACKENDS, BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, _evaluator, assemble_protocol,
-                        check_backend, check_grid, fmt, sequential_optimize, write_csv)
+from .optimizer import (BACKENDS, BFGS_GTOL, PROTOCOL_KINDS, ParamTrajectory, Protocol, action_evaluator,
+                        assemble_protocol, check_backend, check_grid, sequential_optimize, write_csv)
 from .validation import check_draws, run_all_suites
 
 DEFAULT_PROTOCOLS = ("ua", "ra")
@@ -84,10 +84,11 @@ def _check_flag(flag: str, value, check) -> None:
 def _build_model(config: RunConfig, seed: int) -> Model:
     if config.model == "two-spin":
         return TwoSpinModel()
-    if config.model == "chain":
-        return random_instance("chain", config.n, seed)
-    size = config.n if config.model == "qubo" else config.n_logical
-    return random_instance(config.model, size, seed)
+    return random_instance(config.model, config.n_logical if config.model == "lhz" else config.n, seed)
+
+
+def _write_run_json(out_dir: Path, meta: dict) -> None:
+    (out_dir / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def _write_fields_csv(path: Path, protocol, times: np.ndarray, ramp_table: Tuple[np.ndarray, np.ndarray]) -> None:
@@ -156,11 +157,11 @@ def cmd_run(config: RunConfig) -> int:
     model = _build_model(config, config.seed)
     check_capacity(model.n_qubits, config.protocols)
     if "ra" in config.protocols:
-        _check_flag("--backend", config.backend, lambda backend: _evaluator(model, backend))
+        _check_flag("--backend", config.backend, lambda backend: action_evaluator(model, backend))
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     finals = _single_run(model, config, out_dir)
-    meta = {
+    _write_run_json(out_dir, {
         "config": asdict(config),
         "model": model.to_json(),
         "prng": PRNG_NAME,
@@ -168,10 +169,7 @@ def cmd_run(config: RunConfig) -> int:
         "action_backend": config.backend,
         "tolerances": {"bfgs_gtol": BFGS_GTOL, "norm_drift": NORM_DRIFT_TOL},
         "final_fidelity": finals,
-    }
-    with open(out_dir / "run.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     for kind, f in finals.items():
         print(f"{kind}: F(tau) = {f:.6f}")
     return 0
@@ -223,22 +221,14 @@ def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
         sizes = table[config.model]
     # a backend that serves the largest size serves them all
     largest = _build_model(replace(config, n=max(sizes), n_logical=max(sizes)), config.seed)
-    _check_flag("--backend", config.backend, lambda backend: _evaluator(largest, backend))
+    _check_flag("--backend", config.backend, lambda backend: action_evaluator(largest, backend))
     out_dir = Path(config.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = scaling_study(config, sizes)
-    with open(out_dir / "scaling.csv", "w", newline="") as fh:
-        fh.write("size,protocol,mean_F,p25_F,p75_F,mean_rel_improvement\n")
-        for r in rows:
-            fh.write(
-                f"{r['size']},{r['protocol']},{fmt(r['mean_F'])},{fmt(r['p25_F'])},"
-                f"{fmt(r['p75_F'])},{fmt(r['mean_rel_improvement'])}\n"
-            )
-    meta = {"config": asdict(config), "sizes": list(sizes), "prng": PRNG_NAME}
-    meta["config"]["protocols"] = list(SCALING_PROTOCOLS)
-    with open(out_dir / "run.json", "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    columns = ["size", "protocol", "mean_F", "p25_F", "p75_F", "mean_rel_improvement"]
+    write_csv(out_dir / "scaling.csv", columns, ([str(r["size"]), *(r[c] for c in columns[1:])] for r in rows))
+    _write_run_json(out_dir, {"config": {**asdict(config), "protocols": list(SCALING_PROTOCOLS)},
+                              "sizes": list(sizes), "prng": PRNG_NAME})
     return 0
 
 

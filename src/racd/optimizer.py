@@ -118,11 +118,12 @@ def fmt(x: float) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
-    """A CSV of the column names ``header`` and the numeric ``rows``, written by :func:`fmt`."""
+    """A CSV of the column names ``header`` and the ``rows``: a label
+    (``str``) as it is, a number by :func:`fmt`."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(map(fmt, row)) + "\n")
+            fh.write(",".join(v if isinstance(v, str) else fmt(v) for v in row) + "\n")
 
 
 @dataclass
@@ -200,10 +201,10 @@ def make_action_objective(
     (see :func:`racd.closed_form.action_qubo`); both live as long as the
     objective, and neither changes a value.
     """
-    return _objective(model, lam, lam_dot, _evaluator(model, backend))
+    return _objective(model, lam, lam_dot, action_evaluator(model, backend))
 
 
-def _evaluator(model: Model, backend: str) -> Callable:
+def action_evaluator(model: Model, backend: str) -> Callable:
     """The action of ``model`` on ``backend`` as a function of ``(fd, x)``:
     the closed-form evaluator (:func:`racd.closed_form.evaluator`) or the
     dense oracle (:func:`racd.agp.action_oracle`); ``ValueError`` for a
@@ -217,7 +218,7 @@ def _evaluator(model: Model, backend: str) -> Callable:
 
 def _objective(model: Model, lam: float, lam_dot: float, evaluate: Callable) -> Callable[[np.ndarray], float]:
     """The objective of :func:`make_action_objective` on an evaluator made
-    by :func:`_evaluator`."""
+    by :func:`action_evaluator`."""
     fd = model.ua_fields(lam, lam_dot)
     return lambda x: evaluate(fd, x)
 
@@ -255,7 +256,7 @@ def sequential_optimize(
     times = np.array([m * ramp.tau / M for m in range(M + 1)])
     values = np.zeros((M + 1, len(names)))
     x = np.zeros(len(names))
-    evaluate = _evaluator(model, backend)
+    evaluate = action_evaluator(model, backend)
     for m, t in enumerate(times):
         lam, lam_dot = ramp(t)
         objective = _objective(model, lam, lam_dot, evaluate)
