@@ -11,9 +11,9 @@ both sides; ``racd validate`` is compared by its stdout, and every command
 by its exit status and stderr (``status.txt``), so that a command that
 fails is compared by its error line.  For each command it prints the peak
 RSS of its process in both trees (the child's own ``ru_maxrss``, from
-``os.wait4``; written to no compared file), then, for each output file,
-``identical``, or the number of differing lines and the largest absolute
-difference between the numbers on them.  It then prints the line counts of
+``os.wait4``; written to no compared file) and its wall time, then, for
+each output file, ``identical``, or the number of differing lines and the
+largest absolute difference between the numbers on them.  It then prints the line counts of
 the Python files under ``src/racd`` and ``tests`` in both trees.  The exit
 status is 1 if any file differs or exists on one side only.
 """
@@ -28,6 +28,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 from typing import List, Sequence, Tuple
 
@@ -51,6 +52,10 @@ COMMANDS = (
     ("validate",),
     # the one command above the 12-qubit dense cap: eigsh ground solves and a 2^13-state output stage (~30 s)
     ("run", "--model", "qubo", "--n", "13", "--protocols", "ua,local-cd,ra", "--steps", "2600"),
+    # refused before any work: compared by the error line in status.txt
+    ("run", "--model", "qubo", "--n", "16"),
+    ("run", "--model", "qubo", "--n", "13", "--protocols", "ua,exact-cd"),
+    ("scaling", "--model", "qubo", "--instances", "0"),
 )
 
 #: the directories whose Python line counts are printed for both trees
@@ -73,21 +78,23 @@ def child_run(cmd: Sequence[str], **popen) -> Tuple[int, str, str, float]:
         return proc.returncode, out.read().decode(), err.read().decode(), usage.ru_maxrss / 1024
 
 
-def _run(tree: Path, work: Path, args: Sequence[str]) -> float:
+def _run(tree: Path, work: Path, args: Sequence[str]) -> Tuple[float, float]:
     """``racd <args>`` from ``tree``'s source, in the new directory ``work``,
     which gets the command's exit status and stderr in ``status.txt``; the
-    command's peak RSS in MiB."""
+    command's peak RSS in MiB and its wall time in seconds."""
     work.mkdir(parents=True)
     cmd = [sys.executable, "-m", "racd.cli", *args]
     if args[0] != "validate":
         cmd += ["--out", "out"]
     path = os.pathsep.join(p for p in (str(tree / "src"), os.environ.get("PYTHONPATH")) if p)
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
+    start = time.perf_counter()
     status, stdout, stderr, peak = child_run(cmd, cwd=work, env=env)
+    wall = time.perf_counter() - start
     (work / "status.txt").write_text(f"exit status {status}\n{stderr}")
     if args[0] == "validate":
         (work / "stdout.txt").write_text(stdout)
-    return peak
+    return peak, wall
 
 
 def _lines_differ(old: List[str], new: List[str]) -> str:
@@ -142,9 +149,10 @@ def main() -> int:
             tar.extractall(parent_tree, filter="data")
         for i, command in enumerate(COMMANDS):
             work = {side: Path(tmp) / side / str(i) for side in ("parent", "change")}
-            peaks = [_run(tree, work[side], command) for tree, side in ((parent_tree, "parent"), (REPO, "change"))]
+            runs = [_run(tree, work[side], command) for tree, side in ((parent_tree, "parent"), (REPO, "change"))]
             print("racd " + " ".join(command), flush=True)
-            print("  peak RSS: parent {:.1f} MiB, change {:.1f} MiB".format(*peaks), flush=True)
+            print("  peak RSS: parent {:.1f} MiB, change {:.1f} MiB".format(*(peak for peak, _ in runs)), flush=True)
+            print("  wall time: parent {:.1f} s, change {:.1f} s".format(*(wall for _, wall in runs)), flush=True)
             for name, verdict in compare_dirs(work["parent"], work["change"]):
                 print(f"  {name}: {verdict}", flush=True)
                 same = same and verdict == "identical"

@@ -59,7 +59,7 @@ class RunConfig:
         if self.model not in ("two-spin", "chain", "qubo", "lhz"):
             raise ValueError(f"unknown model {self.model!r}")
         if self.instances < 1:
-            raise ValueError("instances must be >= 1")
+            raise ValueError(f"--instances {self.instances}: instances must be >= 1")
         if self.seed < 0:
             raise ValueError(f"--seed {self.seed}: seed must be >= 0")
         bad = [p for p in self.protocols if p not in PROTOCOL_KINDS]
@@ -73,18 +73,23 @@ class RunConfig:
             _check_flag(flag, value, check)
 
 
-def _check_flag(flag: str, value, check) -> None:
+def _check_flag(flag: str, value, check):
     """``check(value)``, its ValueError naming ``flag`` and the value."""
     try:
-        check(value)
+        return check(value)
     except ValueError as exc:
         raise ValueError(f"{flag} {value}: {exc}") from None
+
+
+def _size_flag(config: RunConfig) -> Tuple[str, int]:
+    """The flag that sizes the model of ``config``, and its value."""
+    return ("--n-logical", config.n_logical) if config.model == "lhz" else ("--n", config.n)
 
 
 def _build_model(config: RunConfig, seed: int) -> Model:
     if config.model == "two-spin":
         return TwoSpinModel()
-    return random_instance(config.model, config.n_logical if config.model == "lhz" else config.n, seed)
+    return _check_flag(*_size_flag(config), lambda size: random_instance(config.model, size, seed))
 
 
 def _write_run_json(out_dir: Path, meta: dict) -> None:
@@ -155,7 +160,7 @@ def _annotate(exc: RacdError, model: Model, stage: str) -> None:
 def cmd_run(config: RunConfig) -> int:
     config.validate()
     model = _build_model(config, config.seed)
-    check_capacity(model.n_qubits, config.protocols)
+    _check_flag(*_size_flag(config), lambda _: check_capacity(model.n_qubits, config.protocols))
     if "ra" in config.protocols:
         _check_flag("--backend", config.backend, lambda backend: action_evaluator(model, backend))
     out_dir = Path(config.out)
@@ -217,7 +222,7 @@ def cmd_scaling(config: RunConfig, sizes: Sequence[int] | None = None) -> int:
     if sizes is None:
         table = FULL_SCALING_SIZES if config.full else DEFAULT_SCALING_SIZES
         if config.model not in table:
-            raise ValueError("scaling study expects a random-instance model (qubo or lhz)")
+            raise ValueError(f"--model {config.model}: scaling study expects a random-instance model (qubo or lhz)")
         sizes = table[config.model]
     # a backend that serves the largest size serves them all
     largest = _build_model(replace(config, n=max(sizes), n_logical=max(sizes)), config.seed)

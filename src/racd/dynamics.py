@@ -25,7 +25,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, eigh
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
 
 from .agp import _require_hermitian, exact_agp
 from .errors import RacdError
@@ -99,17 +99,52 @@ def ground_space_op(op) -> Tuple[float, np.ndarray]:
     """Ground space, as :func:`ground_space`, of a dense or sparse matrix or
     of a SpinOperator, taken in that form from its slot tables.  Up to the
     dimension of ``DENSE_MATRIX_MAX_QUBITS`` qubits it is solved densely;
-    above, by ``eigsh`` (real for a real matrix) from a fixed start vector,
+    above, by ``eigsh`` (real for a real matrix) from fixed start vectors,
     so that no solve depends on earlier ones, and the cluster's vectors are
-    orthonormalized, which Lanczos does not do within a degenerate level."""
+    orthonormalized, which Lanczos does not do within a degenerate level.
+
+    Lanczos finds the copies of a degenerate level only through rounding,
+    so it can miss some.  The cluster is therefore completed: while the
+    lowest level of ``h`` with the cluster's span shifted up by 1 + |E0|,
+    solved from a new start vector, is still within ``DEGENERACY_TOL`` of
+    E0, its vectors there join the cluster.  A complete cluster comes back
+    unchanged.  An ARPACK failure, or a round that adds no new direction,
+    raises :class:`RacdError`."""
     h = op if sparse.issparse(op) or isinstance(op, np.ndarray) else _word_tables([op]).matrix([1.0])
     dim = h.shape[0]
     if dim <= 1 << DENSE_MATRIX_MAX_QUBITS:
         return ground_space(h if isinstance(h, np.ndarray) else h.toarray())
     _require_hermitian(h)
-    v0 = np.random.Generator(np.random.PCG64(0)).normal(size=dim)
-    energy, vec = _ground_cluster(lambda k: eigsh(h, k=k, which="SA", v0=v0), min(6, dim - 2), dim - 2)
-    return energy, np.linalg.qr(vec)[0]
+    rng = np.random.Generator(np.random.PCG64(0))
+
+    def lowest(a, k: int, v0: np.ndarray, tol: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+        try:
+            return eigsh(a, k=k, which="SA", v0=v0, tol=tol)
+        except ArpackError as exc:
+            raise RacdError(f"iterative ground solve failed: {exc}") from None
+
+    v0 = rng.normal(size=dim)
+    energy, vec = _ground_cluster(lambda k: lowest(h, k, v0), min(6, dim - 2), dim - 2)
+    basis, shift, rough = np.linalg.qr(vec)[0], 1.0 + abs(energy), DEGENERACY_TOL ** 0.5
+    while basis.shape[1] < dim:
+        deflated = LinearOperator(h.shape, lambda x: h @ x + shift * (basis @ (basis.conj().T @ x)),
+                                  dtype=np.result_type(h.dtype, basis.dtype))
+        # a new start: the last one has (to rounding) no component on a copy that its solve missed
+        v0 = rng.normal(size=dim)
+        # first to the relative residual ``rough``, which puts a level within rough * |level| of the one
+        # found; only a level that close to E0 is solved to full precision
+        (level,), _ = lowest(deflated, 1, v0, rough)
+        if level > energy + DEGENERACY_TOL + rough * abs(level):
+            break
+        level, more = _ground_cluster(lambda k: lowest(deflated, k, v0), min(6, dim - 2), dim - 2)
+        if level > energy + DEGENERACY_TOL:
+            break
+        q, r = np.linalg.qr(np.hstack([basis, more]))
+        new = np.abs(np.diag(r)[basis.shape[1]:]) > 0.5
+        if not new.any():
+            raise RacdError(f"iterative ground solve found no new vector of its {basis.shape[1]}-fold level")
+        basis = np.hstack([basis, q[:, basis.shape[1]:][:, new]])
+    return energy, basis
 
 
 def _ground_cluster(solve, k: int, k_max: int) -> Tuple[float, np.ndarray]:
@@ -324,8 +359,10 @@ def check_steps(steps: int) -> None:
 
 def _output_steps(steps: int, n_out: int) -> np.ndarray:
     """Indices of the ``n_out`` RK4 steps sampled for output, both ends
-    included."""
+    included, each step once."""
     check_steps(steps)
+    if not 2 <= n_out <= steps + 1:
+        raise ValueError(f"n_out must be from 2 to steps + 1 = {steps + 1}, got {n_out}")
     return np.unique(np.linspace(0, steps, n_out).round().astype(int))
 
 
@@ -359,8 +396,10 @@ def evolve(
     same initial state, as one block: the one-group case of the block loop
     (:func:`_evolve_groups`).
 
-    The protocols share one model and one ramp.  Returns (times, states) at
-    ``n_out`` integrator grid points (both endpoints included), ``states`` a
+    The protocols share one model and one ramp, and ``psi0`` is a unit
+    vector of the full 2^N space (a ValueError before any work otherwise).
+    Returns (times, states) at ``n_out`` integrator grid points (both
+    endpoints included, 2 <= ``n_out`` <= ``steps`` + 1), ``states`` a
     ``(n_out, 2^N, B)`` view, one column per protocol, of the RK4 loop's store ``(n_out, B, 2^N)``.
     Raises :class:`StepSizeError`, naming the protocol, if a state's norm
     drifts by more than 1e-6 anywhere on the output grid: the first protocol
@@ -374,6 +413,12 @@ def evolve(
     protocols = list(protocols)
     _check_groups([protocols])
     times = _output_times(protocols, steps, n_out)
+    dim, psi0 = 1 << protocols[0].model.n_qubits, np.asarray(psi0)
+    if psi0.shape != (dim,):
+        raise ValueError(f"psi0 has shape {psi0.shape}, not ({dim},)")
+    # a NaN or infinite amplitude fails too
+    if not abs(np.linalg.norm(psi0) - 1.0) <= NORM_DRIFT_TOL:
+        raise ValueError(f"psi0 has norm {np.linalg.norm(psi0):.6g}, not 1 within {NORM_DRIFT_TOL}")
     (states,) = _evolve_groups([(protocols, psi0)], steps, n_out)
     if isinstance(states, Exception):
         raise states
@@ -700,8 +745,11 @@ def run_groups(
     up to the first failure.  A group whose evolution fails does not
     disturb the others.  An exception raised while a group is read, by
     ``groups`` or before its evolution (capacity, ground solves, a
-    degenerate start), ends the reading and is the last outcome.
+    degenerate start), ends the reading and is the last outcome.  A
+    ``steps`` or ``n_out`` that no group can run raises on the first read,
+    before any group is read.
     """
+    _output_steps(steps, n_out)
     # (protocols, output times, lambdas, ground bases) of each group read and not yet traced
     grids: list = []
     failure: list = []

@@ -164,6 +164,14 @@ def test_state_vector_cap_refused_before_any_run(tmp_path, capsys, monkeypatch):
     # refused at its largest size (N = 15) before the sizes below the cap are synthesized
     (["scaling", "--model", "qubo", "--full", "--backend", "oracle"],
      "--backend oracle: 15 qubits exceeds the dense oracle cap"),
+    (["run", "--model", "qubo", "--n", "1"], "--n 1: size must be >= 2"),
+    (["run", "--model", "chain", "--n", "2"], "--n 2: periodic chain needs at least 3 sites"),
+    (["run", "--model", "lhz", "--n-logical", "2"], "--n-logical 2: LHZ needs at least 3 logical spins"),
+    (["run", "--model", "qubo", "--n", "16"], "--n 16: 16 qubits exceeds state-vector cap"),
+    (["run", "--model", "qubo", "--n", "13", "--protocols", "ua,exact-cd"],
+     "--n 13: exact-cd is limited to 8 qubits, got 13"),
+    (["scaling", "--model", "qubo", "--instances", "0"], "--instances 0: instances must be >= 1"),
+    (["scaling", "--model", "chain"], "--model chain: scaling study expects a random-instance model (qubo or lhz)"),
 ])
 def test_invalid_run_input_refused_before_any_work(tmp_path, capsys, monkeypatch, args, named):
     def synthesize(*args, **kwargs):

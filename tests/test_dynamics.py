@@ -121,6 +121,51 @@ def _planted_degeneracy(dim, g, seed):
     return 0.5 * (h + h.T)
 
 
+def test_ground_space_op_iterative_completes_planted_degeneracy(monkeypatch):
+    # Lanczos finds the copies of a degenerate level only through rounding;
+    # above the dense cap, each of 300 planted clusters (dim 8-79, g 2-8)
+    # comes back whole and orthonormal, or the solve raises RacdError, as
+    # ARPACK does on a few of the smallest matrices, whose Krylov space
+    # nearly fills the whole space
+    from racd import RacdError, dynamics
+
+    monkeypatch.setattr(dynamics, "DENSE_MATRIX_MAX_QUBITS", 2)
+    rng = np.random.Generator(np.random.PCG64(2024))
+    # Lanczos alone finds 3, 5 and 3 vectors of these three clusters
+    cases = [(23, 4, 20280), (73, 7, 59987), (22, 5, 4339)]
+    cases += [(int(rng.integers(8, 80)), int(rng.integers(2, 9)), int(rng.integers(0, 2**16))) for _ in range(300)]
+    failed = []
+    for dim, g, seed in cases:
+        h = _planted_degeneracy(dim, g, seed)
+        try:
+            _, basis = ground_space_op(h)
+        except RacdError:
+            failed.append((dim, g, seed))
+            continue
+        # the planted gap is at least 0.1, so the dense solve's cluster is the planted span
+        planted = np.linalg.eigh(h)[1][:, :g]
+        assert basis.shape == (dim, g), (dim, g, seed)
+        assert_allclose(basis.T @ basis, np.eye(g), atol=1e-8)
+        assert_allclose(basis @ basis.T, planted @ planted.T, atol=1e-8)
+    assert not set(failed) & set(cases[:3])
+    assert len(failed) < 30, failed
+
+
+def test_ground_space_op_iterative_keeps_a_complete_cluster(monkeypatch):
+    # completing a cluster leaves one that is already whole, such as a unique
+    # ground state, bit for bit as Lanczos found it
+    import scipy.sparse
+    from scipy.sparse.linalg import eigsh
+    from racd import dynamics
+
+    h = scipy.sparse.csr_array(random_instance("qubo", 6, 0).h0(0.7).to_dense().real)
+    eps, vec = eigsh(h, k=6, which="SA", v0=np.random.Generator(np.random.PCG64(0)).normal(size=64))
+    monkeypatch.setattr(dynamics, "DENSE_MATRIX_MAX_QUBITS", 3)
+    energy, basis = ground_space_op(h)
+    assert energy == eps.min()
+    assert np.array_equal(basis, np.linalg.qr(vec[:, [np.argmin(eps)]])[0])
+
+
 def test_ground_space_survives_evx_nonconvergence(monkeypatch):
     from racd import dynamics
 
@@ -880,6 +925,44 @@ def test_drifted_groups_keep_their_own_errors_and_spare_the_others():
     assert isinstance(outcomes[0], StepSizeError) and isinstance(outcomes[2], StepSizeError)
     for got, want in zip(outcomes[1], run_protocol(fine, steps=100, n_out=51)):
         assert np.array_equal(got.F, want.F) and np.array_equal(got.F_tilde, want.F_tilde)
+
+
+@pytest.mark.parametrize("steps, n_out", [(200, 1), (200, 0), (200, -3), (100, 500)])
+def test_output_point_count_refused_before_any_work(monkeypatch, steps, n_out):
+    # fewer than 2 output points would report F(0) as the final fidelity;
+    # more than steps + 1 would be silently cut to steps + 1
+    from racd import dynamics
+
+    monkeypatch.setattr(dynamics, "ground_trace", lambda *args: pytest.fail("ground solve ran"))
+    monkeypatch.setattr(dynamics, "_evolve_block", lambda *args: pytest.fail("RK4 loop ran"))
+    protocols = [assemble_protocol(TwoSpinModel(), None, "ua", Ramp(1.0))]
+
+    def groups():
+        pytest.fail("a group was read")
+        yield protocols
+
+    for run in (lambda: evolve(protocols, np.eye(4)[0], steps=steps, n_out=n_out),
+                lambda: run_protocol(protocols, steps=steps, n_out=n_out),
+                lambda: next(dynamics.run_groups(groups(), steps=steps, n_out=n_out))):
+        with pytest.raises(ValueError, match=f"n_out must be from 2 to steps \\+ 1 = {steps + 1}, got {n_out}"):
+            run()
+
+
+@pytest.mark.parametrize("psi0, error", [
+    (np.eye(4)[0] * 2.0, "psi0 has norm 2, not 1 within 1e-06"),
+    (np.full(4, np.nan), "psi0 has norm nan, not 1 within 1e-06"),
+    (np.eye(3)[0], r"psi0 has shape \(3,\), not \(4,\)"),
+], ids=["norm-2", "nan", "length-3"])
+def test_evolve_refuses_a_start_that_is_not_a_unit_state(monkeypatch, psi0, error):
+    # a start of norm 2 used to fail as a norm drift, whose step-count
+    # advice cannot help, and a short one in numpy's broadcasting
+    from racd import dynamics
+
+    monkeypatch.setattr(dynamics, "_evolve_block", lambda *args: pytest.fail("RK4 loop ran"))
+    model = TwoSpinModel()
+    protocols = [assemble_protocol(model, None, kind, Ramp(1.0)) for kind in ("ua", "local-cd")]
+    with pytest.raises(ValueError, match=error):
+        evolve(protocols, psi0, steps=200)
 
 
 def test_run_groups_ends_at_a_group_that_cannot_be_read(monkeypatch):
