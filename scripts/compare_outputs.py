@@ -36,6 +36,8 @@ REPO = Path(__file__).resolve().parents[1]
 
 COMMANDS = (
     ("run", "--model", "chain", "--n", "8", "--protocols", "ua,local-cd,ra"),
+    # tau != 1: the ramp's scaling, the knot grid m tau / M and the RA span check's slack
+    ("run", "--model", "chain", "--n", "6", "--tau", "0.5", "--protocols", "ua,local-cd,ra"),
     ("run", "--model", "lhz", "--n-logical", "4", "--protocols", "ua,local-cd,ra"),
     ("run", "--model", "two-spin", "--protocols", "ua,exact-cd"),
     ("run", "--model", "two-spin", "--protocols", "ua,local-cd,ra"),

@@ -48,7 +48,7 @@ def ramp_table(times: np.ndarray, tau: float) -> Tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(tau):
         raise ValueError("tau must be finite")
     t = np.asarray(times, dtype=float)
-    outside = (t < -1e-9 * tau) | (t > tau * (1 + 1e-9))
+    outside = ~((t >= -1e-9 * tau) & (t <= tau * (1 + 1e-9)))  # NaN too
     if outside.any():
         raise ValueError(f"t={float(t[outside][0])} outside [0, {tau}]")
     # clamped as Python's min(max(t, 0.0), tau) does: np.maximum(-0.0, 0.0)

@@ -131,18 +131,15 @@ class ParamTrajectory:
     """Time-gridded variational parameters with spline interpolation.
 
     ``values`` has one row per grid time, columns ordered as ``param_names``.
-    Interpolation is a cubic spline (boundary per ``bc``), whose analytic
-    derivative supplies the Q-parameter rates entering the RA fields.
+    ``spline`` is one cubic spline through every column with zero rate at
+    both ends, where lambda_dot = 0 makes the trivial ansatz optimal; its
+    analytic derivative supplies the Q-parameter rates of the RA fields.
     """
 
     times: np.ndarray
     values: np.ndarray
     param_names: Tuple[str, ...]
-    #: spline boundary handling: "natural" for generic data, "clamped-zero"
-    #: when the knots are known to have vanishing end rates (the sequential
-    #: optimizer's output, where lambda_dot = lambda_ddot = 0 at t = 0, tau)
-    bc: str = "natural"
-    _splines: Dict[str, CubicSpline] = field(default_factory=dict, init=False, repr=False)
+    spline: CubicSpline = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
@@ -155,35 +152,30 @@ class ParamTrajectory:
             raise ValueError("values shape does not match times/param_names")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("non-finite parameter values")
-        if self.bc not in ("natural", "clamped-zero"):
-            raise ValueError(f"bc must be 'natural' or 'clamped-zero', got {self.bc!r}")
+        zero_rates = (1, np.zeros(len(self.param_names)))
+        self.spline = CubicSpline(self.times, self.values, axis=0, bc_type=(zero_rates, zero_rates))
 
-    def _spline(self, name: str) -> CubicSpline:
+    def _column(self, name: str) -> int:
         if name not in self.param_names:
             raise KeyError(f"unknown parameter {name!r}")
-        if name not in self._splines:
-            col = self.param_names.index(name)
-            bc_type = ((1, 0.0), (1, 0.0)) if self.bc == "clamped-zero" else "natural"
-            self._splines[name] = CubicSpline(self.times, self.values[:, col], bc_type=bc_type)
-        return self._splines[name]
+        return self.param_names.index(name)
 
     def value(self, name: str, t):
-        return self._spline(name)(t)
+        return self.spline(t)[..., self._column(name)]
 
     def derivative(self, name: str, t):
-        return self._spline(name)(t, 1)
+        return self.spline(t, 1)[..., self._column(name)]
 
     def to_csv(self, path) -> None:
         write_csv(path, ["t", *self.param_names], np.column_stack([self.times, self.values]))
 
     @staticmethod
     def from_csv(path) -> "ParamTrajectory":
-        """Read ``params_ra.csv``, which holds :func:`sequential_optimize`
-        output, so its ``"clamped-zero"`` spline boundary is restored."""
+        """Read ``params_ra.csv`` as :meth:`to_csv` wrote it."""
         with open(path) as fh:
             header = fh.readline().strip().split(",")
             data = np.loadtxt(fh, delimiter=",", ndmin=2)
-        return ParamTrajectory(data[:, 0], data[:, 1:], tuple(header[1:]), bc="clamped-zero")
+        return ParamTrajectory(data[:, 0], data[:, 1:], tuple(header[1:]))
 
 
 def make_action_objective(
@@ -280,7 +272,7 @@ def sequential_optimize(
                 if period:
                     x[i] -= period * np.round((x[i] - values[m - 1, i]) / period)
         values[m] = x
-    return ParamTrajectory(times, values, names, bc="clamped-zero")
+    return ParamTrajectory(times, values, names)
 
 
 PROTOCOL_KINDS = ("ua", "local-cd", "ra", "exact-cd")
@@ -314,6 +306,11 @@ class Protocol:
                 raise ValueError("RA protocol needs a trajectory")
             if self.trajectory.param_names != self.model.param_names:
                 raise ValueError("trajectory parameters do not match the model")
+            # the spline would extrapolate past its knots without a word
+            first, last = float(self.trajectory.times[0]), float(self.trajectory.times[-1])
+            tau = self.ramp.tau
+            if abs(first) > 1e-9 * tau or abs(last - tau) > 1e-9 * tau:
+                raise ValueError(f"trajectory spans [{first}, {last}], the ramp [0, {tau}]")
         if self.kind == "local-cd":
             self._local_solver = LocalCdSolver(self.model)
 
@@ -324,9 +321,9 @@ class Protocol:
 
     def q_table(self, times: np.ndarray) -> Dict[str, np.ndarray]:
         times = np.atleast_1d(np.asarray(times, dtype=float))
-        ra = self.kind == "ra"
-        return {t.param: np.asarray(self.trajectory.value(t.param, times)) if ra else np.zeros(len(times))
-                for t in self.model.terms if t.param in ("gamma", "phi")}
+        names = self.model.param_names
+        values = self.trajectory.spline(times) if self.kind == "ra" else np.zeros((len(times), len(names)))
+        return {t.param: values[:, names.index(t.param)] for t in self.model.terms if t.param in ("gamma", "phi")}
 
     def y_table(self, times: np.ndarray) -> np.ndarray:
         times = np.atleast_1d(np.asarray(times, dtype=float))
@@ -343,12 +340,13 @@ class Protocol:
         terms = self.model.terms
         n_y = self.model.n_qubits if self.kind == "local-cd" else 0
         out = np.empty((len(times), len(terms) + n_y))
+        if self.kind == "ra":
+            names = self.model.param_names
+            values, rates = self.trajectory.spline(times), self.trajectory.spline(times, 1)
         for c, t in enumerate(terms):
             out[:, c] = t.field0 + t.field1 * lams
-            if self.kind == "ra" and t.param == "beta":
-                out[:, c] += self.trajectory.value("beta", times)
-            elif self.kind == "ra" and t.param in ("gamma", "phi"):
-                out[:, c] += self.trajectory.derivative(t.param, times)
+            if self.kind == "ra" and t.param:
+                out[:, c] += (values if t.param == "beta" else rates)[:, names.index(t.param)]
         if n_y:
             out[:, len(terms) :] = lam_dots[:, None] * self._local_solver.solve_batch(lams)
         return out

@@ -17,8 +17,8 @@ from racd.agp import action_oracle
 from racd.cli import RunConfig, scaling_study
 from racd.dynamics import run_protocol
 from racd.models import ChainModel, Ramp, TwoSpinModel, ramp_eval, random_instance
-from racd.optimizer import assemble_protocol, bfgs_minimize, sequential_optimize
-from racd.validation import suite_closed_form_vs_oracle, suite_decomposition_identities
+from racd.optimizer import assemble_protocol, sequential_optimize
+from racd.validation import suite_cd_limitations, suite_closed_form_vs_oracle, suite_decomposition_identities
 
 pytestmark = pytest.mark.slow
 
@@ -264,26 +264,9 @@ def test_criterion_6_exact_cd_perfect_driving():
 def test_criterion_7_cd_limitations_triviality():
     """Unrotated two-operator CD: S(alpha) >= S(0) on a 101x101 grid and the
     minimizer stays at the origin."""
-    model = TwoSpinModel()
-    h_q = model.term_by_param("gamma").operator
-    h_k = model.term_by_param("beta").operator
-    lam = 0.3
-    fd = model.ua_fields(lam, 1.0)
-    A0, dA0 = fd["h"]
-    B0, dB0 = fd["J"]
-
-    def s_of(a):
-        return cf.action_cd_two_param(h_q, h_k, A0, B0, dA0, dB0, a[0], a[1])
-
-    s0 = s_of(np.zeros(2))
-    grid = np.linspace(-1.0, 1.0, 101)
-    excess = max(s0 - s_of(np.array([aa, ab])) for aa in grid for ab in grid)
-    res = bfgs_minimize(s_of, np.zeros(2))
-    alpha_norm = float(np.linalg.norm(res.x))
-    ok = excess <= 1e-9 and alpha_norm <= 1e-6
-    report(7, ok, f"grid excess below S(0): {excess:.2e} (<=0), |alpha*| = {alpha_norm:.2e} (<=1e-6)")
-    assert excess <= 1e-9
-    assert alpha_norm <= 1e-6
+    result = suite_cd_limitations()
+    report(7, result.passed, f"{result.name} {result.detail}, bounds 1e-9 and 1e-6")
+    assert result.passed, result.line()
 
 
 def test_criterion_8_boundary_conditions(two_spin_run, chain_run):

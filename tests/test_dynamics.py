@@ -475,7 +475,7 @@ def sigma_y_dense(n, j):
 def random_trajectory(model, seed, scale=0.1, knots=6):
     rng = np.random.Generator(np.random.PCG64(seed))
     values = rng.uniform(-scale, scale, size=(knots, len(model.param_names)))
-    return ParamTrajectory(np.linspace(0.0, 1.0, knots), values, model.param_names, bc="clamped-zero")
+    return ParamTrajectory(np.linspace(0.0, 1.0, knots), values, model.param_names)
 
 
 def dense_rk4(protocol, psi0, steps, n_out):

@@ -20,6 +20,7 @@ from racd.models import (
     random_instance,
 )
 from racd.operators import sigma_x
+from racd.optimizer import assemble_protocol
 
 
 def test_ramp_endpoints_and_midpoint():
@@ -56,6 +57,15 @@ def test_ramp_range_error():
         ramp_eval(1.1, 1.0)
     with pytest.raises(ValueError):
         ramp_eval(0.5, 0.0)
+
+
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_ramp_refuses_non_finite_times(t):
+    # a NaN used to fail both range comparisons and come back as NaN fields
+    with pytest.raises(ValueError, match=f"t={t} outside"):
+        Ramp(1.0).table(np.array([0.5, t]))
+    with pytest.raises(ValueError, match=f"t={t} outside"):
+        assemble_protocol(TwoSpinModel(), None, "ua", Ramp(1.0)).field_table([t])
 
 
 def scalar_ramp(t, tau):

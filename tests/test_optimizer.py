@@ -90,15 +90,44 @@ def test_trajectory_validation():
         ParamTrajectory(np.array([0.0, 0.5, 1.0]), np.full((3, 1), np.nan), ("beta",))
 
 
-@pytest.mark.parametrize("bc", ["clamped", "Natural", "", None])
-def test_trajectory_refuses_an_unknown_spline_boundary(bc):
-    # a mistyped bc used to build a natural spline: sin(3t)'s end rate was 2.9999 with "clamped"
+def test_trajectory_rates_vanish_at_both_ends():
+    # sin(3t) has rate 3 at t = 0: the spline's zero end rates are imposed, not read off the knots
     times = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError, match="'natural' or 'clamped-zero'"):
-        ParamTrajectory(times, np.sin(3 * times)[:, None], ("gamma",), bc=bc)
-    rates = {bc: ParamTrajectory(times, np.sin(3 * times)[:, None], ("gamma",), bc=bc).derivative("gamma", 1.0)
-             for bc in ("natural", "clamped-zero")}
-    assert abs(rates["clamped-zero"]) < 1e-12 and abs(rates["natural"]) > 1.0
+    traj = ParamTrajectory(times, np.sin(3 * times)[:, None], ("gamma",))
+    assert traj.derivative("gamma", 0.0) == 0.0
+    assert abs(traj.derivative("gamma", 1.0)) < 1e-12
+
+
+@st.composite
+def knot_grids(draw):
+    knots = draw(st.integers(3, 201))
+    steps = draw(st.lists(st.floats(1e-3, 1.0), min_size=knots - 1, max_size=knots - 1))
+    times = np.concatenate([[0.0], np.cumsum(steps)])
+    n_params = draw(st.integers(1, 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    scale = draw(st.floats(1e-3, 1e3))
+    values = np.random.Generator(np.random.PCG64(seed)).uniform(-scale, scale, size=(knots, n_params))
+    return times, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(knot_grids(), st.integers(0, 2**32 - 1))
+def test_trajectory_matches_per_column_zero_end_rate_splines(grid, probe_seed):
+    """One spline over every column gives each column's own zero-end-rate
+    scipy spline, in values and rates, on non-uniform knots."""
+    from scipy.interpolate import CubicSpline
+
+    times, values = grid
+    names = ("beta", "gamma", "phi")[: values.shape[1]]
+    traj = ParamTrajectory(times, values, names)
+    rng = np.random.Generator(np.random.PCG64(probe_seed))
+    probe = np.concatenate([times, rng.uniform(times[0], times[-1], 50)])
+    tol = 1e-13 * np.abs(values).max()
+    for c, name in enumerate(names):
+        judge = CubicSpline(times, values[:, c], bc_type=((1, 0.0), (1, 0.0)))
+        assert np.abs(traj.value(name, probe) - judge(probe)).max() <= tol
+        assert np.abs(traj.derivative(name, probe) - judge(probe, 1)).max() <= tol
+        assert traj.derivative(name, times[0]) == 0.0
 
 
 def test_trajectory_interpolates_knots():
@@ -111,20 +140,23 @@ def test_trajectory_interpolates_knots():
 
 def test_differentiate_constant_and_linear():
     times = np.linspace(0, 2, 21)
+    # a cubic whose rate vanishes at both ends, which the zero-end-rate spline reproduces exactly
+    s = times / 2
     traj = ParamTrajectory(
-        times, np.column_stack([np.full(21, 0.7), 3.5 * times]), ("beta", "gamma")
+        times, np.column_stack([np.full(21, 0.7), 3.5 * (3 * s**2 - 2 * s**3)]), ("beta", "gamma")
     )
     probe = np.linspace(0, 2, 50)
     assert_allclose(traj.derivative("beta", probe), np.zeros(50), atol=1e-10)
-    assert_allclose(traj.derivative("gamma", probe), np.full(50, 3.5), atol=1e-10)
+    sp = probe / 2
+    assert_allclose(traj.derivative("gamma", probe), 3.5 * 3 * (sp - sp**2), atol=1e-10)
 
 
 def test_differentiate_sin_sup_norm():
     tau = 1.0
     times = np.linspace(0, tau, 201)  # M = 200
-    traj = ParamTrajectory(times, np.sin(2 * np.pi * times / tau)[:, None], ("gamma",))
+    traj = ParamTrajectory(times, 1 - np.cos(2 * np.pi * times / tau)[:, None], ("gamma",))
     probe = np.linspace(0, tau, 1000)
-    want = (2 * np.pi / tau) * np.cos(2 * np.pi * probe / tau)
+    want = (2 * np.pi / tau) * np.sin(2 * np.pi * probe / tau)
     got = traj.derivative("gamma", probe)
     assert np.abs(got - want).max() <= 1e-4
 
@@ -338,6 +370,29 @@ def test_protocol_trajectory_model_mismatch():
         Protocol(model=model, kind="ra", ramp=Ramp(1.0), trajectory=None)
     with pytest.raises(ValueError):
         Protocol(model=model, kind="nonsense", ramp=Ramp(1.0))
+
+
+def test_ra_refuses_a_trajectory_that_does_not_span_the_ramp():
+    # a tau = 1 trajectory on a tau = 2 ramp used to extrapolate the spline: h = 238.67 at t = 2
+    model = TwoSpinModel()
+    traj = ParamTrajectory(np.linspace(0.0, 1.0, 11), np.zeros((11, 2)), model.param_names)
+    with pytest.raises(ValueError, match=r"trajectory spans \[0\.0, 1\.0\], the ramp \[0, 2\.0\]"):
+        assemble_protocol(model, traj, "ra", Ramp(2.0))
+    late = ParamTrajectory(np.linspace(0.1, 1.0, 11), np.zeros((11, 2)), model.param_names)
+    with pytest.raises(ValueError, match="trajectory spans"):
+        assemble_protocol(model, late, "ra", Ramp(1.0))
+
+
+def test_ra_accepts_its_own_grid_and_its_csv(tmp_path):
+    # at tau = 1/3 the last knot M * tau / M is one ulp below tau; the CSV keeps 12 digits
+    model, ramp = TwoSpinModel(), Ramp(1.0 / 3.0)
+    traj = sequential_optimize(model, ramp, M=100)
+    assert traj.times[-1] != ramp.tau
+    traj.to_csv(tmp_path / "params_ra.csv")
+    again = ParamTrajectory.from_csv(tmp_path / "params_ra.csv")
+    for t in (traj, again):
+        fields = assemble_protocol(model, t, "ra", ramp).field_table([0.0, ramp.tau])
+        assert np.all(np.isfinite(fields["h"]))
 
 
 def test_q_table_zero_except_ra():
