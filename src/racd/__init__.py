@@ -26,7 +26,6 @@ from .models import (
     Ramp,
     TwoSpinModel,
     build_hamiltonian,
-    lhz_counts,
     lhz_default_constraints,
     ramp_eval,
     random_instance,

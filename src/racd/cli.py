@@ -282,7 +282,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
             kind = type(getattr(RunConfig, key))
             # a JSON list for the protocols, an int for a float, and no bool for a number
             if type(value) not in {tuple: (list,), float: (int, float)}.get(kind, (kind,)):
-                raise ValueError(f"config key {key!r}: expected {kind.__name__}, got {value!r}")
+                name = "list" if kind is tuple else kind.__name__
+                raise ValueError(f"config key {key!r}: expected {name}, got {value!r}")
     if getattr(args, "protocols", None) is not None:
         args.protocols = [s.strip() for s in args.protocols.split(",") if s.strip()]
     config = RunConfig(**base)

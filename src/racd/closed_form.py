@@ -26,7 +26,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .errors import RacdError
-from .models import ChainModel, LhzCounts, Model, check_couplings, lhz_counts  # noqa: F401 - LHZ counts re-exported
+from .models import ChainModel, LhzCounts, Model, check_couplings, lhz_default_constraints
 from .operators import SpinOperator, commutator, sigma_x, sigma_y, trace_product, z_word
 
 FieldDerivs = Dict[str, Tuple[float, float]]  # term name -> (value, time derivative)
@@ -389,15 +389,19 @@ def action_lhz(
     Not valid for every constraint list, and the exact condition is open.
     What is known, with the dense oracle as the arbiter:
 
-    - a repeated constraint makes it wrong (41% low on one layout), so
-      :func:`normalization`, and with it :func:`action` and
-      :func:`evaluator`, refuse such a model;
-    - layouts with three pairwise-overlapping constraints can be wrong: 74
-      of 168 such random duplicate-free, independent layouts on 6 qubits
-      were, by 0.1% to 12%, and none without such a triple was;
+    - a repeated constraint makes it wrong (41% low on one layout);
+    - layouts with three pairwise-overlapping constraints can be wrong: of
+      382 such random layouts on 6 and 10 qubits, 154 were off by more
+      than 1e-8 and the worst by 22%, while none of 218 without such a
+      triple was;
     - the default triangular layouts (:func:`racd.models.lhz_default_constraints`)
-      agree with the oracle to rounding for n = 3, 4 and 5; n = 6 has 15
-      qubits, above the oracle's dense cap.
+      agree with the oracle to rounding for n = 3, 4 and 5, although for
+      n >= 4 they hold such a triple; n = 6 has 15 qubits, above the
+      oracle's dense cap.
+
+    So :func:`normalization`, and with it :func:`action` and
+    :func:`evaluator`, refuse a layout with a repeated constraint, and one
+    with three pairwise-overlapping constraints other than the default.
     """
     J = np.asarray(J, dtype=float)
     n = len(J)
@@ -413,10 +417,10 @@ def action_lhz(
     cg = np.cos(2.0 * gamma * J)
     sg = np.sin(2.0 * gamma * J)
     cg4 = np.cos(4.0 * gamma * J)
-    lm = counts.L_mu.astype(float)
+    lm = counts.L_mu_float
     c2_l = c2 ** counts.L_mu
-    c2_lm1 = c2 ** np.maximum(counts.L_mu - 1, 0)
-    c2_lm2 = c2 ** np.maximum(counts.L_mu - 2, 0)
+    c2_lm1 = c2 ** counts.L_mu_less1
+    c2_lm2 = c2 ** counts.L_mu_less2
     c4_l = c4 ** counts.L_mu
 
     s = dA0**2 * float((J**2).sum()) + n * dB0**2 + counts.L * dC0**2
@@ -431,9 +435,7 @@ def action_lhz(
         ((B0 * dA0 - dB0 * A0) * J * sg * c2_l + (B0 * dC0 - dB0 * C0) * lm * cg * s2 * c2_lm1).sum()
     )
     s += 2.0 * B0**2 * bt**2 * float((1.0 - cg4 * c4_l).sum())
-    for mu, nu in counts.pairs:
-        lmn = int(counts.L_mu_nu[mu, nu])
-        expo = int(counts.L_mu_not_nu[mu, nu] + counts.L_mu_not_nu[nu, mu])
+    for mu, nu, lmn, expo in counts.pairs:
         shared = 1.0 - c4**lmn
         s += 4.0 * B0**2 * bt**2 * shared
         s += 8.0 * B0**2 * bt**2 * shared * (c2**expo) * cg[mu] * cg[nu]
@@ -447,7 +449,7 @@ def action_lhz(
 def normalization(model: Model) -> float:
     """Factor by which the dense trace Tr(G_t^2) exceeds :func:`action` for
     ``model``; raises ``ValueError`` where no closed form applies, which
-    includes an LHZ layout with a repeated constraint."""
+    includes the LHZ layouts that :func:`action_lhz` refuses."""
     n = model.n_qubits
     if model.kind == "two-spin":
         return 1.0
@@ -455,8 +457,15 @@ def normalization(model: Model) -> float:
         if n < 4:
             raise ValueError("chain closed form needs N >= 4; use backend='oracle'")
         return n * 2.0**n
-    if model.kind == "lhz" and model.has_repeated_constraint:
-        raise ValueError("LHZ closed form does not support a repeated constraint; use backend='oracle'")
+    if model.kind == "lhz":
+        counts, reason = model.counts, None
+        default = sorted(counts.constraints) == sorted(lhz_default_constraints(model.n_logical))
+        if counts.repeated:
+            reason = "a repeated constraint"
+        elif counts.overlapping_triple and not default:
+            reason = "three pairwise-overlapping constraints outside the default layout"
+        if reason:
+            raise ValueError(f"LHZ closed form does not serve a layout with {reason}; use backend='oracle'")
     if model.kind in ("qubo", "lhz"):
         return 2.0**n
     raise ValueError(f"no closed form for model kind {model.kind!r}")

@@ -612,6 +612,9 @@ class _Block:
         return np.add.reduce(self._buf, axis=0, out=out)
 
 
+# an overflowed state fails its drift check (a non-finite norm does), so
+# numpy's overflow warnings on the way there would add nothing to that error
+@np.errstate(over="ignore", invalid="ignore")
 def _evolve_block(members: List[_Group], out_idx: np.ndarray, steps: int) -> list:
     """The RK4 loop: every group of ``members`` evolved as one
     :class:`_Block`; one entry per group, its states on the output steps

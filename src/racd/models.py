@@ -368,10 +368,9 @@ class LhzModel(Model):
     L = (n-1)(n-2)/2 plaquette constraints are sigma-z products over 3 or 4
     qubits.  H_p = -sum J_k sz_k (A0 = lambda, gamma), H_x = -sum sx_k
     (B0 = 1 - lambda, beta), H_c = -sum_l prod_{q in l} sz_q
-    (C0 = C_f * lambda with C_f = 3, phi).  ``counts`` holds the layout's
-    constraint combinatorics, which the closed-form action consumes, and
-    ``has_repeated_constraint`` whether a constraint appears twice, which the
-    closed form does not support.
+    (C0 = C_f * lambda with C_f = 3, phi).  ``counts`` (:class:`LhzCounts`)
+    checks the layout and holds its combinatorics, which the closed-form
+    action reads.
     """
 
     kind = "lhz"
@@ -390,14 +389,8 @@ class LhzModel(Model):
         J = np.asarray(couplings, dtype=float)
         if J.shape != (n,):
             raise ValueError(f"expected {n} couplings for n_logical={n_logical}, got {J.shape}")
-        if constraints is None:
-            constraints = lhz_default_constraints(n_logical)
-        constraints = [tuple(sorted(int(q) for q in c)) for c in constraints]
-        for c in constraints:
-            if not all(0 <= q < n for q in c):
-                raise ValueError(f"constraint {c} has out-of-range qubit index")
-            if len(c) not in (3, 4) or len(set(c)) != len(c):
-                raise ValueError(f"constraint {c} must be 3 or 4 distinct qubits")
+        self.counts = LhzCounts(lhz_default_constraints(n_logical) if constraints is None else constraints, n)
+        constraints = self.counts.constraints
         h_p = SpinOperator.zero(n)
         for k in range(n):
             if J[k]:
@@ -410,9 +403,7 @@ class LhzModel(Model):
             h_c = h_c - z_word(n, c)
         self.n_logical = n_logical
         self.couplings = J
-        self.constraints = list(constraints)
-        self.counts = lhz_counts(self.constraints, n)
-        self.has_repeated_constraint = len(set(self.constraints)) < len(self.constraints)
+        self.constraints = constraints
         super().__init__(
             n,
             [
@@ -471,59 +462,56 @@ def lhz_default_constraints(n: int) -> List[Tuple[int, ...]]:
     return constraints
 
 
-@dataclass(frozen=True)
 class LhzCounts:
-    """Architecture-only constraint combinatorics.
+    """An LHZ constraint layout on ``n_qubits`` qubits, checked once, and its
+    combinatorics, which the closed-form action reads.
 
-    L is the total constraint count; L_mu[m] counts constraints containing
-    qubit m; L_mu_nu[m, n] counts constraints containing both; L_mu_not_nu
-    is L_mu[:, None] - L_mu_nu; pairs lists the (mu < nu) pairs sharing at
-    least one constraint.
+    ``constraints`` holds each constraint as a sorted tuple; one with an
+    out-of-range qubit, fewer than 3 or more than 4 qubits, or a qubit
+    repeated raises ``ValueError``.  L is the constraint count; L_mu[m]
+    counts constraints containing qubit m; L_mu_nu[m, n] (m != n) counts
+    constraints containing both; L_mu_not_nu is L_mu[:, None] - L_mu_nu.
+    All three come from the 0/1 membership matrix M (one row per
+    constraint): the column sums of M, and M^T M with its diagonal zeroed.
+    ``pairs`` lists, in row-major order, the (mu < nu) pairs sharing a
+    constraint as ``(mu, nu, L_mu_nu, L_mu_not_nu + L_nu_not_mu)`` Python
+    ints.  ``L_mu_float`` is L_mu as floats, and ``L_mu_less1`` and
+    ``L_mu_less2`` are L_mu - 1 and L_mu - 2 clipped at 0.  ``repeated``
+    says whether a constraint appears twice, and ``overlapping_triple``
+    whether three constraints overlap pairwise (a triangle in the graph
+    M M^T > 0).  The arrays are read-only, so the counts stay those of the
+    layout.
     """
 
-    L: int
-    L_mu: np.ndarray
-    L_mu_nu: np.ndarray
-    L_mu_not_nu: np.ndarray
-    pairs: Tuple[Tuple[int, int], ...]
-
-    def __post_init__(self):
-        if self.L_mu_nu.shape != (len(self.L_mu), len(self.L_mu)):
-            raise ValueError("inconsistent counts: L_mu_nu shape")
-        if not np.array_equal(self.L_mu_nu, self.L_mu_nu.T):
-            raise ValueError("inconsistent counts: L_mu_nu must be symmetric")
-        if not np.array_equal(self.L_mu_not_nu, self.L_mu[:, None] - self.L_mu_nu):
-            raise ValueError("inconsistent counts: L_mu_not_nu identity violated")
-        if np.any(self.L_mu < 0) or np.any(self.L_mu_nu < 0) or np.any(self.L_mu_not_nu < 0):
-            raise ValueError("inconsistent counts: negative entry")
-
-
-def lhz_counts(constraints: Sequence[Sequence[int]], n_qubits: int) -> LhzCounts:
-    """Exact combinatorial counts for an explicit constraint list."""
-    sets = []
-    for c in constraints:
-        cs = frozenset(int(q) for q in c)
-        if any(not 0 <= q < n_qubits for q in cs):
-            raise ValueError(f"constraint {sorted(cs)} has out-of-range index")
-        sets.append(cs)
-    l_mu = np.zeros(n_qubits, dtype=int)
-    l_mu_nu = np.zeros((n_qubits, n_qubits), dtype=int)
-    for cs in sets:
-        for mu in cs:
-            l_mu[mu] += 1
-            for nu in cs:
-                if nu != mu:
-                    l_mu_nu[mu, nu] += 1
-    pairs = tuple(
-        (mu, nu) for mu in range(n_qubits) for nu in range(mu + 1, n_qubits) if l_mu_nu[mu, nu] > 0
-    )
-    return LhzCounts(
-        L=len(sets),
-        L_mu=l_mu,
-        L_mu_nu=l_mu_nu,
-        L_mu_not_nu=l_mu[:, None] - l_mu_nu,
-        pairs=pairs,
-    )
+    def __init__(self, constraints: Sequence[Sequence[int]], n_qubits: int):
+        constraints = [tuple(sorted(int(q) for q in c)) for c in constraints]
+        for c in constraints:
+            if not all(0 <= q < n_qubits for q in c):
+                raise ValueError(f"constraint {c} has out-of-range qubit index")
+            if len(c) not in (3, 4) or len(set(c)) != len(c):
+                raise ValueError(f"constraint {c} must be 3 or 4 distinct qubits")
+        member = np.zeros((len(constraints), n_qubits), dtype=int)
+        for row, c in zip(member, constraints):
+            row[list(c)] = 1
+        l_mu = member.sum(axis=0)
+        l_mu_nu = member.T @ member
+        np.fill_diagonal(l_mu_nu, 0)
+        l_mu_not_nu = l_mu[:, None] - l_mu_nu
+        mu, nu = np.nonzero(np.triu(l_mu_nu, 1))
+        overlap = (member @ member.T > 0).astype(int)
+        np.fill_diagonal(overlap, 0)
+        self.constraints = constraints
+        self.L = len(constraints)
+        self.L_mu, self.L_mu_nu, self.L_mu_not_nu = l_mu, l_mu_nu, l_mu_not_nu
+        expo = l_mu_not_nu + l_mu_not_nu.T
+        self.pairs = tuple(zip(mu.tolist(), nu.tolist(), l_mu_nu[mu, nu].tolist(), expo[mu, nu].tolist()))
+        self.L_mu_float = l_mu.astype(float)
+        self.L_mu_less1 = np.maximum(l_mu - 1, 0)
+        self.L_mu_less2 = np.maximum(l_mu - 2, 0)
+        self.repeated = len(set(constraints)) < len(constraints)
+        self.overlapping_triple = bool((overlap @ overlap * overlap).any())
+        for a in (self.L_mu, self.L_mu_nu, self.L_mu_not_nu, self.L_mu_float, self.L_mu_less1, self.L_mu_less2):
+            a.setflags(write=False)
 
 
 def random_instance(kind: str, size: int, seed: int) -> Model:

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -211,6 +215,25 @@ def test_fields_csvs_share_one_ramp_table(tmp_path, monkeypatch):
     assert len(calls) - unwritten == unwritten + 1
     assert sorted(p.name for p in tmp_path.glob("fields_*.csv")) == ["fields_local-cd.csv", "fields_ra.csv",
                                                                       "fields_ua.csv"]
+
+
+def test_config_protocols_of_the_wrong_type_name_a_json_list(tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"protocols": "ua,ra"}))
+    assert run_cli(["run", "--config", cfg_path, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == ["error: config key 'protocols': expected list, got 'ua,ra'"]
+
+
+def test_diverging_run_prints_one_error_line(tmp_path):
+    # the state overflows long before the first output step; in a fresh
+    # process, so that any numpy warning reaches stderr as a user sees it
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "racd.cli", "run", "--model", "two-spin", "--tau", "1e6",
+                           "--protocols", "ua", "--out", str(tmp_path / "o")], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == ["error: ua evolution failed for the two-spin model with 2 qubits: "
+                                        "norm drift inf exceeds 1e-06 at 2000 RK4 steps"], proc.stderr
 
 
 @pytest.mark.slow

@@ -8,7 +8,7 @@ from numpy.testing import assert_allclose
 
 from racd import closed_form as cf
 from racd.agp import action_oracle
-from racd.models import ChainModel, LhzModel, QuboModel, Ramp, TwoSpinModel, random_instance
+from racd.models import ChainModel, LhzCounts, LhzModel, QuboModel, Ramp, TwoSpinModel, random_instance
 from racd.optimizer import make_action_objective
 
 RNG = np.random.Generator(np.random.PCG64(2024))
@@ -434,7 +434,7 @@ def test_qubo_cost_scales_cubically():
 # -- LHZ ------------------------------------------------------------------------
 
 def test_lhz_counts_single_constraint():
-    counts = cf.lhz_counts([(0, 1, 2, 3)], 4)
+    counts = LhzCounts([(0, 1, 2, 3)], 4)
     assert counts.L == 1
     assert np.array_equal(counts.L_mu, np.ones(4, dtype=int))
     off = counts.L_mu_nu[~np.eye(4, dtype=bool)]
@@ -443,17 +443,17 @@ def test_lhz_counts_single_constraint():
 
 
 def test_lhz_counts_disjoint_constraints():
-    counts = cf.lhz_counts([(0, 1, 2), (3, 4, 5)], 6)
+    counts = LhzCounts([(0, 1, 2), (3, 4, 5)], 6)
     assert counts.L == 2
     assert np.all(counts.L_mu_nu[:3, 3:] == 0)
-    assert all((mu < 3) == (nu < 3) for mu, nu in counts.pairs)
+    assert all((mu < 3) == (nu < 3) for mu, nu, *_ in counts.pairs)
 
 
 def test_lhz_counts_double_counting_identity():
     from racd.models import lhz_default_constraints
 
     cons = lhz_default_constraints(5)
-    counts = cf.lhz_counts(cons, 10)
+    counts = LhzCounts(cons, 10)
     assert counts.L_mu.sum() == sum(len(c) for c in cons)
 
 
@@ -461,7 +461,7 @@ def test_lhz_counts_n4_interior_qubit():
     from racd.models import lhz_default_constraints
 
     cons = lhz_default_constraints(4)
-    counts = cf.lhz_counts(cons, 6)
+    counts = LhzCounts(cons, 6)
     assert counts.L == 3
     # the shared interior qubit (logical pair (2,3)) sits in all three plaquettes
     assert counts.L_mu.max() == 3
@@ -470,12 +470,74 @@ def test_lhz_counts_n4_interior_qubit():
 
 def test_lhz_counts_out_of_range():
     with pytest.raises(ValueError):
-        cf.lhz_counts([(0, 1, 9)], 4)
+        LhzCounts([(0, 1, 9)], 4)
+
+
+def _brute_counts(constraints, n):
+    # one count per (constraint, qubit, qubit): the definition, term by term
+    l_mu = np.zeros(n, dtype=int)
+    l_mu_nu = np.zeros((n, n), dtype=int)
+    for c in constraints:
+        for mu in c:
+            l_mu[mu] += 1
+            for nu in c:
+                if nu != mu:
+                    l_mu_nu[mu, nu] += 1
+    return l_mu, l_mu_nu, l_mu[:, None] - l_mu_nu
+
+
+@st.composite
+def _layouts(draw):
+    n = draw(st.integers(3, 12))
+    constraint = st.lists(st.integers(0, n - 1), min_size=3, max_size=4, unique=True)
+    return n, draw(st.lists(constraint, max_size=8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout=_layouts(), data=st.data())
+def test_lhz_counts_match_a_brute_force_count(layout, data):
+    n, cons = layout
+    counts = LhzCounts(cons, n)
+    l_mu, l_mu_nu, l_mu_not_nu = _brute_counts(cons, n)
+    assert counts.constraints == [tuple(sorted(c)) for c in cons]
+    assert counts.L == len(cons)
+    for got, want in ((counts.L_mu, l_mu), (counts.L_mu_nu, l_mu_nu), (counts.L_mu_not_nu, l_mu_not_nu),
+                      (counts.L_mu_less1, np.maximum(l_mu - 1, 0)), (counts.L_mu_less2, np.maximum(l_mu - 2, 0))):
+        assert got.dtype.kind == "i" and np.array_equal(got, want)
+        assert not got.flags.writeable
+    assert counts.L_mu_float.dtype == float and np.array_equal(counts.L_mu_float, l_mu)
+    want_pairs = tuple((mu, nu, l_mu_nu[mu, nu], l_mu_not_nu[mu, nu] + l_mu_not_nu[nu, mu])
+                       for mu in range(n) for nu in range(mu + 1, n) if l_mu_nu[mu, nu] > 0)
+    assert counts.pairs == want_pairs
+    assert all(type(v) is int for pair in counts.pairs for v in pair)
+    assert counts.repeated == (len({frozenset(c) for c in cons}) < len(cons))
+    sets = [set(c) for c in cons]
+    assert counts.overlapping_triple == any(
+        a & b and b & c and a & c for i, a in enumerate(sets) for j, b in enumerate(sets[i + 1 :], i + 1)
+        for c in sets[j + 1 :]
+    )
+    # one bad constraint anywhere in the layout is refused with LhzModel's message
+    bad = data.draw(st.one_of(
+        st.lists(st.integers(-2, n + 2), min_size=3, max_size=4, unique=True).filter(
+            lambda c: not all(0 <= q < n for q in c)),
+        st.lists(st.integers(0, n - 1), min_size=1, max_size=2),
+        st.lists(st.integers(0, n - 1), min_size=5, max_size=6),
+        st.lists(st.integers(0, n - 1), min_size=3, max_size=4).filter(lambda c: len(set(c)) < len(c)),
+    ))
+    c = tuple(sorted(bad))
+    if not all(0 <= q < n for q in c):
+        message = f"constraint {c} has out-of-range qubit index"
+    else:
+        message = f"constraint {c} must be 3 or 4 distinct qubits"
+    at = data.draw(st.integers(0, len(cons)))
+    with pytest.raises(ValueError) as err:
+        LhzCounts(cons[:at] + [bad] + cons[at:], n)
+    assert str(err.value) == message
 
 
 def test_lhz_zero_params_value():
     model = random_instance("lhz", 4, 3)
-    counts = cf.lhz_counts(model.constraints, model.n_qubits)
+    counts = model.counts
     dA0, dB0, dC0 = 1.2, -0.7, 0.5
     fd = {"A": (0.3, dA0), "B": (0.7, dB0), "C": (0.9, dC0)}
     want = dA0**2 * (model.couplings**2).sum() + model.n_qubits * dB0**2 + counts.L * dC0**2
@@ -484,7 +546,7 @@ def test_lhz_zero_params_value():
 
 def test_lhz_matches_oracle():
     model = random_instance("lhz", 4, 205)
-    counts = cf.lhz_counts(model.constraints, model.n_qubits)
+    counts = model.counts
     rng = np.random.Generator(np.random.PCG64(60))
     for _ in range(100):
         fd = random_fd(model, rng)
@@ -495,15 +557,7 @@ def test_lhz_matches_oracle():
 
 
 def test_lhz_inconsistent_counts_rejected():
-    counts = cf.lhz_counts([(0, 1, 2)], 4)
-    with pytest.raises(ValueError):
-        cf.LhzCounts(
-            L=counts.L,
-            L_mu=counts.L_mu,
-            L_mu_nu=counts.L_mu_nu,
-            L_mu_not_nu=counts.L_mu_not_nu + 1,
-            pairs=counts.pairs,
-        )
+    counts = LhzCounts([(0, 1, 2)], 4)
     model = random_instance("lhz", 4, 1)
     with pytest.raises(ValueError):
         cf.action_lhz(counts, model.couplings, {"A": (1, 0), "B": (1, 0), "C": (1, 0)}, 0, 0, 0)
@@ -519,8 +573,47 @@ def test_lhz_repeated_constraint_rejected():
         with pytest.raises(ValueError, match="backend='oracle'"):
             call()
     assert action_oracle(model, fd, x) > 0.0
+
+
+def _lhz_refused_or_matches_the_oracle(model, rng):
+    # the closed form either matches the oracle at three points or points
+    # to it
+    try:
+        norm = cf.normalization(model)
+    except ValueError as exc:
+        assert str(exc).endswith("use backend='oracle'")
+        return False
+    for _ in range(3):
+        fd = random_fd(model, rng)
+        x = rng.uniform(-2, 2), rng.uniform(-1, 1), rng.uniform(-1, 1)
+        assert cf.action(model, fd, x) == pytest.approx(action_oracle(model, fd, x) / norm, rel=1e-8, abs=1e-12)
+    return True
+
+
+@settings(max_examples=150, deadline=None)
+@given(cons=st.lists(st.lists(st.integers(0, 5), min_size=3, max_size=4, unique=True), min_size=1, max_size=5),
+       seed=st.integers(0, 2**32 - 1))
+def test_lhz_closed_form_refuses_or_matches_the_oracle(cons, seed):
+    # a layout with three pairwise-overlapping constraints can be off by
+    # 22% (and a repeated constraint by 41%): those are refused
+    rng = np.random.default_rng(seed)
+    _lhz_refused_or_matches_the_oracle(LhzModel(4, rng.uniform(-1.0, 1.0, 6), constraints=cons), rng)
+
+
+def test_lhz_closed_form_serves_the_defaults_and_triangle_free_layouts():
     for n in range(3, 7):
-        assert cf.normalization(random_instance("lhz", n, 1)) == 2.0 ** (n * (n - 1) // 2)
+        model = random_instance("lhz", n, 1)
+        assert cf.normalization(model) == 2.0 ** (n * (n - 1) // 2)
+        # the default compares as a set of constraints, in any order
+        reordered = LhzModel(n, model.couplings, constraints=model.constraints[::-1])
+        assert cf.normalization(reordered) == 2.0 ** model.n_qubits
+    rng = np.random.default_rng(3)
+    # the layout of the optimizer's per-model counts test, and a cycle of four
+    # constraints on 10 qubits, each overlapping only its two neighbours
+    for n, cons in ((4, [(0, 1, 3), (2, 4, 5), (0, 2, 5)]), (5, [(0, 1, 2, 3), (3, 4, 5), (5, 6, 7, 8), (8, 9, 0)])):
+        model = LhzModel(n, rng.uniform(-1.0, 1.0, n * (n - 1) // 2), constraints=cons)
+        assert not model.counts.overlapping_triple
+        assert _lhz_refused_or_matches_the_oracle(model, rng)
 
 
 _oracle_model = st.one_of(
@@ -579,7 +672,7 @@ def test_all_actions_nonnegative():
     chain = ChainModel(4)
     qubo = random_instance("qubo", 4, 1)
     lhz = random_instance("lhz", 4, 1)
-    counts = cf.lhz_counts(lhz.constraints, lhz.n_qubits)
+    counts = lhz.counts
     for _ in range(100):
         fd2 = random_fd(two, rng)
         fdc = random_fd(chain, rng)

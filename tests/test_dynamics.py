@@ -866,10 +866,11 @@ def _stiff_protocol(field):
     return assemble_protocol(StiffModel(), None, "ua", Ramp(1.0))
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_overflowed_state_raises_instead_of_nan_fidelities():
     # an X field of 1e200 overflows the state within 100 steps; its NaN norm
-    # drift is a StepSizeError with no step-count estimate, not F = nan
+    # drift is a StepSizeError with no step-count estimate, not F = nan, and
+    # no overflow warning on the way there
     from racd.cli import _annotate
 
     protocol = _stiff_protocol(1e200)

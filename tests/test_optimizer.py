@@ -310,7 +310,7 @@ def test_objective_checks_once_and_calls_the_module_evaluator(monkeypatch, model
 
 def test_lhz_repeated_constraint_checked_once_on_the_model():
     m = LhzModel(3, np.ones(3), constraints=[(0, 1, 2), (0, 1, 2)])
-    assert m.has_repeated_constraint and not LhzModel(3, np.ones(3)).has_repeated_constraint
+    assert m.counts.repeated and not LhzModel(3, np.ones(3)).counts.repeated
     with pytest.raises(ValueError, match="oracle"):
         make_action_objective(m, 0.5, 1.0)
 
